@@ -23,7 +23,7 @@ from scipy import stats
 
 from .core import NumericalFailure, derive_stream, stream_rng
 from .problems import ProblemSpec, default_x0, make_problem
-from .restarts import restart_tune
+from .restarts import RestartPlan, restart_tune
 from .tuner import (Deterministic, NonAdaptive, Stochastic, damping_for_round,
                     relative_eta_eps, tune)
 from .validation import (ProblemMeta, binom_upper, boundary_crossing_test,
@@ -117,6 +117,16 @@ def _emit(writer, jsonl_file, row: dict, diag: dict):
         jsonl_file.write(json.dumps(diag, sort_keys=True) + "\n")
 
 
+def _failure_row(run_id: int, seed: int, t0: float, reason: str):
+    """(csv row, jsonl record) of a run that ended in a numerical failure."""
+    wall = (time.perf_counter() - t0) * 1e3
+    row = {"run_id": run_id, "seed": seed, "k_final": "", "T": "",
+           "eta_o_exponent": "", "total_queries": "", "gap": "nan",
+           "dist_to_opt": "nan", "case": "numerical_failure",
+           "wall_ms": f"{wall:.3f}"}
+    return row, {"run_id": run_id, "error": reason}
+
+
 def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     """One tuner repetition; returns (csv row, jsonl record, bug flag)."""
     seed = derive_stream(cfg.master_seed, "rep", run_id)
@@ -129,12 +139,7 @@ def _tune_once(cfg: RunConfig, run_id: int, budget: int):
                       mode=_mode_object(cfg, oracle.norm_bound_L),
                       master_seed=seed)
     except NumericalFailure as exc:
-        wall = (time.perf_counter() - t0) * 1e3
-        row = {"run_id": run_id, "seed": seed, "k_final": "", "T": "",
-               "eta_o_exponent": "", "total_queries": "", "gap": "nan",
-               "dist_to_opt": "nan", "case": "numerical_failure",
-               "wall_ms": f"{wall:.3f}"}
-        return row, {"run_id": run_id, "error": str(exc)}, False
+        return (*_failure_row(run_id, seed, t0, str(exc)), False)
     wall = (time.perf_counter() - t0) * 1e3
     gap = float(oracle.exact_value(result.x_bar) - f_star)
     dist = float(np.linalg.norm(result.x_bar - x_star))
@@ -181,16 +186,30 @@ def cmd_restart(cfg: RunConfig) -> int:
             seed = derive_stream(cfg.master_seed, "rep", run_id)
             oracle, domain, x_star, f_star = make_problem(spec, seed)
             x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
+            bound = RestartPlan(M=cfg.rounds, epsilon=cfg.epsilon,
+                                delta=cfg.delta,
+                                L=oracle.norm_bound_L).total_budget
             t0 = time.perf_counter()
-            x_final, records = restart_tune(
-                oracle, domain, x0, M=cfg.rounds, delta=cfg.delta,
-                epsilon=cfg.epsilon, L=oracle.norm_bound_L, master_seed=seed)
+            try:
+                x_final, records = restart_tune(
+                    oracle, domain, x0, M=cfg.rounds, delta=cfg.delta,
+                    epsilon=cfg.epsilon, L=oracle.norm_bound_L,
+                    master_seed=seed)
+            except RuntimeError as exc:
+                # restart_tune names the failing round and chains the cause
+                if not isinstance(exc.__cause__, NumericalFailure):
+                    raise
+                row, diag = _failure_row(run_id, seed, t0,
+                                         f"{exc}: {exc.__cause__}")
+                _emit(writer, jsonl_file, row, diag)
+                print(f"run {run_id}: case=numerical_failure ({diag['error']})")
+                continue
             wall = (time.perf_counter() - t0) * 1e3
             total = sum(r.total_queries for r in records)
             gap = float(oracle.exact_value(x_final) - f_star)
             dist = float(np.linalg.norm(x_final - x_star))
             last = records[-1]
-            budget_ok = total <= 2 ** (cfg.rounds + 1)
+            budget_ok = total <= bound
             bug |= not budget_ok
             row = {"run_id": run_id, "seed": seed, "k_final": last.k_final,
                    "T": last.T, "eta_o_exponent": last.eta.exponent,
@@ -201,7 +220,7 @@ def cmd_restart(cfg: RunConfig) -> int:
                     "gap": gap, "total_queries": total,
                     "checks": [{"check_id": "restart_total_budget",
                                 "realized": total,
-                                "bound": 2 ** (cfg.rounds + 1),
+                                "bound": bound,
                                 "verdict": "pass" if budget_ok else "bug"}],
                     "per_round": [{"m": m + 1, "case": r.case,
                                    "queries": r.total_queries,
@@ -273,7 +292,7 @@ def fit_loglog_slope(budgets, medians):
 def cmd_sweep(cfg: RunConfig) -> int:
     csv_file, writer, jsonl_file = _open_writers(cfg)
     bug = False
-    medians = []
+    medians, failures = [], []
     try:
         run_id = 0
         for budget in cfg.budgets:
@@ -282,15 +301,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 row, diag, run_bug = _tune_once(cfg, run_id, budget)
                 bug |= run_bug
                 _emit(writer, jsonl_file, row, diag)
-                gaps.append(float(row["gap"]))
+                if row["case"] != "numerical_failure":
+                    gaps.append(float(row["gap"]))
                 run_id += 1
+            failures.append(cfg.repetitions - len(gaps))
+            if not gaps:
+                raise ValueError(f"every run at budget {budget} ended in a "
+                                 "numerical failure; no median gap to fit")
             med = float(np.median(gaps))
             medians.append(med)
-            print(f"B={budget}: median gap {med:.6g}")
+            print(f"B={budget}: median gap {med:.6g} over {len(gaps)} runs "
+                  f"({failures[-1]} numerical failures)")
         slope, ci = fit_loglog_slope(cfg.budgets, medians)
         summary = {"command": "sweep", "budgets": list(cfg.budgets),
-                   "median_gaps": medians, "slope": slope,
-                   "slope_ci": list(ci)}
+                   "median_gaps": medians, "numerical_failures": failures,
+                   "slope": slope, "slope_ci": list(ci)}
         if jsonl_file:
             jsonl_file.write(json.dumps(summary, sort_keys=True) + "\n")
         print(f"log-log slope {slope:.4f} (95% CI [{ci[0]:.4f}, {ci[1]:.4f}])")

@@ -6,6 +6,7 @@ validation checks) consumes the :class:`SgdTrace` summaries produced here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -107,13 +108,40 @@ class ProjectionDomain:
         return bool(np.linalg.norm(self.project(x) - x) <= tol)
 
 
+class _ValueStat:
+    """Field descriptor for ``best_x``, ``best_f`` and ``value_avg`` of an
+    :class:`SgdTrace`: the first access on a trace with a ``replay`` takes all
+    three from the rerun it returns."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None  # the dataclass default
+        if trace.replay is not None:
+            rerun, trace.replay = trace.replay(), None
+            for name in ("best_x", "best_f", "value_avg"):
+                trace.__dict__[name] = getattr(rerun, name)
+        return trace.__dict__[self.name]
+
+    def __set__(self, trace, value):
+        trace.__dict__[self.name] = value
+
+
 @dataclass
 class SgdTrace:
     """Summary of one realization of a fixed-step projected SGD run.
 
     ``r_bar`` is max_{i<=T} ||x0 - x_i|| and ``G`` is the running sum of
     squared gradient norms over the T queried gradients. ``x_avg`` averages
-    the first T iterates x_0, ..., x_{T-1}.
+    the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f`` (lowest
+    value over x_0, ..., x_T) and ``value_avg`` are set only when the run
+    tracked values. Traces made by the tuner are run without value tracking
+    and carry a ``replay``: their value statistics are computed on first
+    access, by rerunning the same realization with ``oracle.exact_value``.
+    A run is a pure function of (oracle, x0, eta, T, stream), so they equal
+    those of a run that tracked values.
     """
 
     eta: float
@@ -127,9 +155,11 @@ class SgdTrace:
     stream: int
     xs: Optional[np.ndarray] = None  # (T+1, d) when full record kept
     gs: Optional[np.ndarray] = None  # (T, d)
-    best_x: Optional[Vector] = None
-    best_f: Optional[float] = None
-    value_avg: Optional[float] = None  # mean of f over x_0, ..., x_{T-1}
+    best_x: Optional[Vector] = _ValueStat()
+    best_f: Optional[float] = _ValueStat()
+    value_avg: Optional[float] = _ValueStat()  # mean of f over x_0, ..., x_{T-1}
+    replay: Optional[Callable[[], "SgdTrace"]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def has_full_record(self) -> bool:
@@ -150,10 +180,11 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         raise ValueError("eta must be positive")
     x0 = domain.project(np.asarray(x0, dtype=float))
     rng = stream_rng(stream)
+    project = None if domain.kind == "whole" else domain.project
 
     x = x0.copy()
     x_sum = np.zeros_like(x0)
-    r_bar = 0.0
+    dsq_max = 0.0  # max ||x_i - x0||^2; r_bar is its root
     G = 0.0
     G_comp = 0.0  # Kahan compensation, keeps G independent of rounding order
     g0_norm = 0.0
@@ -171,9 +202,11 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
 
     for i in range(T):
         g = np.asarray(oracle.query(x, rng), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NumericalFailure(i, "gradient")
         gsq = float(g @ g)
+        # a finite square implies finite entries; the elementwise check
+        # runs only to tell overflow of the square from a non-finite entry
+        if not math.isfinite(gsq) and not np.all(np.isfinite(g)):
+            raise NumericalFailure(i, "gradient")
         if i == 0:
             g0_norm = gsq ** 0.5
         y = gsq - G_comp
@@ -181,10 +214,15 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         G_comp = (t - G) - y
         G = t
         x_sum += x
-        x = domain.project(x - eta * g)
-        if not np.all(np.isfinite(x)):
+        x = x - eta * g
+        if project is not None:
+            x = project(x)
+        d = x - x0
+        dsq = float(d.dot(d))  # the square np.linalg.norm takes the root of
+        if not math.isfinite(dsq) and not np.all(np.isfinite(x)):
             raise NumericalFailure(i, "iterate")
-        r_bar = max(r_bar, float(np.linalg.norm(x - x0)))
+        if dsq > dsq_max:
+            dsq_max = dsq
         if record_full:
             gs.append(g)
             xs.append(x.copy())
@@ -196,8 +234,8 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
                 best_x = x.copy()
 
     return SgdTrace(
-        eta=float(eta), T=T, x0=x0, x_avg=x_sum / T, r_bar=r_bar, G=G,
-        g0_norm=g0_norm, query_count=T, stream=stream,
+        eta=float(eta), T=T, x0=x0, x_avg=x_sum / T, r_bar=math.sqrt(dsq_max),
+        G=G, g0_norm=g0_norm, query_count=T, stream=stream,
         xs=np.array(xs) if record_full else None,
         gs=np.array(gs) if record_full else None,
         best_x=best_x, best_f=(best_f if value_fn is not None else None),

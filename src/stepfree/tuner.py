@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -176,14 +177,15 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
                            round_k: Optional[int] = None,
                            master_seed: int = 0,
                            record_full: bool = False,
-                           value_fn=None,
                            debug: bool = True) -> BisectionOutcome:
     """Log-scale bisection for a step size with a sign change of phi(eta) - eta.
 
     The exponent gap of the input interval must be a power of two >= 2, so
     every geometric midpoint stays on the dyadic grid. Each candidate is
     evaluated at most once; traces are cached under (round_k, exponent) and
-    reused at zero query cost.
+    reused at zero query cost. Runs do not track values; when the oracle has
+    ``exact_value``, each trace's value statistics are replayed on first
+    access.
     """
     if eta_lo.base != eta_hi.base:
         raise ValueError("interval endpoints must share a base step size")
@@ -202,7 +204,11 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
             stream = derive_stream(master_seed, "trace", round_k or 0,
                                    candidate.exponent)
             trace = sgd_run(oracle, domain, x0, candidate.value, T, stream,
-                            record_full=record_full, value_fn=value_fn)
+                            record_full=record_full)
+            if oracle.exact_value is not None:
+                trace.replay = partial(sgd_run, oracle, domain, x0,
+                                       candidate.value, T, stream,
+                                       value_fn=oracle.exact_value)
             cache[key] = trace
             outcome.fresh_queries += trace.query_count
         outcome.evaluations.append((candidate, trace))
@@ -238,9 +244,8 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
         outcome.eta_o, outcome.trace, outcome.branch = lo, tr_lo, "lo"
     outcome.eta_lo_star, outcome.eta_hi_star = lo, hi
     outcome.trace_lo_star, outcome.trace_hi_star = tr_lo, tr_hi
-    if debug:
-        assert verify_output_property(outcome, damping), \
-            "bisection output property violated"
+    if debug and not verify_output_property(outcome, damping):
+        raise AssertionError("bisection output property violated")
     return outcome
 
 
@@ -284,7 +289,18 @@ class TunerResult:
     master_seed: int
     final_outcome: Optional[BisectionOutcome] = None
     damping_final: Optional[DampingParams] = None
-    best_observed: Optional[tuple] = None  # (point, value)
+
+    @property
+    def best_observed(self) -> Optional[tuple]:
+        """(point, value) with the lowest exact value over every cached run,
+        or None without ``oracle.exact_value`` or when the budget was too
+        small. Replays each cached run that has not computed its values."""
+        if self.case == "budget_too_small":
+            return None
+        best = min((tr for tr in self.trace_cache.values()
+                    if tr.best_f is not None),
+                   key=lambda tr: tr.best_f, default=None)
+        return None if best is None else (best.best_x, best.best_f)
 
     @property
     def eta_prime_interval(self) -> tuple:
@@ -354,7 +370,6 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         damping_for_round(2, budget, delta, L, mode)
 
     x0 = domain.project(np.asarray(x0, dtype=float))
-    value_fn = oracle.exact_value
 
     g0_vec = np.asarray(oracle.query(x0, stream_rng(derive_stream(master_seed, "g0"))))
     g0_norm = float(np.linalg.norm(g0_vec))
@@ -378,8 +393,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
             oracle, domain, x0,
             eta_lo=StepSizeExp(eta_eps, 0), eta_hi=StepSizeExp(eta_eps, 2 ** k),
             T=T_k, damping=damping, cache=cache, round_k=k,
-            master_seed=master_seed, record_full=record_full,
-            value_fn=value_fn, debug=debug)
+            master_seed=master_seed, record_full=record_full, debug=debug)
         total_queries += outcome.fresh_queries
         if outcome.kind == "infeasible":
             k *= 2
@@ -394,11 +408,6 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
             side_queries=side_queries, mode=mode, master_seed=master_seed,
             final_outcome=outcome, damping_final=damping)
         result.z = select_output_z(result, cache.get((k, 0)))
-        if value_fn is not None:
-            best = min((tr for tr in cache.values() if tr.best_f is not None),
-                       key=lambda tr: tr.best_f, default=None)
-            if best is not None:
-                result.best_observed = (best.best_x, best.best_f)
         if total_queries > budget:
             raise AssertionError("query budget exceeded")  # accounting bug
         return result

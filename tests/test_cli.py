@@ -2,8 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import stepfree.cli as cli
 from stepfree.cli import build_parser, fit_loglog_slope, main
 
 
@@ -178,3 +180,81 @@ class TestHelpers:
         for cmd in ("tune", "restart", "validate-good-event",
                     "boundary-test", "sweep"):
             assert cmd in text
+
+
+def blow_up_on(monkeypatch, fails):
+    """Make every CLI problem whose seed satisfies fails(seed) return NaN
+    gradients."""
+    make = cli.make_problem
+
+    def patched(spec, seed):
+        oracle, domain, x_star, f_star = make(spec, seed)
+        if fails(seed):
+            oracle.query = lambda x, rng: np.full(len(x), np.nan)
+        return oracle, domain, x_star, f_star
+    monkeypatch.setattr(cli, "make_problem", patched)
+
+
+class TestRunFailures:
+    RESTART = ["restart", "--family", "sc_quadratic", "--dimension", "2",
+               "--mu", "1", "--L", "1", "--epsilon", "3", "--delta", "0.1"]
+
+    def test_restart_bound_is_plan_total_budget(self, tmp_path):
+        out = tmp_path / "r.jsonl"
+        assert run_cli(self.RESTART + ["--rounds", "5", "--jsonl", out]) == 0
+        (diag,) = read_jsonl(out)
+        check = diag["checks"][0]
+        assert check["bound"] == 2 ** 6 - 2  # sum of 2^m, m = 1..5
+        assert check["realized"] <= check["bound"]
+
+    def test_restart_numerical_failure_is_a_row(self, tmp_path,
+                                                 monkeypatch):
+        blow_up_on(monkeypatch, lambda seed: seed % 2 == 0)
+        csv_path, jsonl_path = tmp_path / "r.csv", tmp_path / "r.jsonl"
+        code = run_cli(self.RESTART + ["--rounds", "4", "--reps", "6",
+                                       "--csv", csv_path,
+                                       "--jsonl", jsonl_path])
+        assert code == 0
+        rows, diags = read_csv(csv_path), read_jsonl(jsonl_path)
+        failed = [r for r in rows if r["case"] == "numerical_failure"]
+        assert len(rows) == 6
+        assert [int(r["seed"]) % 2 == 0 for r in rows] == \
+            [r in failed for r in rows]
+        assert 0 < len(failed) < 6
+        reasons = [d["error"] for d in diags if "error" in d]
+        assert len(reasons) == len(failed)
+        # rounds 1 and 2 are too small to run SGD; round 3 is the first
+        assert all(r == "restart round 3 failed: non-finite gradient at "
+                   "step 0" for r in reasons)
+
+    SWEEP = ["sweep", "--family", "l1", "--dimension", "1",
+             "--center-scale", "0", "--x0-dist", "1",
+             "--budgets", "64,128,256,512", "--reps", "20",
+             "--eta-eps", "0.001953125"]
+
+    def test_sweep_leaves_failed_runs_out(self, tmp_path, monkeypatch):
+        blow_up_on(monkeypatch, lambda seed: seed % 3 == 0)
+        csv_path, jsonl_path = tmp_path / "s.csv", tmp_path / "s.jsonl"
+        code = run_cli(self.SWEEP + ["--csv", csv_path,
+                                     "--jsonl", jsonl_path])
+        assert code == 0
+        rows = read_csv(csv_path)
+        summary = read_jsonl(jsonl_path)[-1]
+        per_budget = [rows[i:i + 20] for i in range(0, 80, 20)]
+        failures = [sum(r["case"] == "numerical_failure" for r in block)
+                    for block in per_budget]
+        assert summary["numerical_failures"] == failures
+        assert sum(failures) > 0
+        medians = [float(np.median([float(r["gap"]) for r in block
+                                    if r["case"] != "numerical_failure"]))
+                   for block in per_budget]
+        assert summary["median_gaps"] == medians
+        assert np.isfinite(summary["slope"])
+
+    def test_sweep_with_no_finite_gap_fails(self, tmp_path, monkeypatch,
+                                            capsys):
+        blow_up_on(monkeypatch, lambda seed: True)
+        code = run_cli(self.SWEEP + ["--jsonl", tmp_path / "s.jsonl"])
+        assert code == 2
+        assert "every run at budget 64 ended in a numerical failure" in \
+            capsys.readouterr().err

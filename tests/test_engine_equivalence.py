@@ -1,0 +1,289 @@
+"""The engine against a reference copy of its straightforward per-step loop.
+
+``reference_sgd_run`` checks finiteness elementwise, takes a norm and calls
+the projection on every step. ``sgd_run`` must give the same realization bit
+for bit: the same trace, or the same ``NumericalFailure`` at the same step.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stepfree
+from stepfree import (NumericalFailure, ProblemSpec, ProjectionDomain,
+                      SgdTrace, StochasticOracle, default_x0, make_problem,
+                      sgd_run, stream_rng, tune)
+from stepfree.tuner import Deterministic, Stochastic
+
+
+def reference_sgd_run(oracle, domain, x0, eta, T, stream, record_full=False,
+                      value_fn=None):
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    x0 = domain.project(np.asarray(x0, dtype=float))
+    rng = stream_rng(stream)
+
+    x = x0.copy()
+    x_sum = np.zeros_like(x0)
+    r_bar = 0.0
+    G = 0.0
+    G_comp = 0.0
+    g0_norm = 0.0
+    best_x = None
+    best_f = np.inf
+    xs = [x0.copy()] if record_full else None
+    gs = [] if record_full else None
+
+    value_sum = 0.0
+    fx = None
+    if value_fn is not None:
+        fx = float(value_fn(x0))
+        best_f = fx
+        best_x = x0.copy()
+
+    for i in range(T):
+        g = np.asarray(oracle.query(x, rng), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise NumericalFailure(i, "gradient")
+        gsq = float(g @ g)
+        if i == 0:
+            g0_norm = gsq ** 0.5
+        y = gsq - G_comp
+        t = G + y
+        G_comp = (t - G) - y
+        G = t
+        x_sum += x
+        x = domain.project(x - eta * g)
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailure(i, "iterate")
+        r_bar = max(r_bar, float(np.linalg.norm(x - x0)))
+        if record_full:
+            gs.append(g)
+            xs.append(x.copy())
+        if value_fn is not None:
+            value_sum += fx
+            fx = float(value_fn(x))
+            if fx < best_f:
+                best_f = fx
+                best_x = x.copy()
+
+    return SgdTrace(
+        eta=float(eta), T=T, x0=x0, x_avg=x_sum / T, r_bar=r_bar, G=G,
+        g0_norm=g0_norm, query_count=T, stream=stream,
+        xs=np.array(xs) if record_full else None,
+        gs=np.array(gs) if record_full else None,
+        best_x=best_x, best_f=(best_f if value_fn is not None else None),
+        value_avg=(value_sum / T if value_fn is not None else None),
+    )
+
+
+FIELDS = ("eta", "T", "query_count", "stream", "x0", "x_avg", "r_bar", "G",
+          "g0_norm", "xs", "gs", "best_x", "best_f", "value_avg")
+
+
+def bits(v):
+    """Exact identity of a field: None, or dtype, shape and raw bytes."""
+    if v is None or isinstance(v, int):
+        return v
+    a = np.asarray(v, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def assert_same_trace(a, b):
+    for name in FIELDS:
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+
+
+def outcome(engine, *args, **kwargs):
+    """("fail", step, what) or ("trace", field bits) of one engine call."""
+    try:
+        tr = engine(*args, **kwargs)
+    except NumericalFailure as exc:
+        return ("fail", exc.step, exc.what)
+    return ("trace",) + tuple(bits(getattr(tr, f)) for f in FIELDS)
+
+
+FAMILY_NOISE = [("l1", "none", 0.0), ("l1", "sphere", 1.0),
+                ("quadratic", "none", 0.0), ("quadratic", "sphere", 1.0),
+                ("huber", "signflip", 0.2), ("sc_quadratic", "none", 0.0),
+                ("logistic", "none", 0.0), ("logistic", "signflip", 0.1)]
+_problems = {}
+
+
+def problem(family, noise, param, seed):
+    key = (family, noise, param, seed)
+    if key not in _problems:
+        spec = ProblemSpec(family=family, dimension=3, noise=noise,
+                           noise_param=param)
+        _problems[key] = make_problem(spec, seed)
+    return _problems[key]
+
+
+def domain_of(kind, x_star):
+    if kind == "whole":
+        return ProjectionDomain.whole_space()
+    if kind == "ball":  # small enough that projections are active
+        return ProjectionDomain.ball(x_star + 0.3, 0.8)
+    return ProjectionDomain.box(x_star - 0.5, x_star + 0.25)
+
+
+class TestEngineEquivalence:
+    @given(member=st.sampled_from(FAMILY_NOISE), seed=st.integers(0, 3),
+           kind=st.sampled_from(["whole", "ball", "box"]),
+           log2_eta=st.floats(-10.0, 3.0), T=st.integers(1, 60),
+           stream=st.integers(0, 2 ** 128 - 1), record_full=st.booleans(),
+           track_values=st.booleans(), dist=st.floats(0.0, 4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_reference(self, member, seed, kind, log2_eta, T,
+                                        stream, record_full, track_values,
+                                        dist):
+        oracle, _, x_star, _ = problem(*member, seed)
+        domain = domain_of(kind, x_star)
+        x0 = x_star + dist * np.array([0.6, -0.8, 0.0])
+        value_fn = oracle.exact_value if track_values else None
+        args = (oracle, domain, x0, 2.0 ** log2_eta, T, stream)
+        kwargs = dict(record_full=record_full, value_fn=value_fn)
+        assert (outcome(sgd_run, *args, **kwargs)
+                == outcome(reference_sgd_run, *args, **kwargs))
+
+    @pytest.mark.parametrize("member", FAMILY_NOISE)
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic"])
+    def test_tune_values_replay_equal_eager(self, member, mode):
+        oracle, domain, x_star, _ = problem(*member, 0)
+        calls = [0]
+        exact_value = oracle.exact_value
+
+        def counted(x):
+            calls[0] += 1
+            return exact_value(x)
+
+        oracle.exact_value = counted
+        try:
+            x0 = default_x0(domain, x_star, 2.0, 0)
+            mode_obj = (Deterministic() if mode == "deterministic"
+                        else Stochastic(delta=0.1, L=oracle.norm_bound_L))
+            result = tune(oracle, domain, x0, budget=512, eta_eps=1e-3,
+                          mode=mode_obj, master_seed=7)
+            assert calls[0] == 0  # no value is computed on tune's path
+            eager = {}
+            for key, tr in result.trace_cache.items():
+                eager[key] = sgd_run(oracle, domain, result.x0, tr.eta, tr.T,
+                                     tr.stream, value_fn=exact_value)
+                assert_same_trace(tr, eager[key])
+            assert calls[0] > 0
+        finally:
+            oracle.exact_value = exact_value
+        best = min(eager.values(), key=lambda tr: tr.best_f)
+        point, value = result.best_observed
+        assert bits(point) == bits(best.best_x)
+        assert bits(value) == bits(best.best_f)
+
+    def test_no_exact_value_no_stats(self):
+        oracle = StochasticOracle(dimension=1,
+                                  query=lambda x, rng: np.sign(x))
+        result = tune(oracle, ProjectionDomain.whole_space(), np.array([1.0]),
+                      budget=64, eta_eps=1 / 16)
+        assert all(tr.best_f is None and tr.value_avg is None
+                   for tr in result.trace_cache.values())
+        assert result.best_observed is None
+
+
+def scripted(grads):
+    """Oracle returning grads[i] at the i-th query, then ones."""
+    grads = [np.asarray(g, dtype=float) for g in grads]
+
+    def query(x, rng):
+        i = query.n
+        query.n += 1
+        return grads[i] if i < len(grads) else np.ones_like(x)
+    return query
+
+
+SCRIPTS = {
+    "nan_gradient": [[1.0, 0.5], [0.5, np.nan]],
+    "inf_gradient": [[1.0, 0.5], [np.inf, 0.0]],
+    "neg_inf_gradient": [[-np.inf, 1.0]],
+    # the squares of the gradient and of the displacement overflow
+    "square_overflows": [[1e200, 0.0], [0.5, 1e160]],
+    "iterate_overflows": [[1.0, 1.0], [1e308, 0.0]],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumericalFailure:
+    @pytest.mark.parametrize("name", sorted(SCRIPTS))
+    @pytest.mark.parametrize("kind", ["whole", "box"])
+    @pytest.mark.parametrize("record_full", [False, True])
+    @pytest.mark.parametrize("track_values", [False, True])
+    def test_same_outcome_as_reference(self, name, kind, record_full,
+                                       track_values):
+        if kind == "whole":
+            domain = ProjectionDomain.whole_space()
+        else:
+            domain = ProjectionDomain.box(np.full(2, -np.inf),
+                                          np.full(2, 1e308))
+        value_fn = (lambda x: float(np.abs(x).sum())) if track_values else None
+        results = []
+        for engine in (reference_sgd_run, sgd_run):
+            oracle = StochasticOracle(dimension=2,
+                                      query=scripted(SCRIPTS[name]))
+            oracle.query.n = 0
+            results.append(outcome(engine, oracle, domain, np.zeros(2), 10.0,
+                                   4, stream=0, record_full=record_full,
+                                   value_fn=value_fn))
+        assert results[0] == results[1]
+
+    def test_expected_outcomes(self):
+        whole = ProjectionDomain.whole_space()
+
+        def run(name):
+            oracle = StochasticOracle(dimension=2,
+                                      query=scripted(SCRIPTS[name]))
+            oracle.query.n = 0
+            return outcome(sgd_run, oracle, whole, np.zeros(2), 10.0, 4, 0)
+
+        assert run("nan_gradient") == ("fail", 1, "gradient")
+        assert run("inf_gradient") == ("fail", 1, "gradient")
+        assert run("neg_inf_gradient") == ("fail", 0, "gradient")
+        assert run("iterate_overflows") == ("fail", 1, "iterate")
+        # finite entries whose squares overflow are not a failure
+        assert run("square_overflows")[0] == "trace"
+
+
+def test_bisection_check_survives_optimize_flag():
+    # the output-property check must raise even where asserts are stripped
+    script = textwrap.dedent("""
+        import numpy as np
+        import stepfree.tuner as tuner
+        from stepfree import (DampingParams, ProjectionDomain, StepSizeExp,
+                              StochasticOracle)
+        print("debug", __debug__)
+        tuner.verify_output_property = lambda outcome, damping: False
+        oracle = StochasticOracle(dimension=1,
+                                  query=lambda x, rng: np.sign(x))
+        try:
+            out = tuner.root_finding_bisection(
+                oracle, ProjectionDomain.whole_space(), np.array([1.0]),
+                eta_lo=StepSizeExp(1 / 16, 0), eta_hi=StepSizeExp(1 / 16, 4),
+                T=4, damping=DampingParams(3.0, 0.0))
+        except AssertionError as exc:
+            print("raised", exc)
+        else:
+            print("returned", out.kind)
+    """)
+    src = os.path.dirname(os.path.dirname(stepfree.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1] == "raised bisection output property violated"
