@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -117,14 +118,18 @@ def _emit(writer, jsonl_file, row: dict, diag: dict):
         jsonl_file.write(json.dumps(diag, sort_keys=True) + "\n")
 
 
-def _failure_row(run_id: int, seed: int, t0: float, reason: str):
-    """(csv row, jsonl record) of a run that ended in a numerical failure."""
+# cases of runs that end with a reason instead of a result
+FAILED_CASES = ("numerical_failure", "zero_first_gradient")
+
+
+def _failure_row(run_id: int, seed: int, t0: float, reason: str,
+                 case: str = "numerical_failure"):
+    """(csv row, jsonl record) of a run that ended without a result."""
     wall = (time.perf_counter() - t0) * 1e3
     row = {"run_id": run_id, "seed": seed, "k_final": "", "T": "",
            "eta_o_exponent": "", "total_queries": "", "gap": "nan",
-           "dist_to_opt": "nan", "case": "numerical_failure",
-           "wall_ms": f"{wall:.3f}"}
-    return row, {"run_id": run_id, "error": reason}
+           "dist_to_opt": "nan", "case": case, "wall_ms": f"{wall:.3f}"}
+    return row, {"run_id": run_id, "case": case, "error": reason}
 
 
 def _tune_once(cfg: RunConfig, run_id: int, budget: int):
@@ -135,6 +140,10 @@ def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     t0 = time.perf_counter()
     try:
         eta_eps = _resolve_eta_eps(cfg, oracle, domain, x0, seed, budget)
+    except ValueError as exc:  # relative mode with a zero first gradient
+        return (*_failure_row(run_id, seed, t0, str(exc),
+                              "zero_first_gradient"), False)
+    try:
         result = tune(oracle, domain, x0, budget=budget, eta_eps=eta_eps,
                       mode=_mode_object(cfg, oracle.norm_bound_L),
                       master_seed=seed)
@@ -292,29 +301,36 @@ def fit_loglog_slope(budgets, medians):
 def cmd_sweep(cfg: RunConfig) -> int:
     csv_file, writer, jsonl_file = _open_writers(cfg)
     bug = False
-    medians, failures = [], []
+    medians, failures, zero_grads = [], [], []
     try:
         run_id = 0
         for budget in cfg.budgets:
             gaps = []
+            failed = dict.fromkeys(FAILED_CASES, 0)
             for _ in range(cfg.repetitions):
                 row, diag, run_bug = _tune_once(cfg, run_id, budget)
                 bug |= run_bug
                 _emit(writer, jsonl_file, row, diag)
-                if row["case"] != "numerical_failure":
+                if row["case"] in FAILED_CASES:
+                    failed[row["case"]] += 1
+                else:
                     gaps.append(float(row["gap"]))
                 run_id += 1
-            failures.append(cfg.repetitions - len(gaps))
+            failures.append(failed["numerical_failure"])
+            zero_grads.append(failed["zero_first_gradient"])
             if not gaps:
                 raise ValueError(f"every run at budget {budget} ended in a "
-                                 "numerical failure; no median gap to fit")
+                                 "numerical failure or a zero first "
+                                 "gradient; no median gap to fit")
             med = float(np.median(gaps))
             medians.append(med)
             print(f"B={budget}: median gap {med:.6g} over {len(gaps)} runs "
-                  f"({failures[-1]} numerical failures)")
+                  f"({failures[-1]} numerical failures, {zero_grads[-1]} "
+                  "zero first gradients)")
         slope, ci = fit_loglog_slope(cfg.budgets, medians)
         summary = {"command": "sweep", "budgets": list(cfg.budgets),
                    "median_gaps": medians, "numerical_failures": failures,
+                   "zero_first_gradients": zero_grads,
                    "slope": slope, "slope_ci": list(ci)}
         if jsonl_file:
             jsonl_file.write(json.dumps(summary, sort_keys=True) + "\n")
@@ -479,9 +495,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
     except (ConfigError, ValueError) as exc:

@@ -13,6 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 Vector = np.ndarray
+Step = Callable[[Vector, int], Vector]
+_MASK64 = (1 << 64) - 1
 
 
 class NumericalFailure(RuntimeError):
@@ -30,17 +32,22 @@ def derive_stream(master_seed: int, *parts) -> int:
     Distinct label tuples give statistically independent streams; the result
     is a pure function of its inputs, so runs are reproducible and splittable.
     """
-    entropy = [int(master_seed) & ((1 << 64) - 1)]
-    for p in parts:
+    # SeedSequence's own entropy words: an int masked to 64 bits gives its
+    # nonzero little-endian 32-bit words (0 gives [0]), a string gives one
+    # word per UTF-8 byte. Handing them over as a uint32 array skips
+    # SeedSequence's per-element coercion and yields the same state.
+    words = []
+    for p in (int(master_seed), *parts):
         if isinstance(p, str):
-            entropy.extend(p.encode())
+            words.extend(p.encode())
         else:
-            entropy.append(int(p) & ((1 << 64) - 1))
-    words = np.random.SeedSequence(entropy).generate_state(4, np.uint32)
-    out = 0
-    for w in words:
-        out = (out << 32) | int(w)
-    return out
+            v = int(p) & _MASK64
+            words.append(v & 0xFFFFFFFF)
+            if v >> 32:
+                words.append(v >> 32)
+    state = np.random.SeedSequence(np.array(words, dtype=np.uint32)) \
+        .generate_state(4, np.uint32)
+    return int.from_bytes(state.astype(">u4").tobytes(), "big")
 
 
 def stream_rng(stream: int) -> np.random.Generator:
@@ -57,6 +64,14 @@ class StochasticOracle:
     ``exact_subgradient`` is the noiseless side channel, present only on
     validation-grade problems. ``norm_bound_L`` upper-bounds every possible
     sample norm when present.
+
+    ``sampler(rng, T)``, when present, draws a whole run's noise from ``rng``
+    at once and returns the run's step function ``step(x, i)`` (a float
+    array). It must follow the same law as ``query`` bit for bit: on the same
+    generator, ``step(x_i, i)`` for i = 0, ..., T-1 returns exactly what T
+    successive ``query(x_i, rng)`` calls return. :func:`sgd_run` uses it in
+    place of ``query`` when present. Assigning ``query`` on a built oracle
+    drops the sampler, which no longer matches it.
     """
 
     dimension: int
@@ -65,6 +80,13 @@ class StochasticOracle:
     exact_subgradient: Optional[Callable[[Vector], Vector]] = None
     exact_value: Optional[Callable[[Vector], float]] = None
     optimum_info: Optional[tuple] = None  # (x_star, f_star)
+    sampler: Optional[Callable[[np.random.Generator, int], Step]] = field(
+        default=None, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "query" and "query" in self.__dict__:
+            self.__dict__["sampler"] = None
+        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -96,12 +118,13 @@ class ProjectionDomain:
             return x
         if self.kind == "ball":
             diff = x - self.center
-            nrm = float(np.linalg.norm(diff))
+            nrm = math.sqrt(diff.dot(diff))  # what np.linalg.norm computes
             if nrm <= self.radius:
                 return x
             return self.center + diff * (self.radius / nrm)
         if self.kind == "box":
-            return np.clip(x, self.lower, self.upper)
+            # np.clip's result at a fraction of its call cost
+            return np.minimum(np.maximum(x, self.lower), self.upper)
         raise ValueError(f"unknown domain kind {self.kind!r}")
 
     def contains(self, x: Vector, tol: float = 1e-12) -> bool:
@@ -166,6 +189,11 @@ class SgdTrace:
         return self.xs is not None
 
 
+def _query_step(query, rng) -> Step:
+    """The step function of an oracle that has only ``query``."""
+    return lambda x, i: np.asarray(query(x, rng), dtype=float)
+
+
 def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
             T: int, stream: int, record_full: bool = False,
             value_fn: Optional[Callable[[Vector], float]] = None) -> SgdTrace:
@@ -180,29 +208,24 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         raise ValueError("eta must be positive")
     x0 = domain.project(np.asarray(x0, dtype=float))
     rng = stream_rng(stream)
+    if oracle.sampler is not None:
+        step = oracle.sampler(rng, T)
+    else:
+        step = _query_step(oracle.query, rng)
     project = None if domain.kind == "whole" else domain.project
 
-    x = x0.copy()
-    x_sum = np.zeros_like(x0)
-    dsq_max = 0.0  # max ||x_i - x0||^2; r_bar is its root
+    # per step: the query, G and the iterate with their finiteness checks;
+    # everything else is read off the iterate record xs after the loop
+    xs = np.empty((T + 1, x0.shape[0]))
+    xs[0] = x0
+    gs = np.empty((T, x0.shape[0])) if record_full else None
+    x = x0
     G = 0.0
     G_comp = 0.0  # Kahan compensation, keeps G independent of rounding order
     g0_norm = 0.0
-    best_x = None
-    best_f = np.inf
-    xs = [x0.copy()] if record_full else None
-    gs = [] if record_full else None
-
-    value_sum = 0.0
-    fx = None
-    if value_fn is not None:
-        fx = float(value_fn(x0))
-        best_f = fx
-        best_x = x0.copy()
-
     for i in range(T):
-        g = np.asarray(oracle.query(x, rng), dtype=float)
-        gsq = float(g @ g)
+        g = step(x, i)
+        gsq = float(g.dot(g))
         # a finite square implies finite entries; the elementwise check
         # runs only to tell overflow of the square from a non-finite entry
         if not math.isfinite(gsq) and not np.all(np.isfinite(g)):
@@ -213,34 +236,40 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         t = G + y
         G_comp = (t - G) - y
         G = t
-        x_sum += x
         x = x - eta * g
         if project is not None:
             x = project(x)
-        d = x - x0
-        dsq = float(d.dot(d))  # the square np.linalg.norm takes the root of
-        if not math.isfinite(dsq) and not np.all(np.isfinite(x)):
+        if not math.isfinite(x.dot(x)) and not np.all(np.isfinite(x)):
             raise NumericalFailure(i, "iterate")
-        if dsq > dsq_max:
-            dsq_max = dsq
+        xs[i + 1] = x
         if record_full:
-            gs.append(g)
-            xs.append(x.copy())
-        if value_fn is not None:
-            value_sum += fx  # f at the pre-step iterate x_i
-            fx = float(value_fn(x))
-            if fx < best_f:
-                best_f = fx
-                best_x = x.copy()
+            gs[i] = g
+    if G != G:
+        # once G overflows, the compensation takes inf - inf and G turns
+        # nan; the sum of the (finite or overflowed) squares is +inf
+        G = math.inf
 
-    return SgdTrace(
-        eta=float(eta), T=T, x0=x0, x_avg=x_sum / T, r_bar=math.sqrt(dsq_max),
-        G=G, g0_norm=g0_norm, query_count=T, stream=stream,
-        xs=np.array(xs) if record_full else None,
-        gs=np.array(gs) if record_full else None,
-        best_x=best_x, best_f=(best_f if value_fn is not None else None),
-        value_avg=(value_sum / T if value_fn is not None else None),
-    )
+    # the sequential sum x_0 + ... + x_{T-1} (a plain sum is pairwise);
+    # + 0.0 gives the +0.0 a sum started from 0.0 has in an all -0.0 column
+    x_avg = (np.add.accumulate(xs[:T], axis=0)[-1] + 0.0) / T
+    disp = xs[1:] - x0
+    # one ddot per row, the square np.linalg.norm takes the root of
+    dsq = np.matmul(disp[:, None, :], disp[:, :, None]).ravel()
+    trace = SgdTrace(
+        eta=float(eta), T=T, x0=x0, x_avg=x_avg,
+        r_bar=math.sqrt(dsq.max()), G=G, g0_norm=g0_norm, query_count=T,
+        stream=stream, xs=xs if record_full else None, gs=gs)
+    if value_fn is not None:
+        fs = [float(value_fn(row)) for row in xs]
+        best = 0
+        value_sum = 0.0
+        for i in range(T):
+            value_sum += fs[i]  # f at the pre-step iterate x_i
+            if fs[i + 1] < fs[best]:
+                best = i + 1
+        trace.best_x, trace.best_f = xs[best].copy(), fs[best]
+        trace.value_avg = value_sum / T
+    return trace
 
 
 def trace_distances(trace: SgdTrace, x_star) -> tuple[float, float, np.ndarray]:

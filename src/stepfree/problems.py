@@ -72,39 +72,45 @@ def _sign_zero(u: np.ndarray) -> np.ndarray:
     return np.sign(u)
 
 
-def _wrap_noise(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
-    """Build (query, declared_L) applying the spec's noise model.
+def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
+    """Build (sampler, declared_L) applying the spec's noise model.
 
+    ``sampler(rng, T)`` draws the noise of a T-step run as one tape and
+    returns its step function (see :class:`StochasticOracle`); a single query
+    is the tape's one-row case, so both give the same samples bit for bit.
     sphere: adds a uniformly random direction of radius sigma; sigma must not
     exceed the headroom L - sup||grad||, so no clipping ever occurs and the
     sample stays exactly unbiased. signflip: flips the gradient's sign with
     probability p and rescales by 1/(1-2p) to stay unbiased.
     """
     if spec.noise == "none":
-        def query(x, rng):
-            return exact_grad(x)
-        return query, sup_grad_norm
+        def sampler(rng, T):
+            return lambda x, i: exact_grad(x)
+        return sampler, sup_grad_norm
     if spec.noise == "sphere":
         sigma = spec.noise_param
         if sigma < 0:
             raise ValueError("sphere noise needs sigma >= 0")
+        d = spec.dimension
 
-        def query(x, rng):
-            v = rng.standard_normal(spec.dimension)
-            nrm = np.linalg.norm(v)
-            u = v / nrm if nrm > 0 else v
-            return exact_grad(x) + sigma * u
-        return query, sup_grad_norm + sigma
+        def sampler(rng, T):
+            V = rng.standard_normal((T, d))
+            # one ddot per row, bit for bit np.linalg.norm(v) of each row;
+            # np.linalg.norm(V, axis=1) rounds differently
+            nrm = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
+            noise = sigma * (V / np.where(nrm > 0, nrm, 1.0)[:, None])
+            return lambda x, i: exact_grad(x) + noise[i]
+        return sampler, sup_grad_norm + sigma
     if spec.noise == "signflip":
         p = spec.noise_param
         if not (0.0 <= p < 0.5):
             raise ValueError("signflip noise needs p in [0, 0.5)")
         scale = 1.0 / (1.0 - 2.0 * p)
 
-        def query(x, rng):
-            s = 1.0 if rng.random() >= p else -1.0
-            return (s * scale) * exact_grad(x)
-        return query, sup_grad_norm * scale
+        def sampler(rng, T):
+            signs = np.where(rng.random(T) >= p, scale, -scale).tolist()
+            return lambda x, i: signs[i] * exact_grad(x)
+        return sampler, sup_grad_norm * scale
     raise ValueError(f"unknown noise model {spec.noise!r}")
 
 
@@ -128,7 +134,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        query, L = _wrap_noise(spec, exact_grad, math.sqrt(d))
+        sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
 
     elif spec.family == "quadratic":
         c = spec.center_scale * rng.standard_normal(d)
@@ -142,13 +148,13 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.ball(c, spec.radius)
         x_star, f_star = c, 0.0
-        query, L = _wrap_noise(spec, exact_grad, S * spec.radius)
+        sampler, L = _noise_sampler(spec, exact_grad, S * spec.radius)
 
     elif spec.family == "huber":
         c = spec.center_scale * rng.standard_normal(d)
 
         def exact_grad(x):
-            return np.clip(x - c, -1.0, 1.0)
+            return np.minimum(np.maximum(x - c, -1.0), 1.0)  # np.clip, cheaper
 
         def value(x):
             u = np.abs(x - c)
@@ -156,7 +162,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        query, L = _wrap_noise(spec, exact_grad, math.sqrt(d))
+        sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
 
     elif spec.family == "sc_quadratic":
         # mu-strongly-convex quadratic on the ball of radius L/mu around the
@@ -176,9 +182,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.ball(np.zeros(d), radius)
         x_star, f_star = np.zeros(d), 0.0
-
-        def query(x, rng):
-            return exact_grad(x)
+        sampler, L = _noise_sampler(spec, exact_grad, L)
 
     else:  # logistic
         n = spec.n_samples
@@ -196,10 +200,14 @@ def make_problem(spec: ProblemSpec, seed: int):
             z = -y * (A @ x)
             return float(np.logaddexp(0.0, z).mean() + 0.5 * reg * np.dot(x, x))
 
+        # the labels folded into A: a +-1 factor commutes with rounding, so
+        # yA @ x equals -z and yA.T @ sig equals A.T @ (y * sig) bit for bit
+        # (exp(-z) sees at most the sign of a zero change)
+        yA = y[:, None] * A
+
         def exact_grad(x):
-            z = -y * (A @ x)
-            sig = 1.0 / (1.0 + np.exp(-z))
-            return -(A.T @ (y * sig)) / n + reg * x
+            sig = 1.0 / (1.0 + np.exp(yA @ x))
+            return (yA.T @ sig) / -n + reg * x
 
         sol = minimize(value, np.zeros(d), jac=exact_grad, method="L-BFGS-B",
                        options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 5000})
@@ -209,10 +217,13 @@ def make_problem(spec: ProblemSpec, seed: int):
             raise ValueError("logistic optimum falls outside the domain ball")
         domain = ProjectionDomain.ball(np.zeros(d), spec.radius)
         sup_grad = float(np.linalg.norm(A, axis=1).max()) + reg * spec.radius
-        query, L = _wrap_noise(spec, exact_grad, sup_grad)
+        sampler, L = _noise_sampler(spec, exact_grad, sup_grad)
+
+    def query(x, rng):
+        return sampler(rng, 1)(x, 0)
 
     oracle = StochasticOracle(
-        dimension=d, query=query, norm_bound_L=L,
+        dimension=d, query=query, sampler=sampler, norm_bound_L=L,
         exact_subgradient=exact_grad, exact_value=value,
         optimum_info=(np.asarray(x_star, dtype=float), float(f_star)))
     return oracle, domain, np.asarray(x_star, dtype=float), float(f_star)

@@ -258,3 +258,53 @@ class TestRunFailures:
         assert code == 2
         assert "every run at budget 64 ended in a numerical failure" in \
             capsys.readouterr().err
+
+
+def zero_gradient_on(monkeypatch, zero):
+    """Make every CLI problem whose seed satisfies zero(seed) return zero
+    gradients."""
+    make = cli.make_problem
+
+    def patched(spec, seed):
+        oracle, domain, x_star, f_star = make(spec, seed)
+        if zero(seed):
+            oracle.query = lambda x, rng: np.zeros(len(x))
+        return oracle, domain, x_star, f_star
+    monkeypatch.setattr(cli, "make_problem", patched)
+
+
+class TestZeroFirstGradient:
+    REASON = "relative eta_eps undefined with a zero first gradient"
+
+    def test_tune_records_a_row_per_run(self, tmp_path):
+        csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "t.jsonl"
+        # x0 is the optimum of l1, where the subgradient is 0
+        code = run_cli(["tune", "--family", "l1", "--dimension", "2",
+                        "--x0-dist", "0", "--reps", "3", "--r-eps", "0.1",
+                        "--budget", "64", "--csv", csv_path,
+                        "--jsonl", jsonl_path])
+        assert code == 0
+        rows, diags = read_csv(csv_path), read_jsonl(jsonl_path)
+        assert [r["case"] for r in rows] == ["zero_first_gradient"] * 3
+        assert [(d["case"], d["error"]) for d in diags] == \
+            [("zero_first_gradient", self.REASON)] * 3
+
+    def test_sweep_leaves_them_out(self, tmp_path, monkeypatch):
+        zero_gradient_on(monkeypatch, lambda seed: seed % 3 == 0)
+        csv_path, jsonl_path = tmp_path / "s.csv", tmp_path / "s.jsonl"
+        code = run_cli(TestRunFailures.SWEEP[:-2] + [
+            "--r-eps", "0.5", "--csv", csv_path, "--jsonl", jsonl_path])
+        assert code == 0
+        rows = read_csv(csv_path)
+        summary = read_jsonl(jsonl_path)[-1]
+        per_budget = [rows[i:i + 20] for i in range(0, 80, 20)]
+        zeros = [sum(r["case"] == "zero_first_gradient" for r in block)
+                 for block in per_budget]
+        assert summary["zero_first_gradients"] == zeros
+        assert summary["numerical_failures"] == [0] * 4
+        assert sum(zeros) > 0
+        medians = [float(np.median([float(r["gap"]) for r in block
+                                    if r["case"] != "zero_first_gradient"]))
+                   for block in per_budget]
+        assert summary["median_gaps"] == medians
+        assert np.isfinite(summary["slope"])

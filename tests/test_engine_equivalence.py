@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import stepfree
 from stepfree import (NumericalFailure, ProblemSpec, ProjectionDomain,
-                      SgdTrace, StochasticOracle, default_x0, make_problem,
-                      sgd_run, stream_rng, tune)
+                      SgdTrace, StochasticOracle, default_x0, derive_stream,
+                      make_problem, sgd_run, stream_rng, tune)
 from stepfree.tuner import Deterministic, Stochastic
 
 
@@ -58,7 +58,7 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, record_full=False,
             g0_norm = gsq ** 0.5
         y = gsq - G_comp
         t = G + y
-        G_comp = (t - G) - y
+        G_comp = (t - G) - y if t != np.inf else 0.0  # saturate at +inf
         G = t
         x_sum += x
         x = domain.project(x - eta * g)
@@ -287,3 +287,177 @@ def test_bisection_check_survives_optimize_flag():
     lines = proc.stdout.splitlines()
     assert lines[0] == "debug False"
     assert lines[1] == "raised bisection output property violated"
+
+
+def test_overflowed_G_saturates_at_inf():
+    # the square of the first gradient overflows; G stays +inf, not nan
+    oracle = StochasticOracle(dimension=2,
+                              query=scripted(SCRIPTS["square_overflows"]))
+    oracle.query.n = 0
+    with np.errstate(over="ignore"):
+        trace = sgd_run(oracle, ProjectionDomain.whole_space(), np.zeros(2),
+                        10.0, 4, stream=0)
+    assert trace.G == np.inf
+
+
+# --------------------------------------------------------------------------
+# noise tapes against the per-query oracles they replace
+# --------------------------------------------------------------------------
+
+def old_family_grad(spec, seed):
+    """The exact gradient make_problem built before the tapes: the same
+    draws, with np.clip and the labels applied per call."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
+    d = spec.dimension
+    if spec.family == "sc_quadratic":
+        return lambda x: spec.mu * x
+    if spec.family == "logistic":
+        n = spec.n_samples
+        A = rng.standard_normal((n, d)) / np.sqrt(d)
+        w_true = rng.standard_normal(d)
+        y = np.sign(A @ w_true + 0.3 * rng.standard_normal(n))
+        y[y == 0] = 1.0
+
+        def logistic(x):
+            z = -y * (A @ x)
+            sig = 1.0 / (1.0 + np.exp(-z))
+            return -(A.T @ (y * sig)) / n + spec.reg * x
+        return logistic
+    c = spec.center_scale * rng.standard_normal(d)
+    if spec.family == "l1":
+        return lambda x: np.sign(x - c)
+    if spec.family == "quadratic":
+        return lambda x: spec.smoothness * (x - c)
+    return lambda x: np.clip(x - c, -1.0, 1.0)  # huber
+
+
+def old_query(spec, exact_grad):
+    """The per-query noise closures make_problem used before the tapes."""
+    if spec.noise == "none":
+        return lambda x, rng: exact_grad(x)
+    if spec.noise == "sphere":
+        sigma = spec.noise_param
+
+        def query(x, rng):
+            v = rng.standard_normal(spec.dimension)
+            nrm = np.linalg.norm(v)
+            u = v / nrm if nrm > 0 else v
+            return exact_grad(x) + sigma * u
+        return query
+    p = spec.noise_param
+    scale = 1.0 / (1.0 - 2.0 * p)
+
+    def query(x, rng):
+        s = 1.0 if rng.random() >= p else -1.0
+        return (s * scale) * exact_grad(x)
+    return query
+
+
+NOISE_PARAMS = {"none": 0.0, "sphere": 0.5, "signflip": 0.2}
+TAPE_MEMBERS = [(f, n) for f in ("l1", "quadratic", "huber", "logistic")
+                for n in NOISE_PARAMS] + [("sc_quadratic", "none")]
+
+
+class TestNoiseTapes:
+    @pytest.mark.parametrize("family,noise", TAPE_MEMBERS)
+    @pytest.mark.parametrize("T", [1, 2, 2048])
+    def test_sampler_equals_successive_queries(self, family, noise, T):
+        spec = ProblemSpec(family=family, dimension=5, noise=noise,
+                           noise_param=NOISE_PARAMS[noise])
+        oracle, _, x_star, _ = make_problem(spec, 3)
+        exact_grad = old_family_grad(spec, 3)
+        query = old_query(spec, exact_grad)
+        points = x_star + 2.0 * np.random.default_rng(T).standard_normal(
+            (T, 5))
+        for stream in (0, 2 ** 127 + 12345):
+            step = oracle.sampler(stream_rng(stream), T)
+            rng = stream_rng(stream)
+            for i, x in enumerate(points):
+                assert bits(step(x, i)) == bits(query(x, rng)), i
+        # a single query is the tape's one-row case
+        x = points[0]
+        assert bits(oracle.query(x, stream_rng(5))) == \
+            bits(query(x, stream_rng(5)))
+        assert bits(oracle.exact_subgradient(x)) == bits(exact_grad(x))
+
+    @pytest.mark.parametrize("member", FAMILY_NOISE)
+    def test_long_run_equal_to_reference(self, member):
+        # tune runs reach T = 2048; the property test above stops at 60
+        oracle, domain, x_star, _ = problem(*member, 1)
+        x0 = default_x0(domain, x_star, 2.0, 1)
+        for eta in (1e-3, 0.25):
+            args = (oracle, domain, x0, eta, 2048, 2 ** 100 + 7)
+            assert (outcome(sgd_run, *args, record_full=True)
+                    == outcome(reference_sgd_run, *args, record_full=True))
+
+    def test_long_one_dimensional_run_equal_to_reference(self):
+        # with d = 1 a plain sum over the iterates would be pairwise
+        spec = ProblemSpec(family="l1", dimension=1, noise="sphere",
+                           noise_param=0.5)
+        oracle, domain, x_star, _ = make_problem(spec, 0)
+        args = (oracle, domain, x_star + 3.0, 1e-2, 2048, 11)
+        assert outcome(sgd_run, *args) == outcome(reference_sgd_run, *args)
+
+    def test_assigned_query_replaces_the_sampler(self):
+        spec = ProblemSpec(family="l1", dimension=3, noise="sphere",
+                           noise_param=0.5)
+        oracle, domain, x_star, _ = make_problem(spec, 0)
+        assert oracle.sampler is not None
+        oracle.query = lambda x, rng: np.full(len(x), 2.0)
+        assert oracle.sampler is None
+        trace = sgd_run(oracle, domain, x_star, 0.5, 10, stream=1,
+                        record_full=True)
+        assert bits(trace.gs) == bits(np.full((10, 3), 2.0))
+        assert trace.G == 120.0
+
+
+class TestLeafFunctions:
+    def test_projections_equal_old_versions(self):
+        rng = np.random.default_rng(0)
+        center = rng.standard_normal(3)
+        ball = ProjectionDomain.ball(center, 1.0)
+        box = ProjectionDomain.box(center - 0.5, center + 0.25)
+        points = center + 3.0 * rng.standard_normal((5000, 3))
+        points[:10] = 0.0
+        points[10:20] = -0.0
+        for x in points:
+            diff = x - center
+            nrm = float(np.linalg.norm(diff))
+            want = x if nrm <= 1.0 else center + diff * (1.0 / nrm)
+            assert bits(ball.project(x)) == bits(want)
+            assert bits(box.project(x)) == \
+                bits(np.clip(x, box.lower, box.upper))
+
+
+def old_derive_stream(master_seed, *parts):
+    """derive_stream as it was when SeedSequence coerced the entropy."""
+    entropy = [int(master_seed) & ((1 << 64) - 1)]
+    for p in parts:
+        if isinstance(p, str):
+            entropy.extend(p.encode())
+        else:
+            entropy.append(int(p) & ((1 << 64) - 1))
+    words = np.random.SeedSequence(entropy).generate_state(4, np.uint32)
+    out = 0
+    for w in words:
+        out = (out << 32) | int(w)
+    return out
+
+
+@given(master=st.integers(-2 ** 70, 2 ** 70),
+       parts=st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.text()),
+                      max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_derive_stream_equals_old_version(master, parts):
+    assert derive_stream(master, *parts) == old_derive_stream(master, *parts)
+
+
+def test_negative_zero_column_averages_to_positive_zero():
+    # the iterates' second coordinate stays -0.0; a sum started from 0.0
+    # makes its average +0.0
+    oracle = StochasticOracle(dimension=2,
+                              query=lambda x, rng: np.array([1.0, 0.0]))
+    args = (oracle, ProjectionDomain.whole_space(), np.array([0.0, -0.0]),
+            0.5, 5, 0)
+    assert outcome(sgd_run, *args) == outcome(reference_sgd_run, *args)
+    assert not np.signbit(sgd_run(*args).x_avg[1])
