@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .core import NumericalFailure, derive_stream, stream_rng
+from .core import NumericalFailure, derive_stream
 from .problems import ProblemSpec, default_x0, make_problem
 from .restarts import RestartPlan, restart_tune
 from .tuner import (Deterministic, NonAdaptive, Stochastic, damping_for_round,
-                    relative_eta_eps, tune)
+                    first_gradient_norm, relative_eta_eps, tune)
 from .validation import (ProblemMeta, binom_upper, boundary_crossing_test,
                          check_theorem_bounds, good_event_frequency,
                          good_event_union_frequency, has_bug)
@@ -93,9 +93,9 @@ def _resolve_eta_eps(cfg: RunConfig, oracle, domain, x0, seed: int,
                      budget: int) -> float:
     if cfg.eta_eps is not None:
         return cfg.eta_eps
-    # relative mode: one dedicated query at x0, same stream the tuner uses
-    g0 = np.asarray(oracle.query(x0, stream_rng(derive_stream(seed, "g0"))))
-    return relative_eta_eps(cfg.r_eps, float(np.linalg.norm(g0)), budget)
+    # relative mode: the tuner's own g0 measurement, at the same x0
+    return relative_eta_eps(cfg.r_eps, first_gradient_norm(oracle, x0, seed),
+                            budget)
 
 
 def _open_writers(cfg: RunConfig):

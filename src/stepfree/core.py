@@ -15,6 +15,8 @@ import numpy as np
 Vector = np.ndarray
 Step = Callable[[Vector, int], Vector]
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence's output hash
 
 
 class NumericalFailure(RuntimeError):
@@ -45,14 +47,44 @@ def derive_stream(master_seed: int, *parts) -> int:
             words.append(v & 0xFFFFFFFF)
             if v >> 32:
                 words.append(v >> 32)
-    state = np.random.SeedSequence(np.array(words, dtype=np.uint32)) \
-        .generate_state(4, np.uint32)
-    return int.from_bytes(state.astype(">u4").tobytes(), "big")
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool
+    # SeedSequence.generate_state(4, uint32) on the 4-word pool, in Python
+    # ints (numpy's own call costs more than this loop); word 0 is the most
+    # significant of the id
+    stream, mult = 0, _INIT_B
+    for v in pool.tolist():
+        v ^= mult
+        mult = mult * _MULT_B & 0xFFFFFFFF
+        v = v * mult & 0xFFFFFFFF
+        stream = stream << 32 | v ^ v >> 16
+    return stream
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A Philox key posing as a seed sequence.
+
+    Philox seeded from a sequence takes its key from
+    ``generate_state(2, uint64)`` and starts at counter 0, as
+    ``Philox(key=...)`` does. The latter also seeds a ``SeedSequence`` from
+    OS entropy that it never uses, which costs more than the rest of the
+    build.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, key: int):
+        self.words = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.words
 
 
 def stream_rng(stream: int) -> np.random.Generator:
-    """Counter-based generator keyed by a 128-bit stream id."""
-    return np.random.Generator(np.random.Philox(key=stream & ((1 << 128) - 1)))
+    """Counter-based generator keyed by a 128-bit stream id: the generator of
+    ``Philox(key=stream)``, built from the key alone."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(stream & _MASK128)))
 
 
 @dataclass
@@ -65,13 +97,15 @@ class StochasticOracle:
     validation-grade problems. ``norm_bound_L`` upper-bounds every possible
     sample norm when present.
 
-    ``sampler(rng, T)``, when present, draws a whole run's noise from ``rng``
-    at once and returns the run's step function ``step(x, i)`` (a float
-    array). It must follow the same law as ``query`` bit for bit: on the same
-    generator, ``step(x_i, i)`` for i = 0, ..., T-1 returns exactly what T
-    successive ``query(x_i, rng)`` calls return. :func:`sgd_run` uses it in
-    place of ``query`` when present. Assigning ``query`` on a built oracle
-    drops the sampler, which no longer matches it.
+    ``sampler(stream, T)``, when present, returns the step function
+    ``step(x, i)`` (a float array) of a T-step run keyed by the 128-bit
+    ``stream`` id. A sampler whose samples are random draws the run's noise
+    at once from ``stream_rng(stream)``; one that draws nothing builds no
+    generator. It must follow the same law as ``query`` bit for bit:
+    ``step(x_i, i)`` for i = 0, ..., T-1 returns exactly what T successive
+    ``query(x_i, rng)`` calls return on ``rng = stream_rng(stream)``.
+    :func:`run_step` uses it in place of ``query`` when present. Assigning
+    ``query`` on a built oracle drops the sampler, which no longer matches it.
     """
 
     dimension: int
@@ -80,7 +114,7 @@ class StochasticOracle:
     exact_subgradient: Optional[Callable[[Vector], Vector]] = None
     exact_value: Optional[Callable[[Vector], float]] = None
     optimum_info: Optional[tuple] = None  # (x_star, f_star)
-    sampler: Optional[Callable[[np.random.Generator, int], Step]] = field(
+    sampler: Optional[Callable[[int, int], Step]] = field(
         default=None, repr=False, compare=False)
 
     def __setattr__(self, name, value):
@@ -189,8 +223,13 @@ class SgdTrace:
         return self.xs is not None
 
 
-def _query_step(query, rng) -> Step:
-    """The step function of an oracle that has only ``query``."""
+def run_step(oracle: StochasticOracle, stream: int, T: int) -> Step:
+    """The step function of a T-step run of ``oracle`` keyed by ``stream``:
+    the oracle's sampler when present, else T successive ``query`` calls on
+    ``stream_rng(stream)``."""
+    if oracle.sampler is not None:
+        return oracle.sampler(stream, T)
+    query, rng = oracle.query, stream_rng(stream)
     return lambda x, i: np.asarray(query(x, rng), dtype=float)
 
 
@@ -207,11 +246,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     if eta <= 0:
         raise ValueError("eta must be positive")
     x0 = domain.project(np.asarray(x0, dtype=float))
-    rng = stream_rng(stream)
-    if oracle.sampler is not None:
-        step = oracle.sampler(rng, T)
-    else:
-        step = _query_step(oracle.query, rng)
+    step = run_step(oracle, stream, T)
     project = None if domain.kind == "whole" else domain.project
 
     # per step: the query, G and the iterate with their finiteness checks;

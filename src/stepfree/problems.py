@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ProjectionDomain, StochasticOracle, derive_stream, sgd_run
+from .core import (ProjectionDomain, StochasticOracle, derive_stream, sgd_run,
+                   stream_rng)
 
 FAMILIES = ("l1", "quadratic", "huber", "sc_quadratic", "logistic")
 NOISE_MODELS = ("none", "sphere", "signflip")
@@ -73,45 +74,52 @@ def _sign_zero(u: np.ndarray) -> np.ndarray:
 
 
 def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
-    """Build (sampler, declared_L) applying the spec's noise model.
+    """Build (tape, sampler, declared_L) applying the spec's noise model.
 
-    ``sampler(rng, T)`` draws the noise of a T-step run as one tape and
-    returns its step function (see :class:`StochasticOracle`); a single query
-    is the tape's one-row case, so both give the same samples bit for bit.
-    sphere: adds a uniformly random direction of radius sigma; sigma must not
-    exceed the headroom L - sup||grad||, so no clipping ever occurs and the
-    sample stays exactly unbiased. signflip: flips the gradient's sign with
-    probability p and rescales by 1/(1-2p) to stay unbiased.
+    ``tape(rng, T)`` draws the noise of a T-step run from ``rng`` at once and
+    returns its step function; a single query is its one-row case, so both
+    give the same samples bit for bit. ``sampler(stream, T)`` is the tape on
+    ``stream_rng(stream)`` (see :class:`StochasticOracle`); without noise it
+    builds no generator. sphere: adds a uniformly random direction of radius
+    sigma; sigma must not exceed the headroom L - sup||grad||, so no clipping
+    ever occurs and the sample stays exactly unbiased. signflip: flips the
+    gradient's sign with probability p and rescales by 1/(1-2p) to stay
+    unbiased.
     """
     if spec.noise == "none":
-        def sampler(rng, T):
-            return lambda x, i: exact_grad(x)
-        return sampler, sup_grad_norm
+        def step(x, i):
+            return exact_grad(x)
+        return (lambda rng, T: step), (lambda stream, T: step), sup_grad_norm
     if spec.noise == "sphere":
         sigma = spec.noise_param
         if sigma < 0:
             raise ValueError("sphere noise needs sigma >= 0")
         d = spec.dimension
 
-        def sampler(rng, T):
+        def tape(rng, T):
             V = rng.standard_normal((T, d))
             # one ddot per row, bit for bit np.linalg.norm(v) of each row;
             # np.linalg.norm(V, axis=1) rounds differently
             nrm = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
             noise = sigma * (V / np.where(nrm > 0, nrm, 1.0)[:, None])
             return lambda x, i: exact_grad(x) + noise[i]
-        return sampler, sup_grad_norm + sigma
-    if spec.noise == "signflip":
+        L = sup_grad_norm + sigma
+    elif spec.noise == "signflip":
         p = spec.noise_param
         if not (0.0 <= p < 0.5):
             raise ValueError("signflip noise needs p in [0, 0.5)")
         scale = 1.0 / (1.0 - 2.0 * p)
 
-        def sampler(rng, T):
+        def tape(rng, T):
             signs = np.where(rng.random(T) >= p, scale, -scale).tolist()
             return lambda x, i: signs[i] * exact_grad(x)
-        return sampler, sup_grad_norm * scale
-    raise ValueError(f"unknown noise model {spec.noise!r}")
+        L = sup_grad_norm * scale
+    else:
+        raise ValueError(f"unknown noise model {spec.noise!r}")
+
+    def sampler(stream, T):
+        return tape(stream_rng(stream), T)
+    return tape, sampler, L
 
 
 def make_problem(spec: ProblemSpec, seed: int):
@@ -134,7 +142,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
+        tape, sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
 
     elif spec.family == "quadratic":
         c = spec.center_scale * rng.standard_normal(d)
@@ -148,7 +156,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.ball(c, spec.radius)
         x_star, f_star = c, 0.0
-        sampler, L = _noise_sampler(spec, exact_grad, S * spec.radius)
+        tape, sampler, L = _noise_sampler(spec, exact_grad, S * spec.radius)
 
     elif spec.family == "huber":
         c = spec.center_scale * rng.standard_normal(d)
@@ -162,7 +170,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
+        tape, sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
 
     elif spec.family == "sc_quadratic":
         # mu-strongly-convex quadratic on the ball of radius L/mu around the
@@ -182,7 +190,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.ball(np.zeros(d), radius)
         x_star, f_star = np.zeros(d), 0.0
-        sampler, L = _noise_sampler(spec, exact_grad, L)
+        tape, sampler, L = _noise_sampler(spec, exact_grad, L)
 
     else:  # logistic
         n = spec.n_samples
@@ -217,10 +225,10 @@ def make_problem(spec: ProblemSpec, seed: int):
             raise ValueError("logistic optimum falls outside the domain ball")
         domain = ProjectionDomain.ball(np.zeros(d), spec.radius)
         sup_grad = float(np.linalg.norm(A, axis=1).max()) + reg * spec.radius
-        sampler, L = _noise_sampler(spec, exact_grad, sup_grad)
+        tape, sampler, L = _noise_sampler(spec, exact_grad, sup_grad)
 
     def query(x, rng):
-        return sampler(rng, 1)(x, 0)
+        return tape(rng, 1)(x, 0)
 
     oracle = StochasticOracle(
         dimension=d, query=query, sampler=sampler, norm_bound_L=L,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, derive_stream,
-                   sgd_run, stream_rng)
+                   run_step, sgd_run)
 
 
 # --------------------------------------------------------------------------
@@ -114,6 +114,15 @@ def phi(trace: SgdTrace, damping: DampingParams) -> float:
             raise AssertionError("r_bar > 0 with zero certificate denominator")
         return 0.0
     return trace.r_bar / math.sqrt(denom_sq)
+
+
+def passes(eta: float, trace: SgdTrace, damping: DampingParams) -> bool:
+    """The certificate check eta <= phi(eta) of a candidate step size.
+
+    A run whose r_bar and G both overflowed has phi = inf / inf = nan, which
+    certifies nothing: such a candidate fails, wherever it is checked.
+    """
+    return eta <= phi(trace, damping)  # False when phi is nan
 
 
 # --------------------------------------------------------------------------
@@ -216,12 +225,12 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
 
     hi, lo = eta_hi, eta_lo
     tr_hi = evaluate(hi)
-    if hi.value <= phi(tr_hi, damping):
+    if passes(hi.value, tr_hi, damping):
         outcome.kind = "infeasible"
         return outcome
 
     tr_lo = evaluate(lo)
-    if lo.value > phi(tr_lo, damping):
+    if not passes(lo.value, tr_lo, damping):
         outcome.kind = "edge_low"
         outcome.eta_o = lo
         outcome.trace = tr_lo
@@ -232,7 +241,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
         mid = lo.midpoint(hi)
         tr_mid = evaluate(mid)
         outcome.midpoint_evals += 1
-        if mid.value <= phi(tr_mid, damping):
+        if passes(mid.value, tr_mid, damping):
             lo, tr_lo = mid, tr_mid
         else:
             hi, tr_hi = mid, tr_mid
@@ -316,6 +325,13 @@ def select_output_z(result: TunerResult, trace_at_eps: Optional[SgdTrace]):
     return result.x_bar
 
 
+def first_gradient_norm(oracle: StochasticOracle, x0, master_seed: int) -> float:
+    """||g0||: one query at x0 on the run stream derive_stream(master_seed,
+    "g0"). It is a side query, not charged against the tuner's budget."""
+    g0 = run_step(oracle, derive_stream(master_seed, "g0"), 1)(x0, 0)
+    return math.sqrt(g0.dot(g0))  # what np.linalg.norm computes
+
+
 def relative_eta_eps(r_eps: float, g0_norm: float, B: int) -> float:
     """Initial step size from a putative lower bound r_eps on d0."""
     if g0_norm <= 0:
@@ -370,9 +386,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         damping_for_round(2, budget, delta, L, mode)
 
     x0 = domain.project(np.asarray(x0, dtype=float))
-
-    g0_vec = np.asarray(oracle.query(x0, stream_rng(derive_stream(master_seed, "g0"))))
-    g0_norm = float(np.linalg.norm(g0_vec))
+    g0_norm = first_gradient_norm(oracle, x0, master_seed)
     side_queries = 1
 
     cache: dict = {}

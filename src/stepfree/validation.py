@@ -19,7 +19,7 @@ from scipy.stats import beta as beta_dist
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, derive_stream,
                    sgd_run, trace_distances)
-from .tuner import DampingParams, TunerResult, phi
+from .tuner import DampingParams, TunerResult, passes
 
 
 def log2_plus(x: float) -> float:
@@ -201,7 +201,7 @@ def localization_check(trace: SgdTrace, x_star, alpha: float = 3.0):
     r_bar <= 2*alpha/(alpha-1) * d0.
     """
     damping = DampingParams(alpha=alpha, beta=0.0)
-    applies = trace.eta <= phi(trace, damping)
+    applies = passes(trace.eta, trace, damping)
     if not applies:
         return False, True
     d0, d_bar, _ = trace_distances(trace, x_star)

@@ -370,7 +370,7 @@ class TestNoiseTapes:
         points = x_star + 2.0 * np.random.default_rng(T).standard_normal(
             (T, 5))
         for stream in (0, 2 ** 127 + 12345):
-            step = oracle.sampler(stream_rng(stream), T)
+            step = oracle.sampler(stream, T)
             rng = stream_rng(stream)
             for i, x in enumerate(points):
                 assert bits(step(x, i)) == bits(query(x, rng)), i

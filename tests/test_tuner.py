@@ -286,3 +286,63 @@ class TestEtaMaxDiagnostic:
         eta_max = eta_max_diagnostic(1.0, 1.0, res.damping_final)
         cap = 2 * math.log2(max(2.0, math.log2(max(2.0, eta_max / eta_eps))))
         assert res.k_final <= max(2, math.ceil(cap))
+
+
+def overflow_oracle(lo, hi):
+    """l1 toward c = (1, 0) from x0 = 0, except that an iterate with first
+    coordinate in (lo, hi) gets a gradient whose square overflows and whose
+    step throws the next iterate ~eta * 1e200 away, so the run ends with
+    r_bar = G = inf. Each candidate's first step lands on (eta, 0), so the
+    window picks the step sizes whose runs overflow."""
+    c = np.array([1.0, 0.0])
+
+    def query(x, rng):
+        if lo < x[0] < hi:
+            return np.array([-1e200, 0.0])
+        return np.sign(x - c)
+    return StochasticOracle(dimension=2, query=query)
+
+
+# runs of 12 steps from 0: eta = 1e-3 overflows in the first window, every
+# eta >= 10 in the second; no other run on the dyadic grid from 1e-3 does
+OVERFLOW_AT_LO = (0.0, 2e-3)
+OVERFLOW_AT_HI = (10.0, 1e100)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowedCandidates:
+    """A run whose r_bar and G both overflow has phi = nan, and its candidate
+    fails the check wherever the check is made."""
+
+    def bisect(self, window):
+        return root_finding_bisection(
+            overflow_oracle(*window), WHOLE, np.zeros(2),
+            StepSizeExp(1e-3, 0), StepSizeExp(1e-3, 16), T=12,
+            damping=DampingParams(3.0, 0.0))
+
+    def overflowed(self, outcome):
+        return [c.exponent for c, tr in outcome.evaluations
+                if math.isnan(phi(tr, DampingParams(3.0, 0.0)))]
+
+    def test_at_lo_in_bisection(self):
+        out = self.bisect(OVERFLOW_AT_LO)
+        assert self.overflowed(out) == [0]
+        assert out.kind == "edge_low" and out.eta_o.exponent == 0
+
+    def test_at_hi_in_bisection(self):
+        out = self.bisect(OVERFLOW_AT_HI)
+        assert self.overflowed(out) == [16]
+        assert out.kind == "selected"
+        assert out.eta_hi_star.exponent == 8 and out.eta_o.exponent == 7
+
+    def test_in_tune(self):
+        # round 2 (T = 12) passes at its hi; round 4 (T = 6) decides
+        res = tune(overflow_oracle(*OVERFLOW_AT_LO), WHOLE, np.zeros(2),
+                   budget=48, eta_eps=1e-3)
+        assert res.k_final == 4 and res.case == "edge_low_step"
+        assert math.isinf(res.final_outcome.trace.r_bar)
+        res = tune(overflow_oracle(*OVERFLOW_AT_HI), WHOLE, np.zeros(2),
+                   budget=48, eta_eps=1e-3)
+        assert res.k_final == 4 and res.case == "normal"
+        assert math.isinf(res.trace_cache[(4, 16)].r_bar)
+        assert res.eta.exponent == 7
