@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the golden CLI outputs that tests/test_golden.py compares against.
 
-Runs a fixed set of small ``stepfree-bench`` commands (tune on three
+Runs a fixed set of small ``stepfree-bench`` commands (tune on five
 family/noise pairs, tune --r-eps, a restart chain and a 4-budget sweep) and
 writes, per command, its CSV, its JSONL and its stdout followed by the exit
 status. Wall times are the one field that differs between runs, so the CSV's
@@ -34,6 +34,16 @@ CASES = {
     "tune_logistic_none": [
         "tune", "--family", "logistic", "--dimension", "5", "--budget", "512",
         "--eta-eps", "1e-3", "--reps", "2", "--seed", "3"],
+    # a ball small enough that the noise pushes iterates onto its boundary
+    "tune_quadratic_sphere_ball": [
+        "tune", "--family", "quadratic", "--noise", "sphere",
+        "--noise-param", "1.0", "--radius", "0.1", "--dimension", "5",
+        "--mode", "stochastic", "--budget", "2048", "--eta-eps", "1e-1",
+        "--reps", "3", "--seed", "8"],
+    "tune_huber_signflip": [
+        "tune", "--family", "huber", "--noise", "signflip",
+        "--noise-param", "0.2", "--dimension", "4", "--mode", "stochastic",
+        "--budget", "512", "--eta-eps", "1e-3", "--reps", "3", "--seed", "9"],
     "tune_r_eps_l1_none": [
         "tune", "--family", "l1", "--dimension", "4", "--budget", "256",
         "--r-eps", "0.25", "--reps", "3", "--seed", "4"],

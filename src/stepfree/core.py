@@ -98,7 +98,7 @@ class StochasticOracle:
     sample norm when present.
 
     ``sampler(stream, T)``, when present, returns the step function
-    ``step(x, i)`` (a float array) of a T-step run keyed by the 128-bit
+    ``step(x, i)`` (a float64 array) of a T-step run keyed by the 128-bit
     ``stream`` id. A sampler whose samples are random draws the run's noise
     at once from ``stream_rng(stream)``; one that draws nothing builds no
     generator. It must follow the same law as ``query`` bit for bit:
@@ -125,13 +125,40 @@ class StochasticOracle:
 
 @dataclass(frozen=True)
 class ProjectionDomain:
-    """Euclidean projection onto the whole space, a ball, or a box."""
+    """Euclidean projection onto the whole space, a ball, or a box.
+
+    A ball needs a finite center and a radius >= 0, and must lie within
+    half the float range (max |center_i| + radius finite when doubled); a
+    box needs bounds without nan, lower <= upper, and a finite point in
+    every coordinate (no lower bound +inf, no upper bound -inf). On such a
+    domain the projection maps finite points to finite points, which the
+    one finiteness screen per step of :func:`sgd_run` relies on.
+    """
 
     kind: str  # "whole" | "ball" | "box"
     center: Optional[Vector] = None
     radius: Optional[float] = None
     lower: Optional[Vector] = None
     upper: Optional[Vector] = None
+
+    def __post_init__(self):
+        if self.kind == "ball":
+            if not self.radius >= 0:
+                raise ValueError(f"a ball needs a radius >= 0, got "
+                                 f"{self.radius!r}")
+            extent = float(np.abs(self.center).max(initial=0.0)) + self.radius
+            if not math.isfinite(2.0 * extent):
+                raise ValueError("a ball needs a finite center and radius, "
+                                 "within half the float range")
+        elif self.kind == "box":
+            lower, upper = self.lower, self.upper
+            if not (np.all(lower <= upper) and np.all(lower < math.inf)
+                    and np.all(upper > -math.inf)):
+                raise ValueError("a box needs bounds without nan, "
+                                 "lower <= upper, no lower bound +inf and "
+                                 "no upper bound -inf")
+        elif self.kind != "whole":
+            raise ValueError(f"unknown domain kind {self.kind!r}")
 
     @staticmethod
     def whole_space() -> "ProjectionDomain":
@@ -148,18 +175,28 @@ class ProjectionDomain:
                                 upper=np.asarray(upper, dtype=float))
 
     def project(self, x: Vector) -> Vector:
+        return self.screened(x)[0]
+
+    def screened(self, x: Vector) -> tuple[Vector, bool]:
+        """(the projection of x, whether x passed the finiteness screen).
+
+        The screen is a finite squared norm: of x, or for a ball of x minus
+        the center, the square its inside test takes anyway. A pass proves
+        every entry of x finite, and with it the projection. A fail means an
+        entry may be non-finite, or the square overflowed.
+        """
         if self.kind == "whole":
-            return x
+            return x, math.isfinite(x.dot(x))
         if self.kind == "ball":
             diff = x - self.center
-            nrm = math.sqrt(diff.dot(diff))  # what np.linalg.norm computes
-            if nrm <= self.radius:
-                return x
-            return self.center + diff * (self.radius / nrm)
-        if self.kind == "box":
-            # np.clip's result at a fraction of its call cost
-            return np.minimum(np.maximum(x, self.lower), self.upper)
-        raise ValueError(f"unknown domain kind {self.kind!r}")
+            dsq = diff.dot(diff)
+            nrm = math.sqrt(dsq)  # what np.linalg.norm computes
+            if nrm <= self.radius:  # then dsq is finite, as the radius is
+                return x, True
+            return self.center + diff * (self.radius / nrm), math.isfinite(dsq)
+        # np.clip's result at a fraction of its call cost
+        return (np.minimum(np.maximum(x, self.lower), self.upper),
+                math.isfinite(x.dot(x)))
 
     def contains(self, x: Vector, tol: float = 1e-12) -> bool:
         return bool(np.linalg.norm(self.project(x) - x) <= tol)
@@ -191,7 +228,11 @@ class SgdTrace:
     """Summary of one realization of a fixed-step projected SGD run.
 
     ``r_bar`` is max_{i<=T} ||x0 - x_i|| and ``G`` is the running sum of
-    squared gradient norms over the T queried gradients. ``x_avg`` averages
+    squared gradient norms over the T queried gradients, +inf once a square
+    or the sum overflows. ``G`` and ``g0_norm`` are read off the run's
+    (T, d) gradient record after its last step (kept as ``gs`` only in a
+    full record); the steps themselves are screened for finiteness once
+    each, which :func:`sgd_run` shows is enough. ``x_avg`` averages
     the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f`` (lowest
     value over x_0, ..., x_T) and ``value_avg`` are set only when the run
     tracked values. Traces made by the tuner are run without value tracking
@@ -240,6 +281,19 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
 
     The realization is a pure function of (oracle, x0, eta, T, stream).
     Raises :class:`NumericalFailure` if a gradient or iterate goes non-finite.
+
+    Per step the loop makes the query, writes the gradient into a (T, d)
+    record, takes the step and projects it through
+    :meth:`ProjectionDomain.screened`, whose one finiteness screen of the
+    unprojected step is the only check on the fast path. One screen
+    suffices: from a finite iterate with eta > 0, a non-finite gradient
+    entry makes the step non-finite, and the domain maps finite points to
+    finite points. A step that fails the screen is looked at elementwise,
+    the gradient first and then the projected step, which gives the
+    ``NumericalFailure`` step and cause of checking both on every step;
+    the oracle is never queried at a non-finite iterate. ``G`` and
+    ``g0_norm`` are read off the gradient record after the loop, and
+    ``r_bar``, ``x_avg`` and value statistics off the iterate record.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -247,38 +301,36 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         raise ValueError("eta must be positive")
     x0 = domain.project(np.asarray(x0, dtype=float))
     step = run_step(oracle, stream, T)
-    project = None if domain.kind == "whole" else domain.project
+    screened = domain.screened
+    # eta as an array operand: the products are eta * g's, and numpy
+    # multiplies two arrays for less call overhead than a scalar and one
+    eta_vec = np.full(x0.shape, eta, dtype=float)
 
-    # per step: the query, G and the iterate with their finiteness checks;
-    # everything else is read off the iterate record xs after the loop
     xs = np.empty((T + 1, x0.shape[0]))
     xs[0] = x0
-    gs = np.empty((T, x0.shape[0])) if record_full else None
+    gs = np.empty((T, x0.shape[0]))
     x = x0
-    G = 0.0
-    G_comp = 0.0  # Kahan compensation, keeps G independent of rounding order
-    g0_norm = 0.0
     for i in range(T):
         g = step(x, i)
-        gsq = float(g.dot(g))
-        # a finite square implies finite entries; the elementwise check
-        # runs only to tell overflow of the square from a non-finite entry
-        if not math.isfinite(gsq) and not np.all(np.isfinite(g)):
-            raise NumericalFailure(i, "gradient")
-        if i == 0:
-            g0_norm = gsq ** 0.5
-        y = gsq - G_comp
+        gs[i] = g
+        x, finite = screened(x - eta_vec * g)
+        if not finite:
+            if not np.all(np.isfinite(g)):
+                raise NumericalFailure(i, "gradient")
+            if not np.all(np.isfinite(x)):
+                raise NumericalFailure(i, "iterate")
+        xs[i + 1] = x
+
+    # one ddot per row, each equal to g.dot(g); a finite gradient's square
+    # may overflow to +inf
+    gsq = np.matmul(gs[:, None, :], gs[:, :, None]).ravel().tolist()
+    G = 0.0
+    G_comp = 0.0  # Kahan compensation, keeps G independent of rounding order
+    for sq in gsq:
+        y = sq - G_comp
         t = G + y
         G_comp = (t - G) - y
         G = t
-        x = x - eta * g
-        if project is not None:
-            x = project(x)
-        if not math.isfinite(x.dot(x)) and not np.all(np.isfinite(x)):
-            raise NumericalFailure(i, "iterate")
-        xs[i + 1] = x
-        if record_full:
-            gs[i] = g
     if G != G:
         # once G overflows, the compensation takes inf - inf and G turns
         # nan; the sum of the (finite or overflowed) squares is +inf
@@ -292,8 +344,9 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     dsq = np.matmul(disp[:, None, :], disp[:, :, None]).ravel()
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg,
-        r_bar=math.sqrt(dsq.max()), G=G, g0_norm=g0_norm, query_count=T,
-        stream=stream, xs=xs if record_full else None, gs=gs)
+        r_bar=math.sqrt(dsq.max()), G=G, g0_norm=gsq[0] ** 0.5, query_count=T,
+        stream=stream, xs=xs if record_full else None,
+        gs=gs if record_full else None)
     if value_fn is not None:
         fs = [float(value_fn(row)) for row in xs]
         best = 0

@@ -36,6 +36,25 @@ class ProblemSpec:
     n_samples: int = 200          # logistic family
     reg: float = 0.1              # logistic ridge term
 
+    def __post_init__(self):
+        # parameters that give no convex problem, or none with a finite
+        # optimum and domain, whatever the family
+        if self.dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        for name in ("noise_param", "center_scale", "smoothness", "mu", "L",
+                     "radius", "reg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
+        for name in ("noise_param", "smoothness", "L", "radius", "reg"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)!r}")
+        if self.mu <= 0:
+            raise ValueError(f"mu must be > 0, got {self.mu!r}")
+
     def to_config(self) -> dict:
         return {
             "family": self.family,
@@ -68,11 +87,6 @@ class ProblemSpec:
         )
 
 
-def _sign_zero(u: np.ndarray) -> np.ndarray:
-    # subgradient of |.| fixed to 0 at the kink, making it absorbing
-    return np.sign(u)
-
-
 def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
     """Build (tape, sampler, declared_L) applying the spec's noise model.
 
@@ -92,8 +106,6 @@ def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
         return (lambda rng, T: step), (lambda stream, T: step), sup_grad_norm
     if spec.noise == "sphere":
         sigma = spec.noise_param
-        if sigma < 0:
-            raise ValueError("sphere noise needs sigma >= 0")
         d = spec.dimension
 
         def tape(rng, T):
@@ -110,8 +122,11 @@ def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
             raise ValueError("signflip noise needs p in [0, 0.5)")
         scale = 1.0 / (1.0 - 2.0 * p)
 
+        # each sign as a (d,) row, cheaper to multiply by than a scalar
+        rows = (np.full(spec.dimension, -scale), np.full(spec.dimension, scale))
+
         def tape(rng, T):
-            signs = np.where(rng.random(T) >= p, scale, -scale).tolist()
+            signs = [rows[keep] for keep in (rng.random(T) >= p).tolist()]
             return lambda x, i: signs[i] * exact_grad(x)
         L = sup_grad_norm * scale
     else:
@@ -126,16 +141,18 @@ def make_problem(spec: ProblemSpec, seed: int):
     """Instantiate a problem: (oracle, domain, x_star, f_star)."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
-    if spec.dimension < 1:
-        raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     d = spec.dimension
+    # the gradients hold their scalar factors and bounds as (d,) arrays:
+    # numpy combines two arrays for less call overhead than a scalar and an
+    # array, with the same roundings
 
     if spec.family == "l1":
         c = spec.center_scale * rng.standard_normal(d)
 
         def exact_grad(x):
-            return _sign_zero(x - c)
+            # subgradient of |.| fixed to 0 at the kink, making it absorbing
+            return np.sign(x - c)
 
         def value(x):
             return float(np.abs(x - c).sum())
@@ -147,9 +164,10 @@ def make_problem(spec: ProblemSpec, seed: int):
     elif spec.family == "quadratic":
         c = spec.center_scale * rng.standard_normal(d)
         S = spec.smoothness
+        S_vec = np.full(d, S)
 
         def exact_grad(x):
-            return S * (x - c)
+            return S_vec * (x - c)
 
         def value(x):
             return 0.5 * S * float(np.dot(x - c, x - c))
@@ -160,9 +178,10 @@ def make_problem(spec: ProblemSpec, seed: int):
 
     elif spec.family == "huber":
         c = spec.center_scale * rng.standard_normal(d)
+        lo, hi = np.full(d, -1.0), np.full(d, 1.0)
 
         def exact_grad(x):
-            return np.minimum(np.maximum(x - c, -1.0), 1.0)  # np.clip, cheaper
+            return np.minimum(np.maximum(x - c, lo), hi)  # np.clip, cheaper
 
         def value(x):
             u = np.abs(x - c)
@@ -181,9 +200,10 @@ def make_problem(spec: ProblemSpec, seed: int):
                              "(declared L leaves no noise headroom)")
         mu, L = spec.mu, spec.L
         radius = L / mu
+        mu_vec = np.full(d, mu)
 
         def exact_grad(x):
-            return mu * x
+            return mu_vec * x
 
         def value(x):
             return 0.5 * mu * float(np.dot(x, x))
@@ -213,9 +233,17 @@ def make_problem(spec: ProblemSpec, seed: int):
         # (exp(-z) sees at most the sign of a zero change)
         yA = y[:, None] * A
 
+        ones, minus_n, reg_vec = np.ones(n), np.full(d, -n, float), np.full(d, reg)
+
         def exact_grad(x):
-            sig = 1.0 / (1.0 + np.exp(yA @ x))
-            return (yA.T @ sig) / -n + reg * x
+            # (yA.T @ (1 / (1 + exp(yA @ x)))) / -n + reg * x, in place
+            e = np.exp(yA.dot(x))
+            e += ones
+            np.divide(ones, e, e)
+            v = e.dot(yA)
+            v /= minus_n
+            v += reg_vec * x
+            return v
 
         sol = minimize(value, np.zeros(d), jac=exact_grad, method="L-BFGS-B",
                        options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 5000})

@@ -122,6 +122,29 @@ class TestConfigValidation:
         assert run_cli(["tune", "--config", "/nonexistent.ini",
                         "--eta-eps", "0.1"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["restart", "--family", "sc_quadratic", "--mu", "0"],
+        ["restart", "--family", "sc_quadratic", "--mu", "-1"],
+        ["restart", "--family", "sc_quadratic", "--L", "-1"],
+        ["tune", "--family", "quadratic", "--radius", "-1"],
+        ["tune", "--family", "quadratic", "--radius", "nan"],
+        ["tune", "--family", "quadratic", "--smoothness", "-1"],
+        ["tune", "--family", "l1", "--center-scale", "nan"],
+        ["tune", "--family", "l1", "--noise", "sphere", "--noise-param",
+         "nan", "--mode", "stochastic"],
+        ["tune", "--family", "logistic", "--reg", "nan"],
+    ])
+    def test_parameters_without_a_convex_problem_rejected(self, args,
+                                                          tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        if args[0] == "tune":
+            args = args + ["--eta-eps", "1e-3"]
+        assert run_cli(args + ["--dimension", "2", "--csv", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_boundary_test(self, tmp_path):

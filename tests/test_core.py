@@ -208,6 +208,48 @@ class TestProjections:
         p = dom.project(np.array([3.0, 4.0]))
         assert np.allclose(p, [0.6, 0.8])
 
+    @pytest.mark.parametrize("build", [
+        lambda: ProjectionDomain.ball(np.zeros(2), -1.0),
+        lambda: ProjectionDomain.ball(np.zeros(2), np.nan),
+        lambda: ProjectionDomain.ball(np.zeros(2), np.inf),
+        lambda: ProjectionDomain.ball(np.array([0.0, np.nan]), 1.0),
+        lambda: ProjectionDomain.ball(np.array([np.inf, 0.0]), 1.0),
+        # doubling the extent overflows: a projection could round to inf
+        lambda: ProjectionDomain.ball(np.array([1e308, 0.0]), 1e307),
+        lambda: ProjectionDomain.box(np.array([0.0, np.nan]), np.ones(2)),
+        lambda: ProjectionDomain.box(np.zeros(2), np.array([1.0, np.nan])),
+        lambda: ProjectionDomain.box(np.array([0.0, 2.0]), np.ones(2)),
+        lambda: ProjectionDomain.box(np.full(2, np.inf), np.full(2, np.inf)),
+        lambda: ProjectionDomain.box(np.full(2, -np.inf),
+                                     np.full(2, -np.inf)),
+        lambda: ProjectionDomain(kind="sphere"),
+    ])
+    def test_degenerate_domains_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_edge_domains_accepted(self):
+        ProjectionDomain.ball(np.zeros(2), 0.0)
+        ProjectionDomain.ball(np.array([4e307, -4e307]), 4e307)
+        ProjectionDomain.box(np.full(2, -np.inf), np.full(2, np.inf))
+        ProjectionDomain.box(np.ones(2), np.ones(2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dom", [
+        WHOLE, ProjectionDomain.ball(np.array([1.0, -1.0]), 2.0),
+        ProjectionDomain.box(np.array([-1.0, -np.inf]), np.array([1.0, 3.0]))])
+    def test_screen(self, dom):
+        # the projection is project's, and a pass proves both points finite
+        for x in ([0.5, 7.0], [-0.0, 1e-300], [3e200, 1.0], [1e154, 1e154],
+                  [np.nan, 0.0], [np.inf, 1.0], [-np.inf, np.inf]):
+            x = np.array(x)
+            y, finite = dom.screened(x)
+            assert np.array_equal(y, dom.project(x), equal_nan=True)
+            if finite:
+                assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+            elif np.all(np.isfinite(x)):  # only an overflowed square fails
+                assert np.abs(x).max() > 1e150
+
 
 class TestStreams:
     def test_derive_stream_is_pure(self):

@@ -197,10 +197,12 @@ class TestEngineEquivalence:
 
 
 def scripted(grads):
-    """Oracle returning grads[i] at the i-th query, then ones."""
+    """Oracle returning grads[i] at the i-th query, then ones; it must never
+    be queried at a non-finite iterate."""
     grads = [np.asarray(g, dtype=float) for g in grads]
 
     def query(x, rng):
+        assert np.all(np.isfinite(x)), "queried at a non-finite iterate"
         i = query.n
         query.n += 1
         return grads[i] if i < len(grads) else np.ones_like(x)
@@ -214,22 +216,27 @@ SCRIPTS = {
     # the squares of the gradient and of the displacement overflow
     "square_overflows": [[1e200, 0.0], [0.5, 1e160]],
     "iterate_overflows": [[1.0, 1.0], [1e308, 0.0]],
+    # eta * g overflows to -inf from finite gradients, so the step is +inf
+    "step_overflows": [[-1e308, 0.5], [1.0, -1e308], [0.25, 0.25]],
+}
+NUMERIC_DOMAINS = {
+    "whole": ProjectionDomain.whole_space(),
+    "box": ProjectionDomain.box(np.full(2, -np.inf), np.full(2, 1e308)),
+    "ball": ProjectionDomain.ball(np.array([0.5, -0.5]), 4.0),
+    # clamps an infinite step to a finite point
+    "finite_box": ProjectionDomain.box(np.full(2, -1e3), np.full(2, 1e3)),
 }
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNumericalFailure:
     @pytest.mark.parametrize("name", sorted(SCRIPTS))
-    @pytest.mark.parametrize("kind", ["whole", "box"])
+    @pytest.mark.parametrize("kind", ["whole", "box", "ball", "finite_box"])
     @pytest.mark.parametrize("record_full", [False, True])
     @pytest.mark.parametrize("track_values", [False, True])
     def test_same_outcome_as_reference(self, name, kind, record_full,
                                        track_values):
-        if kind == "whole":
-            domain = ProjectionDomain.whole_space()
-        else:
-            domain = ProjectionDomain.box(np.full(2, -np.inf),
-                                          np.full(2, 1e308))
+        domain = NUMERIC_DOMAINS[kind]
         value_fn = (lambda x: float(np.abs(x).sum())) if track_values else None
         results = []
         for engine in (reference_sgd_run, sgd_run):
@@ -242,13 +249,12 @@ class TestNumericalFailure:
         assert results[0] == results[1]
 
     def test_expected_outcomes(self):
-        whole = ProjectionDomain.whole_space()
-
-        def run(name):
+        def run(name, kind="whole"):
             oracle = StochasticOracle(dimension=2,
                                       query=scripted(SCRIPTS[name]))
             oracle.query.n = 0
-            return outcome(sgd_run, oracle, whole, np.zeros(2), 10.0, 4, 0)
+            return outcome(sgd_run, oracle, NUMERIC_DOMAINS[kind],
+                           np.zeros(2), 10.0, 4, 0)
 
         assert run("nan_gradient") == ("fail", 1, "gradient")
         assert run("inf_gradient") == ("fail", 1, "gradient")
@@ -256,6 +262,13 @@ class TestNumericalFailure:
         assert run("iterate_overflows") == ("fail", 1, "iterate")
         # finite entries whose squares overflow are not a failure
         assert run("square_overflows")[0] == "trace"
+        # a step that overflows to inf is a failure unless the domain
+        # brings it back to a finite point
+        assert run("step_overflows") == ("fail", 0, "iterate")
+        assert run("step_overflows", "ball") == ("fail", 0, "iterate")
+        assert run("step_overflows", "box")[0] == "trace"
+        assert run("step_overflows", "finite_box")[0] == "trace"
+        assert run("nan_gradient", "finite_box") == ("fail", 1, "gradient")
 
 
 def test_bisection_check_survives_optimize_flag():
@@ -411,6 +424,47 @@ class TestNoiseTapes:
         assert trace.G == 120.0
 
 
+# ±0, subnormal and tiny, ordinary, and huge values (exp(yA @ x) overflows
+# once yA @ x passes ~709.8)
+LEAF_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 710.0,
+                     -710.0, 1e308, -1e308]),
+    st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+LOGISTIC_SHAPES = [(1, 1), (3, 2), (200, 5), (64, 17), (1000, 50)]
+_leaves = {}
+
+
+def leaf_pair(family, n, d, seed=4):
+    """(the family's exact gradient, its expression before the in-place,
+    array-operand rewrite, built from make_problem's draws)."""
+    key = (family, n, d)
+    if key not in _leaves:
+        spec = ProblemSpec(family=family, dimension=d, n_samples=n,
+                           smoothness=0.7, mu=2.5)
+        oracle = make_problem(spec, seed)[0]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
+        if family == "logistic":
+            A = rng.standard_normal((n, d)) / np.sqrt(d)
+            w_true = rng.standard_normal(d)
+            y = np.sign(A @ w_true + 0.3 * rng.standard_normal(n))
+            y[y == 0] = 1.0
+            yA = y[:, None] * A
+
+            def old(x):
+                sig = 1.0 / (1.0 + np.exp(yA @ x))
+                return (yA.T @ sig) / -n + spec.reg * x
+        elif family == "sc_quadratic":
+            old = lambda x: spec.mu * x
+        else:
+            c = spec.center_scale * rng.standard_normal(d)
+            old = {"l1": lambda x: np.sign(x - c),
+                   "quadratic": lambda x: spec.smoothness * (x - c),
+                   "huber": lambda x: np.minimum(np.maximum(x - c, -1.0), 1.0),
+                   }[family]
+        _leaves[key] = (oracle.exact_subgradient, old)
+    return _leaves[key]
+
+
 class TestLeafFunctions:
     def test_projections_equal_old_versions(self):
         rng = np.random.default_rng(0)
@@ -428,6 +482,35 @@ class TestLeafFunctions:
             assert bits(box.project(x)) == \
                 bits(np.clip(x, box.lower, box.upper))
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_logistic_gradient_equals_old_expression(self, data):
+        n, d = data.draw(st.sampled_from(LOGISTIC_SHAPES))
+        x = np.array(data.draw(st.lists(LEAF_FLOATS, min_size=d, max_size=d)))
+        grad, old = leaf_pair("logistic", n, d)
+        with np.errstate(all="ignore"):  # exp overflows for huge x
+            assert bits(grad(x)) == bits(old(x))
+
+    @pytest.mark.parametrize("family",
+                             ["l1", "quadratic", "huber", "sc_quadratic"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gradient_equals_old_expression(self, family, data):
+        d = data.draw(st.sampled_from([1, 3, 5, 17]))
+        x = np.array(data.draw(st.lists(LEAF_FLOATS, min_size=d, max_size=d)))
+        grad, old = leaf_pair(family, 200, d)
+        with np.errstate(all="ignore"):
+            assert bits(grad(x)) == bits(old(x))
+
+    @pytest.mark.parametrize("n,d", LOGISTIC_SHAPES)
+    def test_logistic_gradient_edge_points(self, n, d):
+        grad, old = leaf_pair("logistic", n, d)
+        with np.errstate(all="ignore"):
+            for v in (0.0, -0.0, 5e-324, -1e-300, 700.0, -800.0, 1e308):
+                x = np.full(d, v)
+                x[::2] *= -1.0
+                assert bits(grad(x)) == bits(old(x)), v
+                assert bits(grad(-x)) == bits(old(-x)), v
 
 def old_derive_stream(master_seed, *parts):
     """derive_stream as it was when SeedSequence coerced the entropy."""

@@ -68,6 +68,24 @@ class TestConstruction:
                                      noise="signflip", noise_param=0.5),
                          seed=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dimension", 0), ("n_samples", 0), ("mu", 0.0), ("mu", -1.0),
+        ("L", -1.0), ("smoothness", -1.0), ("radius", -1.0),
+        ("radius", math.nan), ("radius", math.inf), ("center_scale", math.nan),
+        ("center_scale", math.inf), ("noise_param", math.nan),
+        ("noise_param", -0.1), ("reg", math.nan), ("reg", -1.0)])
+    def test_parameters_without_a_convex_problem_rejected(self, field,
+                                                          value):
+        with pytest.raises(ValueError, match=field):
+            ProblemSpec(**{"family": "quadratic", "dimension": 2,
+                           field: value})
+
+    def test_sc_quadratic_radius_must_fit_in_floats(self):
+        spec = ProblemSpec(family="sc_quadratic", dimension=2, mu=1e-300,
+                           L=1e300)
+        with pytest.raises(ValueError, match="ball"):
+            make_problem(spec, seed=0)
+
     def test_config_roundtrip(self):
         spec = ProblemSpec(family="huber", dimension=7, noise="sphere",
                            noise_param=0.25, center_scale=2.0)
