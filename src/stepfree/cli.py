@@ -25,8 +25,8 @@ from scipy import stats
 from .core import NumericalFailure, derive_stream
 from .problems import ProblemSpec, default_x0, make_problem
 from .restarts import RestartPlan, restart_tune
-from .tuner import (Deterministic, NonAdaptive, Stochastic, damping_for_round,
-                    first_gradient_norm, relative_eta_eps, tune)
+from .tuner import (Deterministic, NonAdaptive, Stochastic, ZeroFirstGradient,
+                    damping_for_round, tune)
 from .validation import (ProblemMeta, binom_upper, boundary_crossing_test,
                          check_theorem_bounds, good_event_frequency,
                          good_event_union_frequency, has_bug)
@@ -89,15 +89,6 @@ def _mode_object(cfg: RunConfig, L: float):
     raise ConfigError(f"unknown mode {cfg.mode!r}")
 
 
-def _resolve_eta_eps(cfg: RunConfig, oracle, domain, x0, seed: int,
-                     budget: int) -> float:
-    if cfg.eta_eps is not None:
-        return cfg.eta_eps
-    # relative mode: the tuner's own g0 measurement, at the same x0
-    return relative_eta_eps(cfg.r_eps, first_gradient_norm(oracle, x0, seed),
-                            budget)
-
-
 def _open_writers(cfg: RunConfig):
     csv_file = open(cfg.csv_path, "w", newline="") if cfg.csv_path else None
     writer = None
@@ -139,14 +130,13 @@ def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
     t0 = time.perf_counter()
     try:
-        eta_eps = _resolve_eta_eps(cfg, oracle, domain, x0, seed, budget)
-    except ValueError as exc:  # relative mode with a zero first gradient
-        return (*_failure_row(run_id, seed, t0, str(exc),
-                              "zero_first_gradient"), False)
-    try:
-        result = tune(oracle, domain, x0, budget=budget, eta_eps=eta_eps,
+        result = tune(oracle, domain, x0, budget=budget, eta_eps=cfg.eta_eps,
+                      r_eps=cfg.r_eps,
                       mode=_mode_object(cfg, oracle.norm_bound_L),
                       master_seed=seed)
+    except ZeroFirstGradient as exc:
+        return (*_failure_row(run_id, seed, t0, str(exc),
+                              "zero_first_gradient"), False)
     except NumericalFailure as exc:
         return (*_failure_row(run_id, seed, t0, str(exc)), False)
     wall = (time.perf_counter() - t0) * 1e3

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 Vector = np.ndarray
-Step = Callable[[Vector, int], Vector]
+Step = Callable[[Vector, int, Vector], None]
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence's output hash
@@ -98,14 +98,17 @@ class StochasticOracle:
     sample norm when present.
 
     ``sampler(stream, T)``, when present, returns the step function
-    ``step(x, i)`` (a float64 array) of a T-step run keyed by the 128-bit
-    ``stream`` id. A sampler whose samples are random draws the run's noise
-    at once from ``stream_rng(stream)``; one that draws nothing builds no
-    generator. It must follow the same law as ``query`` bit for bit:
-    ``step(x_i, i)`` for i = 0, ..., T-1 returns exactly what T successive
-    ``query(x_i, rng)`` calls return on ``rng = stream_rng(stream)``.
-    :func:`run_step` uses it in place of ``query`` when present. Assigning
-    ``query`` on a built oracle drops the sampler, which no longer matches it.
+    ``step(x, i, out)`` of a T-step run keyed by the 128-bit ``stream`` id,
+    which writes the i-th sample at x into the float64 array ``out`` and
+    never writes to ``x``. A random sampler draws the run's noise at once
+    from ``stream_rng(stream)``. It must follow the same law as ``query``
+    bit for bit: ``step(x_i, i, out)`` for i = 0, ..., T-1 writes what T
+    successive ``query(x_i, rng)`` calls return on ``rng =
+    stream_rng(stream)``; :func:`run_step` uses it in place of ``query``.
+    ``noiseless`` declares that samples draw nothing: its runs take
+    ``stream=None`` from :meth:`run_stream` and derive no stream id.
+    Assigning ``query`` on a built oracle drops the sampler and the
+    declaration, which no longer match it.
     """
 
     dimension: int
@@ -114,13 +117,20 @@ class StochasticOracle:
     exact_subgradient: Optional[Callable[[Vector], Vector]] = None
     exact_value: Optional[Callable[[Vector], float]] = None
     optimum_info: Optional[tuple] = None  # (x_star, f_star)
-    sampler: Optional[Callable[[int, int], Step]] = field(
+    sampler: Optional[Callable[[Optional[int], int], Step]] = field(
         default=None, repr=False, compare=False)
+    noiseless: bool = False
 
     def __setattr__(self, name, value):
         if name == "query" and "query" in self.__dict__:
             self.__dict__["sampler"] = None
+            self.__dict__["noiseless"] = False
         object.__setattr__(self, name, value)
+
+    def run_stream(self, master_seed: int, *parts) -> Optional[int]:
+        """The stream id of a run: ``derive_stream(master_seed, *parts)``,
+        or None, derived from nothing, for a noiseless oracle."""
+        return None if self.noiseless else derive_stream(master_seed, *parts)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,8 @@ class ProjectionDomain:
             if not math.isfinite(2.0 * extent):
                 raise ValueError("a ball needs a finite center and radius, "
                                  "within half the float range")
+            object.__setattr__(self, "_at_origin", not (
+                self.center.any() or np.signbit(self.center).any()))
         elif self.kind == "box":
             lower, upper = self.lower, self.upper
             if not (np.all(lower <= upper) and np.all(lower < math.inf)
@@ -178,7 +190,13 @@ class ProjectionDomain:
         return self.screened(x)[0]
 
     def screened(self, x: Vector) -> tuple[Vector, bool]:
-        """(the projection of x, whether x passed the finiteness screen).
+        """(projection of x, whether x passed :meth:`project_in_place`)."""
+        x = np.array(x, dtype=float)
+        return x, self.project_in_place(x)
+
+    def project_in_place(self, x: Vector) -> bool:
+        """Overwrite x with its projection; return whether x passed the
+        finiteness screen.
 
         The screen is a finite squared norm: of x, or for a ball of x minus
         the center, the square its inside test takes anyway. A pass proves
@@ -186,17 +204,22 @@ class ProjectionDomain:
         entry may be non-finite, or the square overflowed.
         """
         if self.kind == "whole":
-            return x, math.isfinite(x.dot(x))
+            return math.isfinite(x.dot(x))
         if self.kind == "ball":
-            diff = x - self.center
+            # x - (+0.0) is x; outside, adding the center makes -0.0 +0.0
+            diff = x if self._at_origin else x - self.center
             dsq = diff.dot(diff)
             nrm = math.sqrt(dsq)  # what np.linalg.norm computes
             if nrm <= self.radius:  # then dsq is finite, as the radius is
-                return x, True
-            return self.center + diff * (self.radius / nrm), math.isfinite(dsq)
+                return True
+            np.multiply(diff, self.radius / nrm, x)
+            np.add(self.center, x, x)
+            return math.isfinite(dsq)
+        passed = math.isfinite(x.dot(x))
         # np.clip's result at a fraction of its call cost
-        return (np.minimum(np.maximum(x, self.lower), self.upper),
-                math.isfinite(x.dot(x)))
+        np.maximum(x, self.lower, out=x)
+        np.minimum(x, self.upper, out=x)
+        return passed
 
     def contains(self, x: Vector, tol: float = 1e-12) -> bool:
         return bool(np.linalg.norm(self.project(x) - x) <= tol)
@@ -239,7 +262,8 @@ class SgdTrace:
     and carry a ``replay``: their value statistics are computed on first
     access, by rerunning the same realization with ``oracle.exact_value``.
     A run is a pure function of (oracle, x0, eta, T, stream), so they equal
-    those of a run that tracked values.
+    those of a run that tracked values. ``stream`` is None for the runs of a
+    noiseless oracle, which depend on no stream.
     """
 
     eta: float
@@ -250,7 +274,7 @@ class SgdTrace:
     G: float
     g0_norm: float
     query_count: int
-    stream: int
+    stream: Optional[int]
     xs: Optional[np.ndarray] = None  # (T+1, d) when full record kept
     gs: Optional[np.ndarray] = None  # (T, d)
     best_x: Optional[Vector] = _ValueStat()
@@ -264,28 +288,34 @@ class SgdTrace:
         return self.xs is not None
 
 
-def run_step(oracle: StochasticOracle, stream: int, T: int) -> Step:
+def run_step(oracle: StochasticOracle, stream: Optional[int], T: int) -> Step:
     """The step function of a T-step run of ``oracle`` keyed by ``stream``:
     the oracle's sampler when present, else T successive ``query`` calls on
-    ``stream_rng(stream)``."""
+    ``stream_rng(stream)``. Only a noiseless oracle takes ``stream=None``."""
+    if stream is None and not oracle.noiseless:
+        raise ValueError("only a noiseless oracle runs without a stream id")
     if oracle.sampler is not None:
         return oracle.sampler(stream, T)
-    query, rng = oracle.query, stream_rng(stream)
-    return lambda x, i: np.asarray(query(x, rng), dtype=float)
+    query = oracle.query
+    rng = None if stream is None else stream_rng(stream)
+
+    def step(x, i, out):
+        out[...] = np.asarray(query(x, rng), dtype=float)
+    return step
 
 
 def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
-            T: int, stream: int, record_full: bool = False,
+            T: int, stream: Optional[int], record_full: bool = False,
             value_fn: Optional[Callable[[Vector], float]] = None) -> SgdTrace:
     """Run projected SGD for exactly T steps with a fixed step size.
 
     The realization is a pure function of (oracle, x0, eta, T, stream).
     Raises :class:`NumericalFailure` if a gradient or iterate goes non-finite.
 
-    Per step the loop makes the query, writes the gradient into a (T, d)
-    record, takes the step and projects it through
-    :meth:`ProjectionDomain.screened`, whose one finiteness screen of the
-    unprojected step is the only check on the fast path. One screen
+    Steps write in place: each gradient into its row of the (T, d) gradient
+    record, the step and its projection into the next row of the (T+1, d)
+    iterate record, by :meth:`ProjectionDomain.project_in_place`, whose one
+    finiteness screen of the step is the only check. One screen
     suffices: from a finite iterate with eta > 0, a non-finite gradient
     entry makes the step non-finite, and the domain maps finite points to
     finite points. A step that fails the screen is looked at elementwise,
@@ -299,27 +329,26 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         raise ValueError("T must be >= 1")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    x0 = domain.project(np.asarray(x0, dtype=float))
+    x0 = domain.project(x0)
     step = run_step(oracle, stream, T)
-    screened = domain.screened
+    project = domain.project_in_place
     # eta as an array operand: the products are eta * g's, and numpy
     # multiplies two arrays for less call overhead than a scalar and one
     eta_vec = np.full(x0.shape, eta, dtype=float)
 
     xs = np.empty((T + 1, x0.shape[0]))
-    xs[0] = x0
+    xs[0] = x = x0
     gs = np.empty((T, x0.shape[0]))
-    x = x0
-    for i in range(T):
-        g = step(x, i)
-        gs[i] = g
-        x, finite = screened(x - eta_vec * g)
-        if not finite:
+    for i, g, xn in zip(range(T), gs, xs[1:]):
+        step(x, i, g)
+        np.multiply(eta_vec, g, xn)
+        np.subtract(x, xn, xn)
+        if not project(xn):
             if not np.all(np.isfinite(g)):
                 raise NumericalFailure(i, "gradient")
-            if not np.all(np.isfinite(x)):
+            if not np.all(np.isfinite(xn)):
                 raise NumericalFailure(i, "iterate")
-        xs[i + 1] = x
+        x = xn
 
     # one ddot per row, each equal to g.dot(g); a finite gradient's square
     # may overflow to +inf

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import (ProjectionDomain, StochasticOracle, derive_stream, sgd_run,
-                   stream_rng)
+from .core import ProjectionDomain, StochasticOracle, sgd_run, stream_rng
 
 FAMILIES = ("l1", "quadratic", "huber", "sc_quadratic", "logistic")
 NOISE_MODELS = ("none", "sphere", "signflip")
@@ -87,35 +86,35 @@ class ProblemSpec:
         )
 
 
-def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
-    """Build (tape, sampler, declared_L) applying the spec's noise model.
+def _noise_sampler(spec: ProblemSpec, grad_into, sup_grad_norm: float):
+    """Build (tape, sampler, declared_L) applying the spec's noise model to
+    the exact gradient ``grad_into(x, out)``, which writes into ``out``.
 
-    ``tape(rng, T)`` draws the noise of a T-step run from ``rng`` at once and
-    returns its step function; a single query is its one-row case, so both
-    give the same samples bit for bit. ``sampler(stream, T)`` is the tape on
-    ``stream_rng(stream)`` (see :class:`StochasticOracle`); without noise it
-    builds no generator. sphere: adds a uniformly random direction of radius
-    sigma; sigma must not exceed the headroom L - sup||grad||, so no clipping
-    ever occurs and the sample stays exactly unbiased. signflip: flips the
-    gradient's sign with probability p and rescales by 1/(1-2p) to stay
-    unbiased.
+    ``tape(rng, T)`` draws the noise of a T-step run from ``rng`` at once, as
+    one row per step that ``combine`` applies to the gradient, and returns
+    its step function ``step(x, i, out)``; a single query is its one-row
+    case, so both give the same samples bit for bit. ``sampler(stream, T)``
+    is the tape on ``stream_rng(stream)`` (see :class:`StochasticOracle`);
+    without noise it draws nothing and takes ``stream=None``. sphere: adds a
+    uniformly random direction of radius sigma; sigma must not exceed the
+    headroom L - sup||grad||, so no clipping ever occurs and the sample
+    stays exactly unbiased. signflip: flips the gradient's sign with
+    probability p and rescales by 1/(1-2p) to stay unbiased.
     """
     if spec.noise == "none":
-        def step(x, i):
-            return exact_grad(x)
+        step = lambda x, i, out: grad_into(x, out)  # noqa: E731
         return (lambda rng, T: step), (lambda stream, T: step), sup_grad_norm
     if spec.noise == "sphere":
         sigma = spec.noise_param
         d = spec.dimension
 
-        def tape(rng, T):
+        def draw(rng, T):
             V = rng.standard_normal((T, d))
             # one ddot per row, bit for bit np.linalg.norm(v) of each row;
             # np.linalg.norm(V, axis=1) rounds differently
             nrm = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
-            noise = sigma * (V / np.where(nrm > 0, nrm, 1.0)[:, None])
-            return lambda x, i: exact_grad(x) + noise[i]
-        L = sup_grad_norm + sigma
+            return sigma * (V / np.where(nrm > 0, nrm, 1.0)[:, None])
+        combine, L = np.add, sup_grad_norm + sigma
     elif spec.noise == "signflip":
         p = spec.noise_param
         if not (0.0 <= p < 0.5):
@@ -123,14 +122,21 @@ def _noise_sampler(spec: ProblemSpec, exact_grad, sup_grad_norm: float):
         scale = 1.0 / (1.0 - 2.0 * p)
 
         # each sign as a (d,) row, cheaper to multiply by than a scalar
-        rows = (np.full(spec.dimension, -scale), np.full(spec.dimension, scale))
+        signs = (np.full(spec.dimension, -scale), np.full(spec.dimension, scale))
 
-        def tape(rng, T):
-            signs = [rows[keep] for keep in (rng.random(T) >= p).tolist()]
-            return lambda x, i: signs[i] * exact_grad(x)
-        L = sup_grad_norm * scale
+        def draw(rng, T):
+            return [signs[keep] for keep in (rng.random(T) >= p).tolist()]
+        combine, L = np.multiply, sup_grad_norm * scale
     else:
         raise ValueError(f"unknown noise model {spec.noise!r}")
+
+    def tape(rng, T):
+        rows = draw(rng, T)
+
+        def step(x, i, out):
+            grad_into(x, out)
+            combine(out, rows[i], out)
+        return step
 
     def sampler(stream, T):
         return tape(stream_rng(stream), T)
@@ -143,45 +149,54 @@ def make_problem(spec: ProblemSpec, seed: int):
         raise ValueError(f"unknown family {spec.family!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
     d = spec.dimension
-    # the gradients hold their scalar factors and bounds as (d,) arrays:
-    # numpy combines two arrays for less call overhead than a scalar and an
-    # array, with the same roundings
+    # grad_into(x, out), each family's one gradient, writes into out and
+    # takes scalar factors and bounds as (d,) arrays, which numpy combines
+    # with less call overhead than scalars, with the same roundings
+
+    def exact_grad(x):  # grad_into, allocating its result
+        out = np.empty(d)
+        grad_into(x, out)
+        return out
 
     if spec.family == "l1":
         c = spec.center_scale * rng.standard_normal(d)
 
-        def exact_grad(x):
+        def grad_into(x, out):
             # subgradient of |.| fixed to 0 at the kink, making it absorbing
-            return np.sign(x - c)
+            np.subtract(x, c, out)
+            np.sign(out, out)
 
         def value(x):
             return float(np.abs(x - c).sum())
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        tape, sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
+        tape, sampler, L = _noise_sampler(spec, grad_into, math.sqrt(d))
 
     elif spec.family == "quadratic":
         c = spec.center_scale * rng.standard_normal(d)
         S = spec.smoothness
         S_vec = np.full(d, S)
 
-        def exact_grad(x):
-            return S_vec * (x - c)
+        def grad_into(x, out):
+            np.subtract(x, c, out)
+            np.multiply(S_vec, out, out)
 
         def value(x):
             return 0.5 * S * float(np.dot(x - c, x - c))
 
         domain = ProjectionDomain.ball(c, spec.radius)
         x_star, f_star = c, 0.0
-        tape, sampler, L = _noise_sampler(spec, exact_grad, S * spec.radius)
+        tape, sampler, L = _noise_sampler(spec, grad_into, S * spec.radius)
 
     elif spec.family == "huber":
         c = spec.center_scale * rng.standard_normal(d)
         lo, hi = np.full(d, -1.0), np.full(d, 1.0)
 
-        def exact_grad(x):
-            return np.minimum(np.maximum(x - c, lo), hi)  # np.clip, cheaper
+        def grad_into(x, out):
+            np.subtract(x, c, out)
+            np.maximum(out, lo, out=out)  # np.clip, cheaper
+            np.minimum(out, hi, out=out)
 
         def value(x):
             u = np.abs(x - c)
@@ -189,7 +204,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        tape, sampler, L = _noise_sampler(spec, exact_grad, math.sqrt(d))
+        tape, sampler, L = _noise_sampler(spec, grad_into, math.sqrt(d))
 
     elif spec.family == "sc_quadratic":
         # mu-strongly-convex quadratic on the ball of radius L/mu around the
@@ -202,15 +217,15 @@ def make_problem(spec: ProblemSpec, seed: int):
         radius = L / mu
         mu_vec = np.full(d, mu)
 
-        def exact_grad(x):
-            return mu_vec * x
+        def grad_into(x, out):
+            np.multiply(mu_vec, x, out)
 
         def value(x):
             return 0.5 * mu * float(np.dot(x, x))
 
         domain = ProjectionDomain.ball(np.zeros(d), radius)
         x_star, f_star = np.zeros(d), 0.0
-        tape, sampler, L = _noise_sampler(spec, exact_grad, L)
+        tape, sampler, L = _noise_sampler(spec, grad_into, L)
 
     else:  # logistic
         n = spec.n_samples
@@ -235,15 +250,14 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         ones, minus_n, reg_vec = np.ones(n), np.full(d, -n, float), np.full(d, reg)
 
-        def exact_grad(x):
-            # (yA.T @ (1 / (1 + exp(yA @ x)))) / -n + reg * x, in place
+        def grad_into(x, out):
+            # (yA.T @ (1 / (1 + exp(yA @ x)))) / -n + reg * x
             e = np.exp(yA.dot(x))
             e += ones
             np.divide(ones, e, e)
-            v = e.dot(yA)
-            v /= minus_n
-            v += reg_vec * x
-            return v
+            np.dot(e, yA, out)
+            out /= minus_n
+            out += reg_vec * x
 
         sol = minimize(value, np.zeros(d), jac=exact_grad, method="L-BFGS-B",
                        options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 5000})
@@ -253,13 +267,16 @@ def make_problem(spec: ProblemSpec, seed: int):
             raise ValueError("logistic optimum falls outside the domain ball")
         domain = ProjectionDomain.ball(np.zeros(d), spec.radius)
         sup_grad = float(np.linalg.norm(A, axis=1).max()) + reg * spec.radius
-        tape, sampler, L = _noise_sampler(spec, exact_grad, sup_grad)
+        tape, sampler, L = _noise_sampler(spec, grad_into, sup_grad)
 
     def query(x, rng):
-        return tape(rng, 1)(x, 0)
+        out = np.empty(d)
+        tape(rng, 1)(x, 0, out)
+        return out
 
     oracle = StochasticOracle(
         dimension=d, query=query, sampler=sampler, norm_bound_L=L,
+        noiseless=spec.noise == "none",
         exact_subgradient=exact_grad, exact_value=value,
         optimum_info=(np.asarray(x_star, dtype=float), float(f_star)))
     return oracle, domain, np.asarray(x_star, dtype=float), float(f_star)
@@ -292,6 +309,6 @@ def grid_search_baseline(oracle: StochasticOracle, domain: ProjectionDomain,
     gaps = {}
     for i, eta in enumerate(grid):
         trace = sgd_run(oracle, domain, x0, eta, T,
-                        derive_stream(master_seed, "grid", i))
+                        oracle.run_stream(master_seed, "grid", i))
         gaps[eta] = oracle.exact_value(trace.x_avg) - f_star
     return gaps

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ProjectionDomain, SgdTrace, StochasticOracle, derive_stream,
-                   run_step, sgd_run)
+from .core import (ProjectionDomain, SgdTrace, StochasticOracle, run_step,
+                   sgd_run)
 
 
 # --------------------------------------------------------------------------
@@ -210,8 +210,8 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
         key = (round_k, candidate.exponent)
         trace = cache.get(key)
         if trace is None:
-            stream = derive_stream(master_seed, "trace", round_k or 0,
-                                   candidate.exponent)
+            stream = oracle.run_stream(master_seed, "trace", round_k or 0,
+                                       candidate.exponent)
             trace = sgd_run(oracle, domain, x0, candidate.value, T, stream,
                             record_full=record_full)
             if oracle.exact_value is not None:
@@ -327,15 +327,21 @@ def select_output_z(result: TunerResult, trace_at_eps: Optional[SgdTrace]):
 
 def first_gradient_norm(oracle: StochasticOracle, x0, master_seed: int) -> float:
     """||g0||: one query at x0 on the run stream derive_stream(master_seed,
-    "g0"). It is a side query, not charged against the tuner's budget."""
-    g0 = run_step(oracle, derive_stream(master_seed, "g0"), 1)(x0, 0)
+    "g0") (none if noiseless), a side query not charged to the budget."""
+    g0 = np.empty(len(x0))
+    run_step(oracle, oracle.run_stream(master_seed, "g0"), 1)(x0, 0, g0)
     return math.sqrt(g0.dot(g0))  # what np.linalg.norm computes
+
+
+class ZeroFirstGradient(ValueError):
+    """Relative mode's eta_eps is undefined: the first gradient is zero."""
 
 
 def relative_eta_eps(r_eps: float, g0_norm: float, B: int) -> float:
     """Initial step size from a putative lower bound r_eps on d0."""
     if g0_norm <= 0:
-        raise ValueError("relative eta_eps undefined with a zero first gradient")
+        raise ZeroFirstGradient("relative eta_eps undefined with a zero "
+                                 "first gradient")
     return r_eps / (g0_norm * B)
 
 
@@ -363,8 +369,9 @@ def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> flo
 
 
 def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
-         eta_eps: float, mode=Deterministic(), master_seed: int = 0,
-         record_full: bool = False, debug: bool = True) -> TunerResult:
+         eta_eps: Optional[float] = None, mode=Deterministic(),
+         master_seed: int = 0, record_full: bool = False, debug: bool = True,
+         r_eps: Optional[float] = None) -> TunerResult:
     """Budgeted parameter-free step-size tuning.
 
     Doubles the bisection's upper limit (2^(2^k) * eta_eps for k = 2, 4,
@@ -372,10 +379,15 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
     steps per evaluation. The total number of oracle queries never exceeds
     the budget; the single pre-tuning measurement of ||g0|| is reported
     separately and not charged against it.
+
+    Takes exactly one of ``eta_eps`` and ``r_eps`` (relative mode: eta_eps =
+    :func:`relative_eta_eps` of ||g0||, or :class:`ZeroFirstGradient`).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if eta_eps <= 0:
+    if (eta_eps is None) == (r_eps is None):
+        raise ValueError("exactly one of eta_eps / r_eps is required")
+    if eta_eps is not None and eta_eps <= 0:
         raise ValueError("eta_eps must be positive")
     if not isinstance(mode, (Deterministic, Stochastic, NonAdaptive)):
         raise ValueError(f"unknown mode {mode!r}")
@@ -388,6 +400,8 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
     x0 = domain.project(np.asarray(x0, dtype=float))
     g0_norm = first_gradient_norm(oracle, x0, master_seed)
     side_queries = 1
+    if r_eps is not None:
+        eta_eps = relative_eta_eps(r_eps, g0_norm, budget)
 
     cache: dict = {}
     total_queries = 0

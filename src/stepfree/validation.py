@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .core import (ProjectionDomain, SgdTrace, StochasticOracle, derive_stream,
-                   sgd_run, trace_distances)
+from .core import (ProjectionDomain, SgdTrace, StochasticOracle, sgd_run,
+                   trace_distances)
 from .tuner import DampingParams, TunerResult, passes
 
 
@@ -88,7 +88,7 @@ def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
     held = 0
     for p in range(n_paths):
         trace = sgd_run(oracle, domain, x0, eta, T,
-                        derive_stream(master_seed, "goodevent", p),
+                        oracle.run_stream(master_seed, "goodevent", p),
                         record_full=True)
         if good_event_margin(trace, oracle, x_star, damping).held:
             held += 1
@@ -106,7 +106,7 @@ def good_event_union_frequency(oracle: StochasticOracle,
         ok = True
         for j, eta in enumerate(etas):
             trace = sgd_run(oracle, domain, x0, eta, T,
-                            derive_stream(master_seed, "goodevent", j, p),
+                            oracle.run_stream(master_seed, "goodevent", j, p),
                             record_full=True)
             if not good_event_margin(trace, oracle, x_star, damping).held:
                 ok = False

@@ -385,13 +385,30 @@ class TestNoiseTapes:
         for stream in (0, 2 ** 127 + 12345):
             step = oracle.sampler(stream, T)
             rng = stream_rng(stream)
+            out = np.empty(5)
             for i, x in enumerate(points):
-                assert bits(step(x, i)) == bits(query(x, rng)), i
+                step(x, i, out)
+                assert bits(out) == bits(query(x, rng)), i
         # a single query is the tape's one-row case
         x = points[0]
         assert bits(oracle.query(x, stream_rng(5))) == \
             bits(query(x, stream_rng(5)))
         assert bits(oracle.exact_subgradient(x)) == bits(exact_grad(x))
+
+    @pytest.mark.parametrize("family,noise", TAPE_MEMBERS)
+    def test_step_leaves_x_unchanged(self, family, noise):
+        spec = ProblemSpec(family=family, dimension=5, noise=noise,
+                           noise_param=NOISE_PARAMS[noise])
+        oracle, _, x_star, _ = make_problem(spec, 3)
+        points = x_star + 2.0 * np.random.default_rng(0).standard_normal(
+            (16, 5))
+        points[0] = -0.0
+        step = oracle.sampler(9, len(points))
+        out = np.empty(5)
+        for i, x in enumerate(points):
+            before = x.tobytes()
+            step(x, i, out)
+            assert x.tobytes() == before, i
 
     @pytest.mark.parametrize("member", FAMILY_NOISE)
     def test_long_run_equal_to_reference(self, member):
@@ -533,6 +550,45 @@ def old_derive_stream(master_seed, *parts):
 @settings(max_examples=300, deadline=None)
 def test_derive_stream_equals_old_version(master, parts):
     assert derive_stream(master, *parts) == old_derive_stream(master, *parts)
+
+
+QUERY_ONLY = {
+    # the iterate itself, which the engine must copy before it steps
+    "input_array": (3, lambda x, rng: x),
+    "list": (3, lambda x, rng: [float(v) for v in np.sign(x)]),
+    "shape_1": (1, lambda x, rng: np.array([rng.standard_normal()])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_ONLY))
+@pytest.mark.parametrize("kind", ["whole", "ball", "box"])
+def test_query_only_oracles_equal_reference(name, kind):
+    d, query = QUERY_ONLY[name]
+    oracle = StochasticOracle(dimension=d, query=query)
+    x_star = np.zeros(d)
+    args = (oracle, domain_of(kind, x_star), np.linspace(1.0, -2.0, d), 0.3,
+            20, 77)
+    assert (outcome(sgd_run, *args, record_full=True)
+            == outcome(reference_sgd_run, *args, record_full=True))
+
+
+def test_zero_centred_ball_projects_as_the_old_formula():
+    points = np.array([[3.0, -0.0, -4.0], [-0.0, -0.0, 2.0],
+                       [0.5, -0.0, 0.0], [-0.0, -0.0, -0.0]])
+    for center in (np.zeros(3), np.array([-0.0, 0.0, -0.0])):
+        ball = ProjectionDomain.ball(center, 1.0)
+        for x in points:
+            diff = x - center
+            nrm = float(np.linalg.norm(diff))
+            want = x if nrm <= 1.0 else center + diff * (1.0 / nrm)
+            assert bits(ball.project(x)) == bits(want)
+            y = x.copy()
+            assert ball.project_in_place(y)
+            assert bits(y) == bits(want)
+    # outside the ball a -0.0 entry comes back +0.0, inside it stays
+    ball = ProjectionDomain.ball(np.zeros(3), 1.0)
+    assert not np.signbit(ball.project(points[0]))[1]
+    assert np.signbit(ball.project(points[2]))[1]
 
 
 def test_negative_zero_column_averages_to_positive_zero():

@@ -44,3 +44,13 @@ def test_rate_sweeps(tmp_path):
     for name in ("quadratic", "l1"):
         for ext in ("csv", "jsonl"):
             assert (tmp_path / "tmp" / f"sweep_{name}.{ext}").is_file()
+
+
+def test_ab_compare_against_itself(tmp_path):
+    out = run_script("ab_compare.py", ROOT, ROOT, "--workload",
+                     "restart_short", "--chunks", 2, "--chunk-units", 5,
+                     cwd=tmp_path)
+    assert len(re.findall(r"^(old|new) queries_per_s = \d", out, re.M)) == 2
+    assert re.search(r"^ratio new/old: median \S+, quartiles \S+-\S+, "
+                     r"new won \d/2 chunks$", out, re.M)
+    assert "units whose outputs differ: 0" in out

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stepfree
 from stepfree import (ProblemSpec, StochasticOracle, default_x0, make_problem,
-                      restart_tune, stream_rng, tune)
+                      restart_tune, sgd_run, stream_rng, tune)
 from stepfree.cli import main as cli_main
 from stepfree.tuner import Stochastic, first_gradient_norm
 
@@ -126,3 +127,61 @@ def test_g0_norm_is_linalg_norm(g):
         norm = first_gradient_norm(oracle, np.zeros(len(g)), 0)
         ref = float(np.linalg.norm(g))
     assert np.array([norm]).tobytes() == np.array([ref]).tobytes()
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """A list that gets the labels of every stream id derived."""
+    labels = []
+    derive = stepfree.core.derive_stream
+
+    def counting(master_seed, *parts):
+        labels.append(parts)
+        return derive(master_seed, *parts)
+    for name in ("core", "tuner", "restarts", "validation", "problems"):
+        module = getattr(stepfree, name)
+        if hasattr(module, "derive_stream"):
+            monkeypatch.setattr(module, "derive_stream", counting)
+    return labels
+
+
+@pytest.mark.parametrize("family,noise", [
+    ("l1", "none"), ("logistic", "none"), ("sc_quadratic", "none"),
+    ("l1", "sphere")])
+def test_tune_derives_a_stream_per_noisy_run(derived, family, noise):
+    oracle, domain, x0 = problem(family, noise)
+    assert oracle.noiseless == (noise == "none")
+    result = tune(oracle, domain, x0, budget=512, eta_eps=1e-3)
+    assert len(result.trace_cache) > 1
+    if oracle.noiseless:
+        assert derived == []
+        assert all(tr.stream is None for tr in result.trace_cache.values())
+    else:
+        assert len(derived) == fresh_runs(result)
+
+
+def test_noiseless_restart_tune_derives_only_round_seeds(derived):
+    oracle, domain, x0 = problem("sc_quadratic", "none")
+    restart_tune(oracle, domain, x0, M=6, delta=0.1, epsilon=3.0,
+                 L=oracle.norm_bound_L)
+    assert derived == [("restart", m) for m in range(1, 7)]
+
+
+def test_assigned_query_derives_streams_again(derived):
+    oracle, domain, x0 = problem("l1", "none")
+    oracle.query = lambda x, rng: np.sign(x)
+    assert not oracle.noiseless
+    result = tune(oracle, domain, x0, budget=64, eta_eps=1e-3)
+    assert len(derived) == fresh_runs(result)
+    assert all(tr.stream is not None for tr in result.trace_cache.values())
+
+
+@pytest.mark.parametrize("noise", ["sphere", "signflip"])
+def test_noisy_run_needs_a_stream(noise):
+    oracle, domain, x0 = problem("l1", noise)
+    with pytest.raises(ValueError, match="stream id"):
+        sgd_run(oracle, domain, x0, 0.1, 4, None)
+    query_only = StochasticOracle(dimension=3,
+                                  query=lambda x, rng: rng.standard_normal(3))
+    with pytest.raises(ValueError, match="stream id"):
+        sgd_run(query_only, domain, x0, 0.1, 4, None)

@@ -10,7 +10,7 @@ from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       StochasticOracle, damping_for_round, eta_max_diagnostic,
                       phi, relative_eta_eps, root_finding_bisection,
                       select_output_z, sgd_run, tune, verify_output_property)
-from stepfree.tuner import round_constant
+from stepfree.tuner import ZeroFirstGradient, round_constant
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -259,6 +259,29 @@ class TestPostProcessing:
         assert relative_eta_eps(2.0, 4.0, 100) == pytest.approx(0.005)
         with pytest.raises(ValueError):
             relative_eta_eps(1.0, 0.0, 100)
+
+    def test_relative_mode_makes_one_g0_query(self):
+        calls = [0]
+
+        def query(x, rng):
+            calls[0] += 1
+            return np.sign(x)
+        oracle = StochasticOracle(dimension=1, query=query)
+        result = tune(oracle, WHOLE, np.array([1.0]), budget=256, r_eps=0.5)
+        assert result.eta_eps == relative_eta_eps(0.5, result.g0_norm, 256)
+        assert calls[0] == result.total_queries + 1
+
+    def test_relative_mode_zero_first_gradient(self):
+        oracle = StochasticOracle(dimension=1,
+                                  query=lambda x, rng: np.zeros(1))
+        with pytest.raises(ZeroFirstGradient):
+            tune(oracle, WHOLE, np.array([1.0]), budget=256, r_eps=0.5)
+
+    def test_one_of_eta_eps_and_r_eps(self):
+        oracle = abs_oracle()
+        for kwargs in ({}, {"eta_eps": 0.1, "r_eps": 0.5}):
+            with pytest.raises(ValueError, match="exactly one"):
+                tune(oracle, WHOLE, np.array([1.0]), budget=256, **kwargs)
 
 
 class TestEtaMaxDiagnostic:
