@@ -2,11 +2,13 @@
 """Record the golden CLI outputs that tests/test_golden.py compares against.
 
 Runs a fixed set of small ``stepfree-bench`` commands (tune on five
-family/noise pairs, tune --r-eps, a restart chain and a 4-budget sweep) and
-writes, per command, its CSV, its JSONL and its stdout followed by the exit
-status. Wall times are the one field that differs between runs, so the CSV's
-``wall_ms`` column is masked as ``*``; everything else must match byte for
-byte.
+family/noise pairs, tune --r-eps, tune in non-adaptive mode, tune from an INI
+file with a flag overriding it, tune with an invalid delta, a restart chain,
+a 4-budget sweep, validate-good-event with and without --union-grid and a
+boundary test) and writes, per command, its CSV (if the command writes one),
+its JSONL and its stdout followed by the exit status and any stderr. Wall
+times are the one field that differs between runs, so the CSV's ``wall_ms``
+column is masked as ``*``; everything else must match byte for byte.
 
     PYTHONPATH=src python scripts/record_golden.py --out tests/golden
 
@@ -22,6 +24,26 @@ import tempfile
 from pathlib import Path
 
 from stepfree.cli import main as cli_main
+
+# stands for the path of CONFIG_INI, written next to the outputs
+CONFIG = "@config.ini"
+CONFIG_INI = """\
+[problem]
+family = huber
+dimension = 3
+noise = signflip
+noise_param = 0.2
+center_scale = 2.0
+
+[run]
+mode = stochastic
+delta = 0.2
+budget = 256
+eta_eps = 0.001
+x0_dist = 2.0
+reps = 3
+seed = 5
+"""
 
 CASES = {
     "tune_l1_none": [
@@ -54,6 +76,31 @@ CASES = {
     "restart_sc_quadratic": [
         "restart", "--family", "sc_quadratic", "--dimension", "3",
         "--rounds", "6", "--epsilon", "3.0", "--reps", "4", "--seed", "6"],
+    "tune_nonadaptive_quadratic_sphere": [
+        "tune", "--family", "quadratic", "--noise", "sphere",
+        "--noise-param", "0.5", "--dimension", "3", "--mode", "nonadaptive",
+        "--budget", "1024", "--eta-eps", "1e-3", "--reps", "3", "--seed",
+        "13"],
+    # the INI file sets reps = 3; the flag overrides it
+    "tune_config_override": [
+        "tune", "--config", CONFIG, "--reps", "2"],
+    # exits 2 after opening its outputs: delta must lie in (0, 1)
+    "tune_invalid_delta": [
+        "tune", "--family", "l1", "--dimension", "2", "--mode", "stochastic",
+        "--delta", "1.5", "--budget", "64", "--eta-eps", "1e-3", "--seed",
+        "14"],
+    "validate_good_event_l1_sphere": [
+        "validate-good-event", "--family", "l1", "--noise", "sphere",
+        "--noise-param", "1.0", "--dimension", "3", "--eta", "0.05",
+        "--T", "32", "--n-paths", "20", "--budget", "256", "--seed", "10"],
+    "validate_good_event_union_nonadaptive": [
+        "validate-good-event", "--family", "huber", "--noise", "signflip",
+        "--noise-param", "0.2", "--dimension", "3", "--mode", "nonadaptive",
+        "--eta-eps", "0.00390625", "--union-grid", "--T", "32",
+        "--n-paths", "10", "--budget", "256", "--seed", "11"],
+    "boundary_test_bernoulli": [
+        "boundary-test", "--kind", "bernoulli", "--mean", "0.4", "--T", "200",
+        "--n-paths", "300", "--delta", "0.1", "--seed", "12"],
     "sweep_l1_sphere": [
         "sweep", "--family", "l1", "--noise", "sphere", "--noise-param", "0.5",
         "--dimension", "3", "--budgets", "16,32,64,128", "--eta-eps", "1e-3",
@@ -74,16 +121,24 @@ def mask_wall_ms(text: str) -> str:
 
 
 def run_case(argv: list) -> dict:
-    """{file suffix: text} of one CLI command's outputs."""
+    """{file suffix: text} of one CLI command's outputs; no "csv" entry for
+    a command that writes no CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, jsonl_path = Path(tmp, "out.csv"), Path(tmp, "out.jsonl")
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        config = Path(tmp, "config.ini")
+        config.write_text(CONFIG_INI)
+        argv = [str(config) if a == CONFIG else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
             status = cli_main([*argv, "--csv", str(csv_path),
                                "--jsonl", str(jsonl_path)])
-        return {"csv": mask_wall_ms(csv_path.read_bytes().decode()),
-                "jsonl": jsonl_path.read_bytes().decode(),
-                "stdout": f"{stdout.getvalue()}exit status {status}\n"}
+        out = {"jsonl": jsonl_path.read_bytes().decode(),
+               "stdout": f"{stdout.getvalue()}exit status {status}\n"
+                         f"{stderr.getvalue()}"}
+        if csv_path.exists():
+            out["csv"] = mask_wall_ms(csv_path.read_bytes().decode())
+        return out
 
 
 def record(out_dir: Path):

@@ -1,41 +1,23 @@
 """Parameter-free step-size tuning for projected SGD."""
 
 from .core import (NumericalFailure, ProjectionDomain, SgdTrace,
-                   StochasticOracle, derive_stream, sgd_run, stream_rng,
-                   trace_distances)
-from .problems import (FAMILIES, NOISE_MODELS, ProblemSpec, default_x0,
-                       grid_search_baseline, make_problem)
-from .restarts import RestartPlan, restart_tune
+                   StochasticOracle, derive_stream, sgd_run, stream_rng)
+from .problems import ProblemSpec, default_x0, make_problem
+from .restarts import restart_tune
 from .tuner import (BisectionOutcome, DampingParams, Deterministic,
                     NonAdaptive, StepSizeExp, Stochastic, TunerResult,
-                    damping_for_round, eta_max_diagnostic, phi,
-                    relative_eta_eps, root_finding_bisection, select_output_z,
-                    tune, verify_output_property)
-from .validation import (BoundaryParams, CheckLine, GoodEventReport,
-                         ProblemMeta, binom_lower, binom_upper,
-                         boundary_crossing_test, check_theorem_bounds,
-                         format_report, good_event_frequency,
-                         good_event_margin, good_event_union_frequency,
-                         has_bug, localization_check, log2_plus, loglog_plus,
-                         stitched_boundary)
+                    ZeroFirstGradient, tune)
+from .validation import CheckLine, check_theorem_bounds
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NumericalFailure", "ProjectionDomain", "SgdTrace", "StochasticOracle",
-    "derive_stream", "sgd_run", "stream_rng", "trace_distances",
-    "FAMILIES", "NOISE_MODELS", "ProblemSpec", "default_x0",
-    "grid_search_baseline", "make_problem",
-    "RestartPlan", "restart_tune",
+    "derive_stream", "sgd_run", "stream_rng",
+    "ProblemSpec", "default_x0", "make_problem",
+    "restart_tune",
     "BisectionOutcome", "DampingParams", "Deterministic", "NonAdaptive",
-    "StepSizeExp", "Stochastic", "TunerResult", "damping_for_round",
-    "eta_max_diagnostic", "phi", "relative_eta_eps",
-    "root_finding_bisection", "select_output_z", "tune",
-    "verify_output_property",
-    "BoundaryParams", "CheckLine", "GoodEventReport", "ProblemMeta",
-    "binom_lower", "binom_upper", "boundary_crossing_test",
-    "check_theorem_bounds", "format_report", "good_event_frequency",
-    "good_event_margin", "good_event_union_frequency", "has_bug",
-    "localization_check", "log2_plus", "loglog_plus", "stitched_boundary",
+    "StepSizeExp", "Stochastic", "TunerResult", "ZeroFirstGradient", "tune",
+    "CheckLine", "check_theorem_bounds",
     "__version__",
 ]

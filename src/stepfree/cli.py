@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from .problems import ProblemSpec, default_x0, make_problem
 from .restarts import RestartPlan, restart_tune
 from .tuner import (Deterministic, NonAdaptive, Stochastic, ZeroFirstGradient,
                     damping_for_round, tune)
-from .validation import (ProblemMeta, binom_upper, boundary_crossing_test,
+from .validation import (CheckLine, binom_upper, boundary_crossing_test,
                          check_theorem_bounds, good_event_frequency,
                          good_event_union_frequency, has_bug)
 
@@ -43,6 +44,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A command's settings; each field but the first two is the flag of
+    the same name (see :func:`config_from_args`)."""
+
     command: str
     problem: ProblemSpec
     budget: int = 64
@@ -52,9 +56,9 @@ class RunConfig:
     epsilon: float = 1.0
     eta_eps: Optional[float] = None
     r_eps: Optional[float] = None
-    mode: str = "deterministic"
-    master_seed: int = 0
-    repetitions: int = 1
+    mode: str = "deterministic"  # validate-good-event: "stochastic"
+    seed: int = 0  # master seed
+    reps: int = 1
     x0_dist: float = 1.0
     eta: float = 0.25
     T: int = 512
@@ -63,11 +67,11 @@ class RunConfig:
     union_grid: bool = False
     kind: str = "coin"
     mean: float = 0.3
-    csv_path: Optional[str] = None
-    jsonl_path: Optional[str] = None
+    csv: Optional[str] = None
+    jsonl: Optional[str] = None
 
     def validate(self):
-        if self.repetitions < 1:
+        if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.command in ("tune", "sweep"):
             if (self.eta_eps is None) == (self.r_eps is None):
@@ -75,57 +79,76 @@ class RunConfig:
         if self.command == "sweep":
             if len(self.budgets) < 4:
                 raise ConfigError("sweep needs at least 4 budget points")
-            if self.repetitions < 20:
+            if self.reps < 20:
                 raise ConfigError("sweep needs at least 20 repetitions")
 
 
+MODES = {"deterministic": lambda delta, L: Deterministic(),
+         "stochastic": Stochastic, "nonadaptive": NonAdaptive}
+
+
 def _mode_object(cfg: RunConfig, L: float):
-    if cfg.mode == "deterministic":
-        return Deterministic()
-    if cfg.mode == "stochastic":
-        return Stochastic(delta=cfg.delta, L=L)
-    if cfg.mode == "nonadaptive":
-        return NonAdaptive(delta=cfg.delta, L=L)
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+    """The mode ``cfg.mode`` names, for a problem with gradient bound L."""
+    if cfg.mode not in MODES:
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    return MODES[cfg.mode](delta=cfg.delta, L=L)
 
 
-def _open_writers(cfg: RunConfig):
-    csv_file = open(cfg.csv_path, "w", newline="") if cfg.csv_path else None
-    writer = None
-    if csv_file:
-        csv_file.write(CSV_HEADER_COMMENT + "\n")
-        writer = csv.DictWriter(csv_file, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-    jsonl_file = open(cfg.jsonl_path, "w") if cfg.jsonl_path else None
-    if jsonl_file:
-        jsonl_file.write(json.dumps(JSONL_HEADER) + "\n")
-    return csv_file, writer, jsonl_file
+class Outputs(contextlib.ExitStack):
+    """A command's output files, each opened with its schema header: the
+    per-run CSV (only for commands that write rows) and the JSONL. Use in a
+    ``with`` block, which closes them."""
 
+    def __init__(self, cfg: RunConfig, rows: bool = True):
+        super().__init__()
+        self.writer = self.jsonl_file = None
+        if rows and cfg.csv:
+            csv_file = self.enter_context(open(cfg.csv, "w", newline=""))
+            csv_file.write(CSV_HEADER_COMMENT + "\n")
+            self.writer = csv.DictWriter(csv_file, fieldnames=CSV_COLUMNS)
+            self.writer.writeheader()
+        if cfg.jsonl:
+            self.jsonl_file = self.enter_context(open(cfg.jsonl, "w"))
+        self.record(JSONL_HEADER)
 
-def _emit(writer, jsonl_file, row: dict, diag: dict):
-    if writer:
-        writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
-    if jsonl_file:
-        jsonl_file.write(json.dumps(diag, sort_keys=True) + "\n")
+    def row(self, row: dict, diag: dict):
+        """One run: its CSV row and its JSONL record."""
+        if self.writer:
+            self.writer.writerow(row)
+        self.record(diag)
+
+    def record(self, diag: dict):
+        if self.jsonl_file:
+            self.jsonl_file.write(json.dumps(diag, sort_keys=True) + "\n")
 
 
 # cases of runs that end with a reason instead of a result
 FAILED_CASES = ("numerical_failure", "zero_first_gradient")
 
 
+def _row(run_id: int, seed: int, wall_ms: float, case: str, last=None,
+         total_queries="", gap: float = math.nan,
+         dist: float = math.nan) -> dict:
+    """The CSV row of one run; ``last`` is the TunerResult of its last tuner
+    call, None for a run that ended without a result."""
+    tuned = ("", "", "") if last is None else (last.k_final, last.T,
+                                                last.eta.exponent)
+    return dict(zip(CSV_COLUMNS, (run_id, seed, *tuned, total_queries,
+                                  repr(gap), repr(dist), case,
+                                  f"{wall_ms:.3f}")))
+
+
 def _failure_row(run_id: int, seed: int, t0: float, reason: str,
                  case: str = "numerical_failure"):
     """(csv row, jsonl record) of a run that ended without a result."""
     wall = (time.perf_counter() - t0) * 1e3
-    row = {"run_id": run_id, "seed": seed, "k_final": "", "T": "",
-           "eta_o_exponent": "", "total_queries": "", "gap": "nan",
-           "dist_to_opt": "nan", "case": case, "wall_ms": f"{wall:.3f}"}
-    return row, {"run_id": run_id, "case": case, "error": reason}
+    return (_row(run_id, seed, wall, case),
+            {"run_id": run_id, "case": case, "error": reason})
 
 
 def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     """One tuner repetition; returns (csv row, jsonl record, bug flag)."""
-    seed = derive_stream(cfg.master_seed, "rep", run_id)
+    seed = derive_stream(cfg.seed, "rep", run_id)
     oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
     x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
     t0 = time.perf_counter()
@@ -142,48 +165,34 @@ def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     wall = (time.perf_counter() - t0) * 1e3
     gap = float(oracle.exact_value(result.x_bar) - f_star)
     dist = float(np.linalg.norm(result.x_bar - x_star))
-    meta = ProblemMeta(x_star=x_star, f_star=f_star, L=oracle.norm_bound_L,
-                       mode=cfg.mode, value_fn=oracle.exact_value)
-    checks = check_theorem_bounds(result, meta)
-    row = {"run_id": run_id, "seed": seed, "k_final": result.k_final,
-           "T": result.T, "eta_o_exponent": result.eta.exponent,
-           "total_queries": result.total_queries, "gap": repr(gap),
-           "dist_to_opt": repr(dist), "case": result.case,
-           "wall_ms": f"{wall:.3f}"}
+    checks = check_theorem_bounds(result, oracle)
+    row = _row(run_id, seed, wall, result.case, result, result.total_queries,
+               gap, dist)
     diag = {"run_id": run_id, "seed": seed, "case": result.case,
             "budget": budget, "eta_eps": result.eta_eps,
             "eta_o_exponent": result.eta.exponent, "gap": gap,
-            "checks": [{"check_id": c.check_id, "realized": c.realized,
-                        "bound": c.bound, "verdict": c.verdict}
-                       for c in checks]}
+            "checks": [asdict(c) for c in checks]}
     return row, diag, has_bug(checks)
 
 
 def cmd_tune(cfg: RunConfig) -> int:
-    csv_file, writer, jsonl_file = _open_writers(cfg)
     bug = False
-    try:
-        for run_id in range(cfg.repetitions):
+    with Outputs(cfg) as out:
+        for run_id in range(cfg.reps):
             row, diag, run_bug = _tune_once(cfg, run_id, cfg.budget)
             bug |= run_bug
-            _emit(writer, jsonl_file, row, diag)
+            out.row(row, diag)
             print(f"run {run_id}: case={row['case']} gap={row['gap']} "
                   f"queries={row['total_queries']}")
-    finally:
-        for f in (csv_file, jsonl_file):
-            if f:
-                f.close()
     return 1 if bug else 0
 
 
 def cmd_restart(cfg: RunConfig) -> int:
-    spec = cfg.problem
-    csv_file, writer, jsonl_file = _open_writers(cfg)
     bug = False
-    try:
-        for run_id in range(cfg.repetitions):
-            seed = derive_stream(cfg.master_seed, "rep", run_id)
-            oracle, domain, x_star, f_star = make_problem(spec, seed)
+    with Outputs(cfg) as out:
+        for run_id in range(cfg.reps):
+            seed = derive_stream(cfg.seed, "rep", run_id)
+            oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
             x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
             bound = RestartPlan(M=cfg.rounds, epsilon=cfg.epsilon,
                                 delta=cfg.delta,
@@ -200,7 +209,7 @@ def cmd_restart(cfg: RunConfig) -> int:
                     raise
                 row, diag = _failure_row(run_id, seed, t0,
                                          f"{exc}: {exc.__cause__}")
-                _emit(writer, jsonl_file, row, diag)
+                out.row(row, diag)
                 print(f"run {run_id}: case=numerical_failure ({diag['error']})")
                 continue
             wall = (time.perf_counter() - t0) * 1e3
@@ -208,71 +217,56 @@ def cmd_restart(cfg: RunConfig) -> int:
             gap = float(oracle.exact_value(x_final) - f_star)
             dist = float(np.linalg.norm(x_final - x_star))
             last = records[-1]
-            budget_ok = total <= bound
-            bug |= not budget_ok
-            row = {"run_id": run_id, "seed": seed, "k_final": last.k_final,
-                   "T": last.T, "eta_o_exponent": last.eta.exponent,
-                   "total_queries": total, "gap": repr(gap),
-                   "dist_to_opt": repr(dist), "case": last.case,
-                   "wall_ms": f"{wall:.3f}"}
+            check = CheckLine("restart_total_budget", total, bound,
+                              "pass" if total <= bound else "bug")
+            bug |= has_bug([check])
+            row = _row(run_id, seed, wall, last.case, last, total, gap, dist)
             diag = {"run_id": run_id, "seed": seed, "rounds": cfg.rounds,
                     "gap": gap, "total_queries": total,
-                    "checks": [{"check_id": "restart_total_budget",
-                                "realized": total,
-                                "bound": bound,
-                                "verdict": "pass" if budget_ok else "bug"}],
+                    "checks": [asdict(check)],
                     "per_round": [{"m": m + 1, "case": r.case,
                                    "queries": r.total_queries,
                                    "gap": float(oracle.exact_value(r.x_bar)
                                                 - f_star)}
                                   for m, r in enumerate(records)]}
-            _emit(writer, jsonl_file, row, diag)
+            out.row(row, diag)
             print(f"run {run_id}: gap={gap:.6g} queries={total}")
-    finally:
-        for f in (csv_file, jsonl_file):
-            if f:
-                f.close()
     return 1 if bug else 0
 
 
 def cmd_validate_good_event(cfg: RunConfig) -> int:
-    oracle, domain, x_star, _ = make_problem(cfg.problem, cfg.master_seed)
-    x0 = default_x0(domain, x_star, cfg.x0_dist, cfg.master_seed)
-    damping = damping_for_round(cfg.round_k, cfg.budget, cfg.delta,
-                                oracle.norm_bound_L, cfg.mode)
+    oracle, domain, x_star, _ = make_problem(cfg.problem, cfg.seed)
+    x0 = default_x0(domain, x_star, cfg.x0_dist, cfg.seed)
+    L = oracle.norm_bound_L
+    damping = damping_for_round(cfg.round_k, cfg.budget, cfg.delta, L,
+                                _mode_object(cfg, L))
     if cfg.union_grid:
         etas = [cfg.eta_eps * 2.0 ** j for j in range(2 ** cfg.round_k + 1)]
         freq = good_event_union_frequency(oracle, domain, x0, x_star, etas,
                                           cfg.T, damping, cfg.n_paths,
-                                          cfg.master_seed)
+                                          cfg.seed)
     else:
         freq = good_event_frequency(oracle, domain, x0, x_star, cfg.eta,
-                                    cfg.T, damping, cfg.n_paths,
-                                    cfg.master_seed)
+                                    cfg.T, damping, cfg.n_paths, cfg.seed)
     target = 1.0 - cfg.delta
     verdict = "pass" if freq >= target else "inconclusive"
-    summary = {"command": "validate-good-event", "frequency": freq,
-               "target": target, "n_paths": cfg.n_paths, "verdict": verdict}
-    if cfg.jsonl_path:
-        with open(cfg.jsonl_path, "w") as f:
-            f.write(json.dumps(JSONL_HEADER) + "\n")
-            f.write(json.dumps(summary, sort_keys=True) + "\n")
+    with Outputs(cfg, rows=False) as out:
+        out.record({"command": "validate-good-event", "frequency": freq,
+                    "target": target, "n_paths": cfg.n_paths,
+                    "verdict": verdict})
     print(f"good-event frequency {freq:.4f} (target >= {target:.4f}): {verdict}")
     return 0
 
 
 def cmd_boundary_test(cfg: RunConfig) -> int:
     freq = boundary_crossing_test(cfg.kind, cfg.T, cfg.delta, cfg.n_paths,
-                                  seed=cfg.master_seed, mean=cfg.mean)
+                                  seed=cfg.seed, mean=cfg.mean)
     upper = binom_upper(round(freq * cfg.n_paths), cfg.n_paths)
     verdict = "pass" if upper <= cfg.delta else "inconclusive"
-    summary = {"command": "boundary-test", "kind": cfg.kind,
-               "frequency": freq, "upper_99": upper, "delta": cfg.delta,
-               "verdict": verdict}
-    if cfg.jsonl_path:
-        with open(cfg.jsonl_path, "w") as f:
-            f.write(json.dumps(JSONL_HEADER) + "\n")
-            f.write(json.dumps(summary, sort_keys=True) + "\n")
+    with Outputs(cfg, rows=False) as out:
+        out.record({"command": "boundary-test", "kind": cfg.kind,
+                    "frequency": freq, "upper_99": upper, "delta": cfg.delta,
+                    "verdict": verdict})
     print(f"crossing frequency {freq:.4f} (99% upper {upper:.4f}, "
           f"delta {cfg.delta}): {verdict}")
     return 0
@@ -289,18 +283,17 @@ def fit_loglog_slope(budgets, medians):
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    csv_file, writer, jsonl_file = _open_writers(cfg)
     bug = False
     medians, failures, zero_grads = [], [], []
-    try:
+    with Outputs(cfg) as out:
         run_id = 0
         for budget in cfg.budgets:
             gaps = []
             failed = dict.fromkeys(FAILED_CASES, 0)
-            for _ in range(cfg.repetitions):
+            for _ in range(cfg.reps):
                 row, diag, run_bug = _tune_once(cfg, run_id, budget)
                 bug |= run_bug
-                _emit(writer, jsonl_file, row, diag)
+                out.row(row, diag)
                 if row["case"] in FAILED_CASES:
                     failed[row["case"]] += 1
                 else:
@@ -318,17 +311,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
                   f"({failures[-1]} numerical failures, {zero_grads[-1]} "
                   "zero first gradients)")
         slope, ci = fit_loglog_slope(cfg.budgets, medians)
-        summary = {"command": "sweep", "budgets": list(cfg.budgets),
-                   "median_gaps": medians, "numerical_failures": failures,
-                   "zero_first_gradients": zero_grads,
-                   "slope": slope, "slope_ci": list(ci)}
-        if jsonl_file:
-            jsonl_file.write(json.dumps(summary, sort_keys=True) + "\n")
+        out.record({"command": "sweep", "budgets": list(cfg.budgets),
+                    "median_gaps": medians, "numerical_failures": failures,
+                    "zero_first_gradients": zero_grads,
+                    "slope": slope, "slope_ci": list(ci)})
         print(f"log-log slope {slope:.4f} (95% CI [{ci[0]:.4f}, {ci[1]:.4f}])")
-    finally:
-        for f in (csv_file, jsonl_file):
-            if f:
-                f.close()
     return 1 if bug else 0
 
 
@@ -340,23 +327,20 @@ COMMANDS = {
     "sweep": cmd_sweep,
 }
 
-_PROBLEM_KEYS = ("family", "dimension", "noise", "noise_param", "center_scale",
-                 "smoothness", "mu", "L", "radius", "n_samples", "reg")
+# the conversion of a field's text (a flag or an INI value), by the field's
+# annotation, which is a string as annotations are not evaluated here
+_CONVERT = {
+    "int": int, "float": float, "Optional[float]": float,
+    "bool": lambda v: v.lower() in ("1", "true", "yes"),
+    "tuple": lambda v: tuple(int(b) for b in v.split(",") if b.strip()),
+}
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI file with [problem]/[run]/[output] sections")
-    p.add_argument("--family", default=None)
-    p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--noise", default=None)
-    p.add_argument("--noise-param", type=float, default=None)
-    p.add_argument("--center-scale", type=float, default=None)
-    p.add_argument("--smoothness", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--n-samples", type=int, default=None)
-    p.add_argument("--reg", type=float, default=None)
+    for f in fields(ProblemSpec):  # --family ... --reg
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       type=_CONVERT.get(f.type, str), default=None)
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--x0-dist", type=float, default=None)
@@ -377,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-eps", type=float, default=None)
     p.add_argument("--r-eps", type=float, default=None,
                    help="relative mode: eta_eps = r_eps / (||g0|| B)")
-    p.add_argument("--mode", choices=["deterministic", "stochastic",
-                                      "nonadaptive"], default=None)
+    p.add_argument("--mode", choices=list(MODES), default=None)
 
     p = sub.add_parser("restart", help="doubling-budget restart chain")
     _add_common(p)
@@ -411,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated budget list (>= 4 points)")
     p.add_argument("--eta-eps", type=float, default=None)
     p.add_argument("--r-eps", type=float, default=None)
-    p.add_argument("--mode", choices=["deterministic", "stochastic",
-                                      "nonadaptive"], default=None)
+    p.add_argument("--mode", choices=list(MODES), default=None)
     return parser
 
 
@@ -429,58 +411,31 @@ def _load_ini(path: str) -> dict:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Each field of ProblemSpec and RunConfig from its flag, else from the
+    INI key of its name in lower case, else from its default."""
     ini = _load_ini(args.config) if getattr(args, "config", None) else {}
+    defaults = {"family": "l1", "dimension": 1}
+    if args.command == "validate-good-event":
+        defaults["mode"] = "stochastic"
 
-    def pick(flag, ini_key, default, conv=lambda v: v):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        if ini_key in ini:
-            return conv(ini[ini_key])
-        return default
+    def merged(cls) -> dict:
+        values = {}
+        for f in fields(cls):
+            if f.name in ("command", "problem"):
+                continue
+            v = getattr(args, f.name, None)
+            if v is None:
+                v = ini.get(f.name.lower(), defaults.get(f.name, f.default))
+            # flags arrive converted, except the string of --budgets
+            values[f.name] = (_CONVERT.get(f.type, str)(v)
+                              if isinstance(v, str) else v)
+        return values
 
-    problem_cfg = {"family": pick("family", "family", "l1")}
-    defaults = ProblemSpec(family="l1", dimension=1)
-    for key in _PROBLEM_KEYS[1:]:
-        fallback = getattr(defaults, key) if key != "dimension" else 1
-        conv = (int if key in ("dimension", "n_samples")
-                else (str if key == "noise" else float))
-        problem_cfg[key] = pick(key, key.lower(), fallback, conv)
-    spec = ProblemSpec(**problem_cfg)
-
-    budgets = pick("budgets", "budgets", "")
-    if isinstance(budgets, str):
-        budgets = tuple(int(b) for b in budgets.split(",") if b.strip())
-
-    cfg = RunConfig(
-        command=args.command,
-        problem=spec,
-        budget=int(pick("budget", "budget", 64, int)),
-        budgets=budgets,
-        rounds=int(pick("rounds", "rounds", 4, int)),
-        delta=float(pick("delta", "delta", 0.1, float)),
-        epsilon=float(pick("epsilon", "epsilon", 1.0, float)),
-        eta_eps=pick("eta_eps", "eta_eps", None, float),
-        r_eps=pick("r_eps", "r_eps", None, float),
-        mode=pick("mode", "mode", "deterministic" if args.command != "validate-good-event" else "stochastic"),
-        master_seed=int(pick("seed", "seed", 0, int)),
-        repetitions=int(pick("reps", "reps", 1, int)),
-        x0_dist=float(pick("x0_dist", "x0_dist", 1.0, float)),
-        eta=float(pick("eta", "eta", 0.25, float)),
-        T=int(pick("T", "t", 512, int)),
-        n_paths=int(pick("n_paths", "n_paths", 1000, int)),
-        round_k=int(pick("round_k", "round_k", 2, int)),
-        union_grid=bool(pick("union_grid", "union_grid", False,
-                             lambda v: v.lower() in ("1", "true", "yes"))),
-        kind=pick("kind", "kind", "coin"),
-        mean=float(pick("mean", "mean", 0.3, float)),
-        csv_path=pick("csv", "csv", None),
-        jsonl_path=pick("jsonl", "jsonl", None),
-    )
+    cfg = RunConfig(command=args.command,
+                    problem=ProblemSpec(**merged(ProblemSpec)),
+                    **merged(RunConfig))
     if cfg.command == "validate-good-event" and cfg.union_grid and cfg.eta_eps is None:
         raise ConfigError("--union-grid needs --eta-eps for the grid base")
-    if cfg.command == "validate-good-event" and cfg.eta_eps is None:
-        cfg.eta_eps = cfg.eta
     cfg.validate()
     return cfg
 

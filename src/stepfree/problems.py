@@ -9,8 +9,7 @@ unbiased and never exceeds L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -18,7 +17,6 @@ from scipy.optimize import minimize
 from .core import ProjectionDomain, StochasticOracle, sgd_run, stream_rng
 
 FAMILIES = ("l1", "quadratic", "huber", "sc_quadratic", "logistic")
-NOISE_MODELS = ("none", "sphere", "signflip")
 
 
 @dataclass(frozen=True)
@@ -53,37 +51,6 @@ class ProblemSpec:
                                  f"{getattr(self, name)!r}")
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu!r}")
-
-    def to_config(self) -> dict:
-        return {
-            "family": self.family,
-            "dimension": str(self.dimension),
-            "noise": self.noise,
-            "noise_param": repr(self.noise_param),
-            "center_scale": repr(self.center_scale),
-            "smoothness": repr(self.smoothness),
-            "mu": repr(self.mu),
-            "L": repr(self.L),
-            "radius": repr(self.radius),
-            "n_samples": str(self.n_samples),
-            "reg": repr(self.reg),
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "ProblemSpec":
-        return ProblemSpec(
-            family=cfg["family"],
-            dimension=int(cfg["dimension"]),
-            noise=cfg.get("noise", "none"),
-            noise_param=float(cfg.get("noise_param", 0.0)),
-            center_scale=float(cfg.get("center_scale", 1.0)),
-            smoothness=float(cfg.get("smoothness", 1.0)),
-            mu=float(cfg.get("mu", 1.0)),
-            L=float(cfg.get("L", 1.0)),
-            radius=float(cfg.get("radius", 100.0)),
-            n_samples=int(cfg.get("n_samples", 200)),
-            reg=float(cfg.get("reg", 0.1)),
-        )
 
 
 def _noise_sampler(spec: ProblemSpec, grad_into, sup_grad_norm: float):

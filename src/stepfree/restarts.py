@@ -38,7 +38,7 @@ class RestartPlan:
 
 def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
                  M: int, delta: float, epsilon: float, L: float,
-                 master_seed: int = 0, debug: bool = True):
+                 master_seed: int = 0):
     """Run M doubling-budget restart rounds; returns (x_M, per-round results).
 
     Rounds are strictly sequential; nothing (caches, g0 measurements) carries
@@ -60,8 +60,7 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
             result = tune(oracle, domain, x, budget=plan.budget(m),
                           eta_eps=plan.eta_eps_m(m),
                           mode=Stochastic(delta=plan.delta_m(m), L=L),
-                          master_seed=derive_stream(master_seed, "restart", m),
-                          debug=debug)
+                          master_seed=derive_stream(master_seed, "restart", m))
         except Exception as exc:
             raise RuntimeError(f"restart round {m} failed") from exc
         total_queries += result.total_queries

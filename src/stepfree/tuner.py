@@ -20,8 +20,32 @@ from .core import (ProjectionDomain, SgdTrace, StochasticOracle, run_step,
 
 
 # --------------------------------------------------------------------------
-# damping parameters
+# modes and damping parameters
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Deterministic:
+    """Noiseless regime: damping (3, 0), every bound holds per run."""
+
+
+@dataclass(frozen=True)
+class Stochastic:
+    """Bounded-noise regime: bounds hold with probability 1 - delta."""
+
+    delta: float
+    L: float
+
+    def __post_init__(self):
+        if self.delta is None or not (0.0 < self.delta < 1.0):
+            raise ValueError("stochastic modes need delta in (0, 1)")
+        if self.L is None or self.L <= 0:
+            raise ValueError("stochastic modes need a gradient norm bound L > 0")
+
+
+@dataclass(frozen=True)
+class NonAdaptive(Stochastic):
+    """The stochastic regime measuring gradient mass by L^2 * T, not by G."""
+
 
 @dataclass(frozen=True)
 class DampingParams:
@@ -29,17 +53,16 @@ class DampingParams:
 
     ``mode`` selects the denominator: the default uses alpha*G + beta, the
     non-adaptive variant forgoes gradient-norm adaptivity and uses
-    alpha * L^2 * T instead.
+    alpha * L^2 * T instead, with L from the mode.
     """
 
     alpha: float
     beta: float
-    mode: str = "deterministic"  # "deterministic" | "stochastic" | "nonadaptive"
-    L: Optional[float] = None    # required in nonadaptive mode
+    mode: Deterministic | Stochastic | NonAdaptive = Deterministic()
 
     def denominator_sq(self, trace: SgdTrace) -> float:
-        if self.mode == "nonadaptive":
-            return self.alpha * self.L ** 2 * trace.T
+        if isinstance(self.mode, NonAdaptive):
+            return self.alpha * self.mode.L ** 2 * trace.T
         return self.alpha * trace.G + self.beta
 
     def denominator(self, trace: SgdTrace) -> float:
@@ -58,19 +81,17 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
     Deterministic mode ignores all inputs and returns (3, 0). The stochastic
     constants are alpha_k = 32^2 * C_k and beta_k = (32 * C_k * L)^2. The
     non-adaptive variant reuses alpha_k but measures gradient mass by L^2 * T.
+    ``delta`` and ``L`` must equal the mode's own.
     """
-    if isinstance(mode, Deterministic) or mode == "deterministic":
-        return DampingParams(alpha=3.0, beta=0.0, mode="deterministic")
-    if delta is None or not (0.0 < delta < 1.0):
-        raise ValueError("stochastic modes need delta in (0, 1)")
-    if L is None or L <= 0:
-        raise ValueError("stochastic modes need a gradient norm bound L > 0")
+    if isinstance(mode, Deterministic):
+        return DampingParams(alpha=3.0, beta=0.0)
+    if not isinstance(mode, Stochastic):  # NonAdaptive included
+        raise ValueError(f"unknown mode {mode!r}")
+    if (delta, L) != (mode.delta, mode.L):
+        raise ValueError(f"delta and L differ from the mode's: {mode!r}")
     c_k = round_constant(k, B, delta)
-    if isinstance(mode, NonAdaptive) or mode == "nonadaptive":
-        return DampingParams(alpha=32.0 ** 2 * c_k, beta=0.0,
-                             mode="nonadaptive", L=L)
-    return DampingParams(alpha=32.0 ** 2 * c_k, beta=(32.0 * c_k * L) ** 2,
-                         mode="stochastic", L=L)
+    beta = 0.0 if isinstance(mode, NonAdaptive) else (32.0 * c_k * L) ** 2
+    return DampingParams(alpha=32.0 ** 2 * c_k, beta=beta, mode=mode)
 
 
 # --------------------------------------------------------------------------
@@ -185,8 +206,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
                            cache: Optional[dict] = None,
                            round_k: Optional[int] = None,
                            master_seed: int = 0,
-                           record_full: bool = False,
-                           debug: bool = True) -> BisectionOutcome:
+                           record_full: bool = False) -> BisectionOutcome:
     """Log-scale bisection for a step size with a sign change of phi(eta) - eta.
 
     The exponent gap of the input interval must be a power of two >= 2, so
@@ -253,7 +273,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
         outcome.eta_o, outcome.trace, outcome.branch = lo, tr_lo, "lo"
     outcome.eta_lo_star, outcome.eta_hi_star = lo, hi
     outcome.trace_lo_star, outcome.trace_hi_star = tr_lo, tr_hi
-    if debug and not verify_output_property(outcome, damping):
+    if not verify_output_property(outcome, damping):
         raise AssertionError("bisection output property violated")
     return outcome
 
@@ -261,23 +281,6 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
 # --------------------------------------------------------------------------
 # outer loop
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Deterministic:
-    pass
-
-
-@dataclass(frozen=True)
-class Stochastic:
-    delta: float
-    L: float
-
-
-@dataclass(frozen=True)
-class NonAdaptive:
-    delta: float
-    L: float
-
 
 @dataclass
 class TunerResult:
@@ -287,15 +290,12 @@ class TunerResult:
     k_final: int
     total_queries: int
     case: str  # "normal" | "edge_low_step" | "budget_too_small"
-    z: np.ndarray
     trace_cache: dict
     budget: int
     eta_eps: float
     x0: np.ndarray
-    g0_norm: float
-    side_queries: int
-    mode: object
-    master_seed: int
+    g0_norm: float  # from one side query, not charged to the budget
+    mode: Deterministic | Stochastic | NonAdaptive
     final_outcome: Optional[BisectionOutcome] = None
     damping_final: Optional[DampingParams] = None
 
@@ -312,13 +312,16 @@ class TunerResult:
         return None if best is None else (best.best_x, best.best_f)
 
     @property
-    def eta_prime_interval(self) -> tuple:
-        return (self.eta.value, 2.0 * self.eta.value)
+    def z(self) -> np.ndarray:
+        """The output point: x_bar, or x0 by :func:`select_output_z`."""
+        outcome = self.final_outcome
+        return select_output_z(self, None if outcome is None else outcome.trace)
 
 
 def select_output_z(result: TunerResult, trace_at_eps: Optional[SgdTrace]):
     """Post-processing rule: fall back to x0 when the edge step size fired
-    and the first gradient is already small."""
+    and the first gradient is already small. ``trace_at_eps`` is read only
+    when the selected step size is eta_eps itself, and is then its run."""
     if (trace_at_eps is not None and result.eta.exponent == 0
             and result.g0_norm <= math.sqrt(trace_at_eps.G) / result.T):
         return result.x0
@@ -355,7 +358,7 @@ def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> flo
         return 0.0
     a, b = damping.alpha, damping.beta
     denom_sq = a * g0_norm ** 2 + b
-    if damping.mode == "deterministic":
+    if isinstance(damping.mode, Deterministic):
         if a <= 1:
             raise ValueError("deterministic form needs alpha > 1")
         factor = 2.0 * a / (a - 1.0)
@@ -370,7 +373,7 @@ def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> flo
 
 def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
          eta_eps: Optional[float] = None, mode=Deterministic(),
-         master_seed: int = 0, record_full: bool = False, debug: bool = True,
+         master_seed: int = 0, record_full: bool = False,
          r_eps: Optional[float] = None) -> TunerResult:
     """Budgeted parameter-free step-size tuning.
 
@@ -389,53 +392,41 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         raise ValueError("exactly one of eta_eps / r_eps is required")
     if eta_eps is not None and eta_eps <= 0:
         raise ValueError("eta_eps must be positive")
-    if not isinstance(mode, (Deterministic, Stochastic, NonAdaptive)):
+    if not isinstance(mode, (Deterministic, Stochastic)):
         raise ValueError(f"unknown mode {mode!r}")
     delta = getattr(mode, "delta", None)
     L = getattr(mode, "L", None)
-    if isinstance(mode, (Stochastic, NonAdaptive)):
-        # fail fast on invalid combinations
-        damping_for_round(2, budget, delta, L, mode)
 
     x0 = domain.project(np.asarray(x0, dtype=float))
     g0_norm = first_gradient_norm(oracle, x0, master_seed)
-    side_queries = 1
     if r_eps is not None:
         eta_eps = relative_eta_eps(r_eps, g0_norm, budget)
 
     cache: dict = {}
     total_queries = 0
     k = 2
-    while True:
-        if k > budget / 4:
-            result = TunerResult(
-                x_bar=x0.copy(), eta=StepSizeExp(eta_eps, 0), T=1, k_final=k,
-                total_queries=total_queries, case="budget_too_small",
-                z=x0.copy(), trace_cache=cache, budget=budget,
-                eta_eps=eta_eps, x0=x0, g0_norm=g0_norm,
-                side_queries=side_queries, mode=mode, master_seed=master_seed)
-            return result
+    while k <= budget / 4:
         T_k = budget // (2 * k)
         damping = damping_for_round(k, budget, delta, L, mode)
         outcome = root_finding_bisection(
             oracle, domain, x0,
             eta_lo=StepSizeExp(eta_eps, 0), eta_hi=StepSizeExp(eta_eps, 2 ** k),
             T=T_k, damping=damping, cache=cache, round_k=k,
-            master_seed=master_seed, record_full=record_full, debug=debug)
+            master_seed=master_seed, record_full=record_full)
         total_queries += outcome.fresh_queries
-        if outcome.kind == "infeasible":
-            k *= 2
-            continue
-
-        case = "normal" if outcome.kind == "selected" else "edge_low_step"
-        result = TunerResult(
-            x_bar=outcome.trace.x_avg.copy(), eta=outcome.eta_o, T=T_k,
-            k_final=k, total_queries=total_queries, case=case,
-            z=outcome.trace.x_avg.copy(), trace_cache=cache, budget=budget,
-            eta_eps=eta_eps, x0=x0, g0_norm=g0_norm,
-            side_queries=side_queries, mode=mode, master_seed=master_seed,
-            final_outcome=outcome, damping_final=damping)
-        result.z = select_output_z(result, cache.get((k, 0)))
-        if total_queries > budget:
-            raise AssertionError("query budget exceeded")  # accounting bug
-        return result
+        if outcome.kind != "infeasible":
+            case = "normal" if outcome.kind == "selected" else "edge_low_step"
+            x_bar, eta = outcome.trace.x_avg.copy(), outcome.eta_o
+            break
+        k *= 2
+    else:  # no round fits the budget
+        case, T_k = "budget_too_small", 1
+        x_bar, eta = x0.copy(), StepSizeExp(eta_eps, 0)
+        outcome = damping = None
+    if total_queries > budget:
+        raise AssertionError("query budget exceeded")  # accounting bug
+    return TunerResult(
+        x_bar=x_bar, eta=eta, T=T_k, k_final=k, total_queries=total_queries,
+        case=case, trace_cache=cache, budget=budget, eta_eps=eta_eps, x0=x0,
+        g0_norm=g0_norm, mode=mode, final_outcome=outcome,
+        damping_final=damping)

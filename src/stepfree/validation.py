@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, sgd_run,
                    trace_distances)
-from .tuner import DampingParams, TunerResult, passes
+from .tuner import DampingParams, Deterministic, TunerResult, passes
 
 
 def log2_plus(x: float) -> float:
@@ -39,9 +38,6 @@ def loglog_plus(x: float) -> float:
 
 @dataclass
 class GoodEventReport:
-    eta: float
-    alpha: float
-    beta: float
     margins: np.ndarray  # margins[t-1] for t = 1..T
     held: bool
     worst_t: int
@@ -75,9 +71,8 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
         damping.alpha * g_sq + damping.beta)
     margins = prefix + threshold
     worst = int(np.argmin(margins)) + 1
-    return GoodEventReport(eta=trace.eta, alpha=damping.alpha,
-                           beta=damping.beta, margins=margins,
-                           held=bool(margins.min() >= 0.0), worst_t=worst)
+    return GoodEventReport(margins=margins, held=bool(margins.min() >= 0.0),
+                           worst_t=worst)
 
 
 def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
@@ -119,14 +114,9 @@ def good_event_union_frequency(oracle: StochasticOracle,
 # stitched martingale boundary
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryParams:
-    t: int
-    delta: float
-
-    @property
-    def A_t(self) -> float:
-        return math.log2(60.0 * math.log2(6.0 * self.t) / self.delta)
+def boundary_a_t(t: int, delta: float) -> float:
+    """A_t = log2(60 log2(6t) / delta), the log term of the boundary."""
+    return math.log2(60.0 * math.log2(6.0 * t) / delta)
 
 
 def stitched_boundary(t: int, delta: float, sum_sq: float) -> float:
@@ -137,7 +127,7 @@ def stitched_boundary(t: int, delta: float, sum_sq: float) -> float:
         raise ValueError("delta must be in (0, 1)")
     if sum_sq < 0:
         raise ValueError("sum_sq must be nonnegative")
-    a = BoundaryParams(t, delta).A_t
+    a = boundary_a_t(t, delta)
     return 4.0 * math.sqrt(a * sum_sq + a * a)
 
 
@@ -183,12 +173,6 @@ def binom_upper(successes: int, n: int, conf: float = 0.99) -> float:
     return float(beta_dist.ppf(conf, successes + 1, n - successes))
 
 
-def binom_lower(successes: int, n: int, conf: float = 0.99) -> float:
-    if successes <= 0:
-        return 0.0
-    return float(beta_dist.ppf(1.0 - conf, successes, n - successes + 1))
-
-
 # --------------------------------------------------------------------------
 # localization of certified traces
 # --------------------------------------------------------------------------
@@ -222,136 +206,112 @@ class CheckLine:
     bound: float
     verdict: str  # "pass" | "inconclusive" | "bug"
 
-    def format(self) -> str:
-        return (f"{self.check_id:<28s} realized={self.realized:<14.6g} "
-                f"bound={self.bound:<14.6g} {self.verdict}")
 
+def check_theorem_bounds(result: TunerResult,
+                         oracle: StochasticOracle) -> list:
+    """One line per inequality of the main guarantee for a finished run.
 
-@dataclass
-class ProblemMeta:
-    x_star: np.ndarray
-    f_star: float
-    L: Optional[float]
-    mode: str  # "deterministic" | "stochastic" | "nonadaptive"
-    value_fn: object = None
-
-
-def _fail(meta: ProblemMeta) -> str:
+    The optimum comes from ``oracle.optimum_info`` (required), L from
+    ``oracle.norm_bound_L``, the gaps from ``oracle.exact_value`` (without
+    it no gap is checked), and the mode from ``result.mode``.
+    """
+    if oracle.optimum_info is None:
+        raise ValueError("check_theorem_bounds needs oracle.optimum_info")
+    lines: list[CheckLine] = []
+    x_star = np.asarray(oracle.optimum_info[0], dtype=float)
+    f_star, L = oracle.optimum_info[1], oracle.norm_bound_L
+    value_fn = oracle.exact_value
+    deterministic = isinstance(result.mode, Deterministic)
     # deterministic-mode statements are proven per-run; stochastic ones hold
     # only with high probability, so a violation is not by itself a bug
-    return "bug" if meta.mode == "deterministic" else "inconclusive"
-
-
-def check_theorem_bounds(result: TunerResult, meta: ProblemMeta) -> list:
-    """One line per inequality of the main guarantee for a finished run."""
-    lines: list[CheckLine] = []
-    x_star = np.asarray(meta.x_star, dtype=float)
+    fail = "bug" if deterministic else "inconclusive"
     d0 = float(np.linalg.norm(result.x0 - x_star))
-    gap = float(meta.value_fn(result.x_bar) - meta.f_star) if meta.value_fn else math.nan
+    gap = float(value_fn(result.x_bar) - f_star) if value_fn else math.nan
     T, B = result.T, result.budget
     tol = 1e-9
 
+    def within(realized, bound):
+        return realized <= bound * (1 + tol) + tol
+
+    def check(check_id, realized, bound, ok, failed=fail) -> bool:
+        lines.append(CheckLine(check_id, realized, bound,
+                               "pass" if ok else failed))
+        return ok
+
     # 1. budget (deterministic accounting, any mode)
-    lines.append(CheckLine("budget", result.total_queries, B,
-                           "pass" if result.total_queries <= B else "bug"))
+    check("budget", result.total_queries, B, result.total_queries <= B, "bug")
 
     # 2. T lower bound
-    if meta.mode == "deterministic":
+    if deterministic:
         denom = 12.0 * loglog_plus(d0 / (result.eta_eps * result.g0_norm)
                                    if result.g0_norm > 0 else math.inf)
         t_bound = max(B / denom, 1.0)
     else:
-        if meta.L is None:
+        if L is None:
             t_bound = 1.0
         else:
-            t_bound = max(B / (8.0 * loglog_plus(d0 / (result.eta_eps * meta.L))), 1.0)
-    lines.append(CheckLine("T_lower_bound", T, t_bound,
-                           "pass" if T + tol >= t_bound else _fail(meta)))
+            t_bound = max(B / (8.0 * loglog_plus(d0 / (result.eta_eps * L))), 1.0)
+    check("T_lower_bound", T, t_bound, T + tol >= t_bound)
 
     if result.case == "budget_too_small":
-        if meta.L is not None and not math.isnan(gap):
-            bound = d0 * meta.L
-            lines.append(CheckLine("gap_tiny_budget", gap, bound,
-                                   "pass" if gap <= bound * (1 + tol) + tol
-                                   else _fail(meta)))
+        if L is not None and not math.isnan(gap):
+            check("gap_tiny_budget", gap, d0 * L, within(gap, d0 * L))
         return lines
 
     damping = result.damping_final
     alpha = damping.alpha
-    k = result.k_final
     e = result.eta.exponent
-    tr = result.trace_cache.get((k, e))
-    tr_2x = result.trace_cache.get((k, e + 1))
-
-    def denom_of(trace):
-        return damping.denominator(trace)
+    # the final round's runs at eta and at 2 eta (if it made one)
+    traces = {c.exponent: t for c, t in result.final_outcome.evaluations}
+    tr, tr_2x = traces[e], traces.get(e + 1)
 
     if result.case == "normal":
         # localization
-        loc_bound = (4.0 if meta.mode == "deterministic" else 6.0) * d0
+        loc_bound = (4.0 if deterministic else 6.0) * d0
         dist = float(np.linalg.norm(result.x_bar - x_star))
-        lines.append(CheckLine("localization", dist, loc_bound,
-                               "pass" if dist <= loc_bound * (1 + tol) + tol
-                               else _fail(meta)))
+        check("localization", dist, loc_bound, within(dist, loc_bound))
         if math.isnan(gap):
             return lines
-        if meta.mode == "deterministic":
+        if deterministic:
             const = 2.0 * alpha / (alpha - 1.0)
         else:
             const = (9.0 * alpha - 2.0) / (2.0 * (alpha - 2.0))
-
-        def l_surrogate_line():
-            # the theorem's G(eta') is always <= L^2 T, so this one is implied
-            l_denom = math.sqrt(alpha * meta.L ** 2 * T + damping.beta)
-            l_bound = const * d0 * l_denom / T
-            lines.append(CheckLine("gap_vs_L_surrogate", gap, l_bound,
-                                   "pass" if gap <= l_bound * (1 + tol) + tol
-                                   else _fail(meta)))
-
+        endpoint_ok = False
         if tr_2x is not None:
             # both endpoint traces of [eta, 2 eta] are cached; their max is a
             # heuristic surrogate for the unidentified eta' in that interval
-            surrogate = const * d0 * max(denom_of(tr), denom_of(tr_2x)) / T
-            if gap <= surrogate * (1 + tol) + tol:
-                lines.append(CheckLine("gap_vs_endpoint_max", gap, surrogate,
-                                       "pass"))
-            else:
-                lines.append(CheckLine("gap_vs_endpoint_max", gap, surrogate,
-                                       "inconclusive"))
-                if meta.L is not None:
-                    l_surrogate_line()
-        elif meta.L is not None:
-            l_surrogate_line()
+            surrogate = const * d0 * max(damping.denominator(tr),
+                                         damping.denominator(tr_2x)) / T
+            endpoint_ok = check("gap_vs_endpoint_max", gap, surrogate,
+                                within(gap, surrogate), "inconclusive")
+        if not endpoint_ok and L is not None:
+            # the theorem's G(eta') is always <= L^2 T, so this one is implied
+            l_denom = math.sqrt(alpha * L ** 2 * T + damping.beta)
+            l_bound = const * d0 * l_denom / T
+            check("gap_vs_L_surrogate", gap, l_bound, within(gap, l_bound))
     else:  # edge_low_step: the low endpoint fired; either the normal-style
         # bound or the small-step bound must hold
         dist_x0 = float(np.linalg.norm(result.x_bar - result.x0))
         dist_star = float(np.linalg.norm(result.x_bar - x_star))
-        den = denom_of(tr)
-        edge_dist_ok = dist_x0 <= result.eta_eps * den * (1 + tol) + tol
-        lines.append(CheckLine("edge_displacement", dist_x0,
-                               result.eta_eps * den,
-                               "pass" if edge_dist_ok else _fail(meta)))
+        den = damping.denominator(tr)
+        check("edge_displacement", dist_x0, result.eta_eps * den,
+              within(dist_x0, result.eta_eps * den))
         if math.isnan(gap):
             return lines
-        if meta.mode == "deterministic":
-            normal_ok = (dist_star <= 4.0 * d0 * (1 + tol) + tol
-                         and gap <= math.sqrt(27.0) * d0 * math.sqrt(tr.G) / T
-                         * (1 + tol) + tol)
+        if deterministic:
+            normal_ok = (within(dist_star, 4.0 * d0)
+                         and within(gap, math.sqrt(27.0) * d0 * math.sqrt(tr.G)
+                                    / T))
             edge_gap_bound = 2.0 * result.eta_eps * tr.G / T
         else:
-            normal_ok = (dist_star <= 6.0 * d0 * (1 + tol) + tol
-                         and gap <= (9 * alpha - 2) / (2 * (alpha - 2))
-                         * d0 * den / T * (1 + tol) + tol)
+            normal_ok = (within(dist_star, 6.0 * d0)
+                         and within(gap, (9 * alpha - 2) / (2 * (alpha - 2))
+                                    * d0 * den / T))
             edge_gap_bound = 1.25 * (d0 * den + result.eta_eps * den ** 2) / T
-        edge_ok = gap <= edge_gap_bound * (1 + tol) + tol
-        lines.append(CheckLine("edge_gap_dichotomy", gap, edge_gap_bound,
-                               "pass" if (normal_ok or edge_ok) else _fail(meta)))
+        check("edge_gap_dichotomy", gap, edge_gap_bound,
+              normal_ok or within(gap, edge_gap_bound))
     return lines
 
 
 def has_bug(lines) -> bool:
     return any(l.verdict == "bug" for l in lines)
-
-
-def format_report(lines) -> str:
-    return "\n".join(l.format() for l in lines)

@@ -13,12 +13,13 @@ from scipy.stats import linregress
 
 from stepfree import (DampingParams, Deterministic, NonAdaptive, ProblemSpec,
                       ProjectionDomain, Stochastic, StochasticOracle,
-                      binom_upper, boundary_crossing_test,
                       check_theorem_bounds, default_x0, derive_stream,
-                      good_event_union_frequency, grid_search_baseline,
-                      localization_check, make_problem, phi, restart_tune,
-                      sgd_run, tune, verify_output_property)
-from stepfree.validation import ProblemMeta, has_bug
+                      make_problem, restart_tune, sgd_run, tune)
+from stepfree.problems import grid_search_baseline
+from stepfree.tuner import phi, verify_output_property
+from stepfree.validation import (binom_upper, boundary_crossing_test,
+                                 good_event_union_frequency, has_bug,
+                                 localization_check)
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -138,10 +139,7 @@ def test_criterion_03_deterministic_theorem_suite():
             x0 = default_x0(domain, x_star, 1.0, seed)
             result = tune(oracle, domain, x0, budget=512, eta_eps=2 ** -8,
                           master_seed=seed)
-            meta = ProblemMeta(x_star=x_star, f_star=f_star,
-                               L=oracle.norm_bound_L, mode="deterministic",
-                               value_fn=oracle.exact_value)
-            lines = check_theorem_bounds(result, meta)
+            lines = check_theorem_bounds(result, oracle)
             assert not has_bug(lines), (spec.family, seed,
                                         [(l.check_id, l.verdict)
                                          for l in lines])
@@ -198,7 +196,7 @@ def test_criterion_06_good_event():
         beta=(32.0 * (2 * k + math.log2(60 * math.log2(6 * budget) ** 2
                                         / delta))
               * oracle.norm_bound_L) ** 2,
-        mode="stochastic", L=oracle.norm_bound_L)
+        mode=Stochastic(delta=delta, L=oracle.norm_bound_L))
     eta_eps = 2.0 ** -8
     etas = [eta_eps * 2.0 ** j for j in range(2 ** k + 1)]
     freq = good_event_union_frequency(oracle, domain, x0, x_star, etas, T,

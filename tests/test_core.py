@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepfree import (NumericalFailure, ProjectionDomain, StochasticOracle,
-                      derive_stream, sgd_run, trace_distances)
+                      derive_stream, sgd_run)
+from stepfree.core import trace_distances
 
 
 def abs_oracle():

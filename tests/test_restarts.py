@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stepfree import ProblemSpec, RestartPlan, default_x0, make_problem, restart_tune
+from stepfree import ProblemSpec, default_x0, make_problem, restart_tune
+from stepfree.restarts import RestartPlan
 
 
 class TestPlan:

@@ -54,3 +54,16 @@ def test_ab_compare_against_itself(tmp_path):
     assert re.search(r"^ratio new/old: median \S+, quartiles \S+-\S+, "
                      r"new won \d/2 chunks$", out, re.M)
     assert "units whose outputs differ: 0" in out
+
+
+def test_bench_smoke():
+    # the benchmark's own smoke test, in its own process: renaming a name
+    # that bench/workloads.py or bench/tracer.py resolves in stepfree makes
+    # a workload fail or a traced metric read null, and so fails it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "-p", "no:cacheprovider",
+                           str(ROOT / "bench" / "test_smoke.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

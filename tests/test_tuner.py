@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepfree.tuner as tuner
 from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       ProjectionDomain, SgdTrace, StepSizeExp, Stochastic,
-                      StochasticOracle, damping_for_round, eta_max_diagnostic,
-                      phi, relative_eta_eps, root_finding_bisection,
-                      select_output_z, sgd_run, tune, verify_output_property)
-from stepfree.tuner import ZeroFirstGradient, round_constant
+                      StochasticOracle, ZeroFirstGradient, sgd_run, tune)
+from stepfree.tuner import (damping_for_round, eta_max_diagnostic, phi,
+                            relative_eta_eps, root_finding_bisection,
+                            round_constant, select_output_z,
+                            verify_output_property)
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -45,7 +47,7 @@ class TestPhi:
             phi(fake_trace(1.0, 0.0), DampingParams(3.0, 0.0))
 
     def test_nonadaptive_denominator(self):
-        d = DampingParams(2.0, 0.0, mode="nonadaptive", L=3.0)
+        d = DampingParams(2.0, 0.0, mode=NonAdaptive(delta=0.1, L=3.0))
         assert phi(fake_trace(6.0, 100.0, T=2), d) == \
             pytest.approx(6.0 / math.sqrt(2 * 9 * 2), abs=1e-12)
 
@@ -82,6 +84,50 @@ class TestDamping:
             damping_for_round(2, 100, 1.5, 1.0, Stochastic(delta=1.5, L=1.0))
         with pytest.raises(ValueError):
             damping_for_round(2, 100, 0.1, None, Stochastic(delta=0.1, L=None))
+
+    @pytest.mark.parametrize("cls", [Stochastic, NonAdaptive])
+    @pytest.mark.parametrize("delta, L, message", [
+        (0.0, 1.0, "delta in"), (1.0, 1.0, "delta in"),
+        (None, 1.0, "delta in"), (0.1, 0.0, "L > 0"), (0.1, -1.0, "L > 0"),
+        (0.1, None, "L > 0")])
+    def test_invalid_mode_construction(self, cls, delta, L, message):
+        with pytest.raises(ValueError, match=message):
+            cls(delta=delta, L=L)
+
+    def test_modes_only(self):
+        for mode in ("deterministic", "stochastic", "nonadaptive"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                damping_for_round(2, 100, 0.1, 1.0, mode)
+
+    def test_delta_and_L_must_match_the_mode(self):
+        with pytest.raises(ValueError, match="differ"):
+            damping_for_round(2, 100, 0.2, 1.0, Stochastic(delta=0.1, L=1.0))
+        with pytest.raises(ValueError, match="differ"):
+            damping_for_round(2, 100, 0.1, 2.0, NonAdaptive(delta=0.1, L=1.0))
+
+    def test_nonadaptive_values(self):
+        mode = NonAdaptive(delta=0.1, L=2.0)
+        d = damping_for_round(4, 1000, 0.1, 2.0, mode)
+        assert d.alpha == 32 ** 2 * round_constant(4, 1000, 0.1)
+        assert d.beta == 0.0 and d.mode is mode
+
+    @pytest.mark.parametrize("mode", [
+        Deterministic(), Stochastic(delta=0.1, L=1.0),
+        NonAdaptive(delta=0.1, L=1.0)])
+    def test_one_damping_per_round_run(self, mode, monkeypatch):
+        rounds = []
+        real = tuner.damping_for_round
+
+        def counted(k, *args):
+            rounds.append(k)
+            return real(k, *args)
+        monkeypatch.setattr(tuner, "damping_for_round", counted)
+        # x0 = 100 is far enough that rounds 2 and 4 end infeasible
+        res = tune(abs_oracle(), WHOLE, np.array([100.0]), budget=4096,
+                   eta_eps=1 / 16, mode=mode)
+        assert rounds == [2 ** j for j in range(1, res.k_final.bit_length())]
+        if isinstance(mode, Deterministic):
+            assert len(rounds) >= 2
 
 
 class TestStepSizeExp:
@@ -170,7 +216,6 @@ class TestTune:
         assert res.x_bar[0] == 0.15625
         assert res.total_queries == 64
         assert res.k_final == 2
-        assert res.eta_prime_interval == (0.25, 0.5)
 
     def test_budget_too_small(self):
         res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=4, eta_eps=1.0)
@@ -187,14 +232,20 @@ class TestTune:
 
     def test_output_property_verified(self):
         res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
-                   eta_eps=1 / 16, debug=True)
+                   eta_eps=1 / 16)
         assert verify_output_property(res.final_outcome, res.damping_final)
 
     def test_g0_not_charged(self):
-        res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
-                   eta_eps=1 / 16)
-        assert res.side_queries == 1
+        oracle = abs_oracle()
+        query, calls = oracle.query, [0]
+
+        def counted(x, rng):
+            calls[0] += 1
+            return query(x, rng)
+        oracle.query = counted
+        res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
         assert res.total_queries == 64  # budget accounting excludes it
+        assert calls[0] == 64 + 1
 
     def test_best_observed(self):
         res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
@@ -243,6 +294,35 @@ class TestPostProcessing:
                    eta_eps=1 / 16)
         assert res.eta.exponent > 0
         assert np.array_equal(res.z, res.x_bar)
+
+    def test_z_falls_back_to_x0_through_tune(self):
+        # started at the optimum of |x|, every step size fails its check
+        # (phi = 0) and the first gradient is 0, so the rule fires
+        res = tune(abs_oracle(), WHOLE, np.array([0.0]), budget=64,
+                   eta_eps=1 / 16)
+        assert res.case == "edge_low_step" and res.eta.exponent == 0
+        assert res.g0_norm == 0.0
+        assert np.array_equal(res.z, res.x0)
+
+    def test_z_differs_from_x_bar_through_tune(self):
+        # the g0 side query sees a zero gradient, every later query sign(x);
+        # eta_eps = 4 overshoots |x| from 1, so round 2 ends edge_low_step
+        calls = [0]
+
+        def query(x, rng):
+            calls[0] += 1
+            return np.zeros(1) if calls[0] == 1 else np.sign(x)
+        oracle = StochasticOracle(dimension=1, query=query)
+        res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=4.0)
+        assert res.case == "edge_low_step" and res.eta.exponent == 0
+        assert res.g0_norm == 0.0
+        assert not np.array_equal(res.x_bar, res.x0)
+        assert np.array_equal(res.z, res.x0)
+
+    def test_z_of_a_budget_too_small_run(self):
+        res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=4, eta_eps=1.0)
+        assert res.case == "budget_too_small"
+        assert np.array_equal(res.z, [1.0])
 
     def test_z_rule_thresholds(self):
         result = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
@@ -293,11 +373,11 @@ class TestEtaMaxDiagnostic:
         assert eta_max_diagnostic(0.0, 1.0, DampingParams(3.0, 0.0)) == 0.0
 
     def test_stochastic(self):
-        d = DampingParams(4.0, 0.0, mode="stochastic", L=1.0)
+        d = DampingParams(4.0, 0.0, mode=Stochastic(delta=0.1, L=1.0))
         assert eta_max_diagnostic(1.0, 1.0, d) == pytest.approx(4.0)
 
     def test_alpha_too_small_rejected(self):
-        d = DampingParams(2.0, 0.0, mode="stochastic", L=1.0)
+        d = DampingParams(2.0, 0.0, mode=Stochastic(delta=0.1, L=1.0))
         with pytest.raises(ValueError):
             eta_max_diagnostic(1.0, 1.0, d)
 

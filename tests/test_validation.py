@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepfree import (DampingParams, ProblemSpec, ProjectionDomain,
-                      StochasticOracle, binom_lower, binom_upper,
-                      boundary_crossing_test, check_theorem_bounds,
-                      default_x0, good_event_frequency, good_event_margin,
-                      has_bug, localization_check, log2_plus, loglog_plus,
-                      make_problem, phi, sgd_run, stitched_boundary, tune)
-from stepfree.validation import BoundaryParams, ProblemMeta, format_report
+                      Stochastic, StochasticOracle, check_theorem_bounds,
+                      default_x0, make_problem, sgd_run, tune)
+from stepfree.tuner import phi
+from stepfree.validation import (binom_upper, boundary_a_t,
+                                 boundary_crossing_test, good_event_frequency,
+                                 good_event_margin, has_bug,
+                                 localization_check, log2_plus, loglog_plus,
+                                 stitched_boundary)
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -98,7 +100,7 @@ class TestGoodEvent:
 
 class TestStitchedBoundary:
     def test_zero_variance(self):
-        a = BoundaryParams(10, 0.1).A_t
+        a = boundary_a_t(10, 0.1)
         assert stitched_boundary(10, 0.1, 0.0) == pytest.approx(4 * a)
 
     def test_reference_value(self):
@@ -151,12 +153,6 @@ class TestBinomialBounds:
         assert binom_upper(100, 100) == 1.0
         assert binom_upper(5, 100) > 0.05
 
-    def test_lower(self):
-        assert binom_lower(0, 100) == 0.0
-        assert binom_lower(99, 100) > 0.9
-
-    def test_ordering(self):
-        assert binom_lower(30, 100) < 0.3 < binom_upper(30, 100)
 
 
 class TestLog2Plus:
@@ -168,20 +164,17 @@ class TestLog2Plus:
         assert loglog_plus(1.0) == 1.0  # log2 of the clipped value 2
 
 
-def abs_problem():
+def abs_oracle():
     grad = lambda x: np.sign(x)
-    oracle = StochasticOracle(dimension=1, query=lambda x, rng: grad(x),
-                              norm_bound_L=1.0, exact_subgradient=grad,
-                              exact_value=lambda x: float(np.abs(x).sum()),
-                              optimum_info=(np.zeros(1), 0.0))
-    meta = ProblemMeta(x_star=np.zeros(1), f_star=0.0, L=1.0,
-                       mode="deterministic", value_fn=oracle.exact_value)
-    return oracle, meta
+    return StochasticOracle(dimension=1, query=lambda x, rng: grad(x),
+                            norm_bound_L=1.0, exact_subgradient=grad,
+                            exact_value=lambda x: float(np.abs(x).sum()),
+                            optimum_info=(np.zeros(1), 0.0))
 
 
 class TestLocalization:
     def test_certified_trace(self):
-        oracle, _ = abs_problem()
+        oracle = abs_oracle()
         tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.25, 4, stream=0,
                      record_full=True)
         assert tr.eta <= phi(tr, DampingParams(3.0, 0.0))
@@ -189,7 +182,7 @@ class TestLocalization:
         assert applies and ok
 
     def test_uncertified_trace_skipped(self):
-        oracle, _ = abs_problem()
+        oracle = abs_oracle()
         tr = sgd_run(oracle, WHOLE, np.array([1.0]), 2.0, 4, stream=0,
                      record_full=True)
         applies, ok = localization_check(tr, np.zeros(1))
@@ -198,9 +191,9 @@ class TestLocalization:
 
 class TestTheoremChecks:
     def test_hand_run_report(self):
-        oracle, meta = abs_problem()
+        oracle = abs_oracle()
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
-        lines = check_theorem_bounds(res, meta)
+        lines = check_theorem_bounds(res, oracle)
         by_id = {l.check_id: l for l in lines}
         assert by_id["budget"].verdict == "pass"
         assert by_id["T_lower_bound"].realized == 16
@@ -210,38 +203,43 @@ class TestTheoremChecks:
         assert by_id["gap_vs_endpoint_max"].bound == \
             pytest.approx(math.sqrt(27) * 2 / 16, rel=1e-9)
         assert not has_bug(lines)
-        report = format_report(lines)
-        assert report.count("\n") == len(lines) - 1
 
     def test_trivial_at_optimum(self):
-        oracle, meta = abs_problem()
+        oracle = abs_oracle()
         res = tune(oracle, WHOLE, np.array([0.0]), budget=64, eta_eps=1 / 16)
-        lines = check_theorem_bounds(res, meta)
+        lines = check_theorem_bounds(res, oracle)
         assert not has_bug(lines)
 
+    def test_needs_a_known_optimum(self):
+        oracle = abs_oracle()
+        res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
+        oracle.optimum_info = None
+        with pytest.raises(ValueError, match="optimum_info"):
+            check_theorem_bounds(res, oracle)
+
     def test_budget_violation_is_bug(self):
-        oracle, meta = abs_problem()
+        oracle = abs_oracle()
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
         res.total_queries = res.budget + 1
-        lines = check_theorem_bounds(res, meta)
+        lines = check_theorem_bounds(res, oracle)
         assert any(l.check_id == "budget" and l.verdict == "bug"
                    for l in lines)
 
     def test_budget_too_small_report(self):
-        oracle, meta = abs_problem()
+        oracle = abs_oracle()
         res = tune(oracle, WHOLE, np.array([1.0]), budget=4, eta_eps=1.0)
-        lines = check_theorem_bounds(res, meta)
+        lines = check_theorem_bounds(res, oracle)
         by_id = {l.check_id: l for l in lines}
         assert by_id["gap_tiny_budget"].verdict == "pass"
         assert not has_bug(lines)
 
     def test_stochastic_failures_are_inconclusive(self):
-        oracle, meta = abs_problem()
+        oracle = abs_oracle()
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
         res.total_queries = 10  # make T_lower_bound unsatisfiable
         res.T = 1
-        meta.mode = "stochastic"
-        lines = check_theorem_bounds(res, meta)
+        res.mode = Stochastic(delta=0.1, L=1.0)
+        lines = check_theorem_bounds(res, oracle)
         by_id = {l.check_id: l for l in lines}
         assert by_id["T_lower_bound"].verdict == "inconclusive"
         assert not has_bug(lines)
