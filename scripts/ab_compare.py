@@ -2,6 +2,7 @@
 """Side-by-side speed of two checkouts of stepfree on one benchmark workload.
 
     python3 scripts/ab_compare.py OLD_ROOT NEW_ROOT --workload restart_short
+    python3 scripts/ab_compare.py OLD_ROOT NEW_ROOT --workload restart_short --setup 10
 
 Both checkouts' ``src/stepfree`` are imported into this one process, and
 chunks of units of ``bench/workloads.py`` (read from NEW_ROOT, never
@@ -10,6 +11,11 @@ of the machine's speed then hits both sides alike. Prints each side's
 queries/s over all its chunks, and the median, quartiles and win count of
 the per-chunk ratios new/old; a ratio above 1 means NEW_ROOT is faster.
 Units whose outputs differ between the sides are counted and reported.
+
+``--setup N`` compares set-up time instead: N rounds, each running
+``bench/run_bench.py --setup-probe`` of OLD_ROOT and of NEW_ROOT in fresh
+interpreters, alternating which side goes first. It prints each side's
+median and quartiles of ``setup_s`` and the rounds NEW_ROOT was faster in.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import importlib
 import importlib.util
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -71,8 +78,38 @@ def run_chunk(wl, first: int, n: int):
 
 
 def quartiles(values):
+    if len(values) == 1:
+        return values * 3
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def probe_setup_s(root: Path, workload: str, seed: int) -> float:
+    """setup_s of one fresh interpreter running root's benchmark probe."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "run_bench.py"),
+         "--setup-probe", "--workload", workload, "--seed", str(seed)],
+        cwd=root, capture_output=True, text=True, timeout=150)
+    if proc.returncode != 0:
+        raise SystemExit(f"set-up probe of {root} failed:\n{proc.stderr}")
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def compare_setup(args) -> int:
+    times = [[], []]  # old, new
+    for r in range(args.setup):
+        sides = ((0, args.old_root), (1, args.new_root))
+        for side, root in sides if r % 2 == 0 else sides[::-1]:
+            times[side].append(probe_setup_s(root, args.workload, args.seed))
+    print(f"workload {args.workload}, seed {args.seed}: {args.setup} set-up "
+          "rounds per side, each in a fresh interpreter")
+    for label, values in zip(("old", "new"), times):
+        q1, med, q3 = quartiles(values)
+        print(f"{label} setup_s: median {med:.4f}, quartiles "
+              f"{q1:.4f}-{q3:.4f}")
+    wins = sum(new < old for old, new in zip(*times))
+    print(f"new won {wins}/{args.setup} rounds")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -83,9 +120,13 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=20)
     p.add_argument("--chunk-units", type=int, default=500)
+    p.add_argument("--setup", type=int, metavar="N",
+                   help="compare setup_s over N rounds instead")
     args = p.parse_args(argv)
     if args.chunks < 2 or args.chunk_units < 1:
         p.error("need at least 2 chunks of at least 1 unit")
+    if args.setup is not None and args.setup < 1:
+        p.error("--setup needs at least 1 round")
     for var in THREAD_VARS:  # before numpy is imported
         os.environ.setdefault(var, "1")
 
@@ -93,6 +134,8 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         p.error(f"unknown workload {args.workload!r}; one of "
                 f"{', '.join(workloads.WORKLOADS)}")
+    if args.setup:
+        return compare_setup(args)
     make = workloads.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as old_dir, \
             tempfile.TemporaryDirectory() as new_dir:

@@ -23,7 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from stepfree.cli import main as cli_main
+from stepfree.cli import CSV_COMMANDS, main as cli_main
 
 # stands for the path of CONFIG_INI, written next to the outputs
 CONFIG = "@config.ini"
@@ -128,11 +128,13 @@ def run_case(argv: list) -> dict:
         config = Path(tmp, "config.ini")
         config.write_text(CONFIG_INI)
         argv = [str(config) if a == CONFIG else a for a in argv]
+        argv += ["--jsonl", str(jsonl_path)]
+        if argv[0] in CSV_COMMANDS:
+            argv += ["--csv", str(csv_path)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
-            status = cli_main([*argv, "--csv", str(csv_path),
-                               "--jsonl", str(jsonl_path)])
+            status = cli_main(argv)
         out = {"jsonl": jsonl_path.read_bytes().decode(),
                "stdout": f"{stdout.getvalue()}exit status {status}\n"
                          f"{stderr.getvalue()}"}

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .core import NumericalFailure, derive_stream
 from .problems import ProblemSpec, default_x0, make_problem
@@ -36,6 +35,8 @@ CSV_HEADER_COMMENT = "# stepfree-bench csv schema v1"
 JSONL_HEADER = {"schema": "stepfree-bench jsonl v1"}
 CSV_COLUMNS = ["run_id", "seed", "k_final", "T", "eta_o_exponent",
                "total_queries", "gap", "dist_to_opt", "case", "wall_ms"]
+# the commands that write a per-run CSV; the others take no --csv
+CSV_COMMANDS = ("tune", "restart", "sweep")
 
 
 class ConfigError(ValueError):
@@ -73,6 +74,9 @@ class RunConfig:
     def validate(self):
         if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.csv and self.command not in CSV_COMMANDS:
+            raise ConfigError(f"{self.command} writes no CSV; drop the csv "
+                              "setting")
         if self.command in ("tune", "sweep"):
             if (self.eta_eps is None) == (self.r_eps is None):
                 raise ConfigError("exactly one of eta_eps / r_eps is required")
@@ -96,13 +100,12 @@ def _mode_object(cfg: RunConfig, L: float):
 
 class Outputs(contextlib.ExitStack):
     """A command's output files, each opened with its schema header: the
-    per-run CSV (only for commands that write rows) and the JSONL. Use in a
-    ``with`` block, which closes them."""
+    per-run CSV and the JSONL. Use in a ``with`` block, which closes them."""
 
-    def __init__(self, cfg: RunConfig, rows: bool = True):
+    def __init__(self, cfg: RunConfig):
         super().__init__()
         self.writer = self.jsonl_file = None
-        if rows and cfg.csv:
+        if cfg.csv:
             csv_file = self.enter_context(open(cfg.csv, "w", newline=""))
             csv_file.write(CSV_HEADER_COMMENT + "\n")
             self.writer = csv.DictWriter(csv_file, fieldnames=CSV_COLUMNS)
@@ -250,7 +253,7 @@ def cmd_validate_good_event(cfg: RunConfig) -> int:
                                     cfg.T, damping, cfg.n_paths, cfg.seed)
     target = 1.0 - cfg.delta
     verdict = "pass" if freq >= target else "inconclusive"
-    with Outputs(cfg, rows=False) as out:
+    with Outputs(cfg) as out:
         out.record({"command": "validate-good-event", "frequency": freq,
                     "target": target, "n_paths": cfg.n_paths,
                     "verdict": verdict})
@@ -263,7 +266,7 @@ def cmd_boundary_test(cfg: RunConfig) -> int:
                                   seed=cfg.seed, mean=cfg.mean)
     upper = binom_upper(round(freq * cfg.n_paths), cfg.n_paths)
     verdict = "pass" if upper <= cfg.delta else "inconclusive"
-    with Outputs(cfg, rows=False) as out:
+    with Outputs(cfg) as out:
         out.record({"command": "boundary-test", "kind": cfg.kind,
                     "frequency": freq, "upper_99": upper, "delta": cfg.delta,
                     "verdict": verdict})
@@ -274,6 +277,7 @@ def cmd_boundary_test(cfg: RunConfig) -> int:
 
 def fit_loglog_slope(budgets, medians):
     """Least-squares slope of log2(median gap) vs log2(B) with a 95% CI."""
+    from scipy import stats  # loaded on first use
     x = np.log2(np.asarray(budgets, dtype=float))
     y = np.log2(np.asarray(medians, dtype=float))
     fit = stats.linregress(x, y)
@@ -336,7 +340,7 @@ _CONVERT = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="INI file with [problem]/[run]/[output] sections")
     for f in fields(ProblemSpec):  # --family ... --reg
         p.add_argument("--" + f.name.replace("_", "-"),
@@ -345,7 +349,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--x0-dist", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--csv", default=None, help="per-run CSV output path")
+    if command in CSV_COMMANDS:
+        p.add_argument("--csv", default=None, help="per-run CSV output path")
     p.add_argument("--jsonl", default=None, help="diagnostics JSONL output path")
 
 
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tune", help="run the step-size tuner")
-    _add_common(p)
+    _add_common(p, "tune")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--eta-eps", type=float, default=None)
     p.add_argument("--r-eps", type=float, default=None,
@@ -364,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(MODES), default=None)
 
     p = sub.add_parser("restart", help="doubling-budget restart chain")
-    _add_common(p)
+    _add_common(p, "restart")
     p.add_argument("--rounds", type=int, default=None, help="number of rounds M")
     p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("validate-good-event", help="noise-event frequency check")
-    _add_common(p)
+    _add_common(p, "validate-good-event")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--eta-eps", type=float, default=None)
@@ -382,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
 
     p = sub.add_parser("boundary-test", help="stitched-boundary crossing check")
-    _add_common(p)
+    _add_common(p, "boundary-test")
     p.add_argument("--kind", choices=["zero", "coin", "bernoulli"], default=None)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--n-paths", type=int, default=None)
     p.add_argument("--mean", type=float, default=None)
 
     p = sub.add_parser("sweep", help="gap-vs-budget rate fit")
-    _add_common(p)
+    _add_common(p, "sweep")
     p.add_argument("--budgets", default=None,
                    help="comma-separated budget list (>= 4 points)")
     p.add_argument("--eta-eps", type=float, default=None)
@@ -410,10 +415,20 @@ def _load_ini(path: str) -> dict:
     return flat
 
 
+def _choices(command: str) -> dict:
+    """{dest: choices} of the command's options that declare choices."""
+    (sub,) = (a for a in _parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.choices for a in sub.choices[command]._actions
+            if a.choices}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Each field of ProblemSpec and RunConfig from its flag, else from the
-    INI key of its name in lower case, else from its default."""
+    INI key of its name in lower case, else from its default. An INI value
+    must be one of the choices the command's flag of that name declares."""
     ini = _load_ini(args.config) if getattr(args, "config", None) else {}
+    choices = _choices(args.command)
     defaults = {"family": "l1", "dimension": 1}
     if args.command == "validate-good-event":
         defaults["mode"] = "stochastic"
@@ -426,6 +441,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             v = getattr(args, f.name, None)
             if v is None:
                 v = ini.get(f.name.lower(), defaults.get(f.name, f.default))
+                if v not in choices.get(f.name, [v]):
+                    raise ConfigError(
+                        f"{f.name} = {v!r} is not one of "
+                        f"{', '.join(choices[f.name])} for {args.command}")
             # flags arrive converted, except the string of --budgets
             values[f.name] = (_CONVERT.get(f.type, str)(v)
                               if isinstance(v, str) else v)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import ProjectionDomain, StochasticOracle, sgd_run, stream_rng
 
@@ -226,6 +225,8 @@ def make_problem(spec: ProblemSpec, seed: int):
             out /= minus_n
             out += reg_vec * x
 
+        # scipy loads here, on first use: every other family needs only numpy
+        from scipy.optimize import minimize
         sol = minimize(value, np.zeros(d), jac=exact_grad, method="L-BFGS-B",
                        options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 5000})
         x_star = sol.x

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, sgd_run,
                    trace_distances)
@@ -170,6 +169,7 @@ def binom_upper(successes: int, n: int, conf: float = 0.99) -> float:
     """Exact (Clopper-Pearson) one-sided upper confidence bound on a rate."""
     if successes >= n:
         return 1.0
+    from scipy.stats import beta as beta_dist  # loaded on first use
     return float(beta_dist.ppf(conf, successes + 1, n - successes))
 
 

@@ -331,3 +331,88 @@ class TestZeroFirstGradient:
                    for block in per_budget]
         assert summary["median_gaps"] == medians
         assert np.isfinite(summary["slope"])
+
+
+class TestIniChecks:
+    GOOD_EVENT = ["validate-good-event", "--family", "l1", "--noise", "sphere",
+                  "--noise-param", "1.0", "--dimension", "3", "--eta", "0.5",
+                  "--T", "32", "--n-paths", "20"]
+    BOUNDARY = ["boundary-test", "--kind", "coin", "--T", "50",
+                "--n-paths", "20"]
+    TUNE = ["tune", "--family", "l1", "--dimension", "2", "--budget", "64",
+            "--eta-eps", "1e-3"]
+
+    @staticmethod
+    def ini(tmp_path, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        return path
+
+    def assert_config_error(self, args, tmp_path, capsys, start):
+        out = tmp_path / "out.jsonl"
+        assert run_cli(args + ["--jsonl", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + start)
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, text, start", [
+        # the flag refuses this mode: it would run at damping (3, 0)
+        (GOOD_EVENT, "[run]\nmode = deterministic\n",
+         "mode = 'deterministic' is not one of stochastic, nonadaptive"),
+        (BOUNDARY, "[run]\nkind = gauss\n",
+         "kind = 'gauss' is not one of zero, coin, bernoulli"),
+        (TUNE, "[run]\nmode = adaptive\n",
+         "mode = 'adaptive' is not one of deterministic, stochastic, "
+         "nonadaptive"),
+    ])
+    def test_ini_value_outside_the_flags_choices(self, base, text, start,
+                                                 tmp_path, capsys):
+        args = [a for a in base if a not in ("--kind", "coin")]
+        self.assert_config_error(
+            args + ["--config", self.ini(tmp_path, text)], tmp_path, capsys,
+            start)
+
+    def test_ini_choices_are_the_commands_own(self):
+        # tune takes mode = deterministic, validate-good-event does not
+        choices = cli._choices("tune")["mode"]
+        assert "deterministic" in choices
+        assert "deterministic" not in cli._choices("validate-good-event")["mode"]
+
+    def test_ini_value_among_the_choices_runs(self, tmp_path, capsys):
+        ini = self.ini(tmp_path, "[run]\nmode = nonadaptive\n")
+        assert run_cli(self.GOOD_EVENT + ["--config", ini]) == 0
+        assert "good-event frequency" in capsys.readouterr().out
+
+    def test_flag_overrides_a_bad_ini_value(self, tmp_path):
+        # the INI value is not used, so it is not checked
+        ini = self.ini(tmp_path, "[run]\nkind = gauss\n")
+        assert run_cli(self.BOUNDARY + ["--config", ini]) == 0
+
+    @pytest.mark.parametrize("base", [GOOD_EVENT, BOUNDARY])
+    def test_csv_flag_refused_where_no_csv_is_written(self, base, tmp_path,
+                                                      capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + ["--csv", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base", [GOOD_EVENT, BOUNDARY])
+    def test_ini_csv_is_a_config_error_where_no_csv_is_written(
+            self, base, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        ini = self.ini(tmp_path, f"[output]\ncsv = {out}\n")
+        self.assert_config_error(base + ["--config", ini], tmp_path, capsys,
+                                 f"{base[0]} writes no CSV")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base", [
+        TUNE, ["restart", "--family", "sc_quadratic", "--dimension", "2",
+               "--rounds", "3", "--epsilon", "3"]])
+    def test_ini_csv_is_written_where_rows_are(self, base, tmp_path):
+        out = tmp_path / "x.csv"
+        ini = self.ini(tmp_path, f"[output]\ncsv = {out}\n")
+        assert run_cli(base + ["--config", ini]) == 0
+        assert len(read_csv(out)) == 1

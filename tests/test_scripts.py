@@ -56,6 +56,16 @@ def test_ab_compare_against_itself(tmp_path):
     assert "units whose outputs differ: 0" in out
 
 
+def test_ab_compare_setup_against_itself(tmp_path):
+    out = run_script("ab_compare.py", ROOT, ROOT, "--workload",
+                     "restart_short", "--setup", 1, cwd=tmp_path)
+    for side in ("old", "new"):
+        (med, q1, q3) = re.findall(rf"^{side} setup_s: median (\S+), "
+                                   r"quartiles (\S+)-(\S+)$", out, re.M)[0]
+        assert 0 < float(med) == float(q1) == float(q3)
+    assert re.search(r"^new won [01]/1 rounds$", out, re.M)
+
+
 def test_bench_smoke():
     # the benchmark's own smoke test, in its own process: renaming a name
     # that bench/workloads.py or bench/tracer.py resolves in stepfree makes
