@@ -10,7 +10,10 @@ edited) run on each side in turn, alternating which side goes first. Drift
 of the machine's speed then hits both sides alike. Prints each side's
 queries/s over all its chunks, and the median, quartiles and win count of
 the per-chunk ratios new/old; a ratio above 1 means NEW_ROOT is faster.
-Units whose outputs differ between the sides are counted and reported.
+Units whose outputs differ between the sides are counted and reported: the
+``exact`` fields of a unit's record must be equal and its ``close`` fields
+(floats such as ``gap``) equal bit for bit. The exit status is 1 when any
+unit differs, so a claim that a change moves no output is an exit status.
 
 ``--setup N`` compares set-up time instead: N rounds, each running
 ``bench/run_bench.py --setup-probe`` of OLD_ROOT and of NEW_ROOT in fresh
@@ -25,6 +28,7 @@ import importlib
 import importlib.util
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -65,16 +69,18 @@ def load_workloads(root: Path):
 
 
 def run_chunk(wl, first: int, n: int):
-    """(seconds, queries, exact fields) of units first .. first+n-1."""
-    seconds, queries, exact = 0.0, 0, []
+    """(seconds, queries, outputs) of units first .. first+n-1; a unit's
+    output is its exact fields and the bytes of its close fields."""
+    seconds, queries, outputs = 0.0, 0, []
     for i in range(first, first + n):
         t0 = perf_counter()
         out = wl.unit(i)
         seconds += perf_counter() - t0
         rec = wl.record(i, out)
         queries += rec["queries"]
-        exact.append(rec["exact"])
-    return seconds, queries, exact
+        outputs.append((rec["exact"], {k: struct.pack("<d", v)
+                                       for k, v in rec["close"].items()}))
+    return seconds, queries, outputs
 
 
 def quartiles(values):
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
     print(f"ratio new/old: median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
           f"new won {wins}/{len(ratios)} chunks")
     print(f"units whose outputs differ: {differing}")
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

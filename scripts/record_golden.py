@@ -3,12 +3,13 @@
 
 Runs a fixed set of small ``stepfree-bench`` commands (tune on five
 family/noise pairs, tune --r-eps, tune in non-adaptive mode, tune from an INI
-file with a flag overriding it, tune with an invalid delta, a restart chain,
-a 4-budget sweep, validate-good-event with and without --union-grid and a
-boundary test) and writes, per command, its CSV (if the command writes one),
-its JSONL and its stdout followed by the exit status and any stderr. Wall
-times are the one field that differs between runs, so the CSV's ``wall_ms``
-column is masked as ``*``; everything else must match byte for byte.
+file with a flag overriding it, tune with an invalid delta, a noiseless and a
+noisy restart chain, a 4-budget sweep, validate-good-event with and without
+--union-grid and a boundary test) and writes, per command, its CSV (if the
+command writes one), its JSONL and its stdout followed by the exit status and
+any stderr. Wall times are the one field that differs between runs, so the
+CSV's ``wall_ms`` column is masked as ``*``; everything else must match byte
+for byte.
 
     PYTHONPATH=src python scripts/record_golden.py --out tests/golden
 
@@ -76,6 +77,11 @@ CASES = {
     "restart_sc_quadratic": [
         "restart", "--family", "sc_quadratic", "--dimension", "3",
         "--rounds", "6", "--epsilon", "3.0", "--reps", "4", "--seed", "6"],
+    # a noisy chain: pins the per-round seeds its runs draw from
+    "restart_l1_sphere": [
+        "restart", "--family", "l1", "--noise", "sphere", "--noise-param",
+        "0.5", "--dimension", "3", "--rounds", "6", "--reps", "2", "--seed",
+        "15"],
     "tune_nonadaptive_quadratic_sphere": [
         "tune", "--family", "quadratic", "--noise", "sphere",
         "--noise-param", "0.5", "--dimension", "3", "--mode", "nonadaptive",

@@ -127,10 +127,16 @@ class StochasticOracle:
             self.__dict__["noiseless"] = False
         object.__setattr__(self, name, value)
 
-    def run_stream(self, master_seed: int, *parts) -> Optional[int]:
+    def run_stream(self, master_seed: Optional[int], *parts) -> Optional[int]:
         """The stream id of a run: ``derive_stream(master_seed, *parts)``,
-        or None, derived from nothing, for a noiseless oracle."""
-        return None if self.noiseless else derive_stream(master_seed, *parts)
+        or None, derived from nothing, for a noiseless oracle, which ignores
+        ``master_seed``. A noisy oracle needs an integer master seed."""
+        if self.noiseless:
+            return None
+        if master_seed is None:
+            raise ValueError("a noisy oracle needs an integer master seed, "
+                             "got None")
+        return derive_stream(master_seed, *parts)
 
 
 @dataclass(frozen=True)
@@ -321,9 +327,13 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     finite points. A step that fails the screen is looked at elementwise,
     the gradient first and then the projected step, which gives the
     ``NumericalFailure`` step and cause of checking both on every step;
-    the oracle is never queried at a non-finite iterate. ``G`` and
-    ``g0_norm`` are read off the gradient record after the loop, and
-    ``r_bar``, ``x_avg`` and value statistics off the iterate record.
+    the oracle is never queried at a non-finite iterate. ``x_avg`` and value
+    statistics are read off the iterate record after the loop. The gradient
+    record is the first T rows of a (2T, d) buffer whose last T rows then
+    take the displacements x_i - x_0, so one matmul gives the squares that
+    ``G``, ``g0_norm`` and ``r_bar`` are made of. A full record's ``gs`` is
+    a view of those first T rows, not a copy: the gradients as the steps
+    wrote them.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -332,13 +342,19 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     x0 = domain.project(x0)
     step = run_step(oracle, stream, T)
     project = domain.project_in_place
+    d = x0.shape[0]
     # eta as an array operand: the products are eta * g's, and numpy
-    # multiplies two arrays for less call overhead than a scalar and one
-    eta_vec = np.full(x0.shape, eta, dtype=float)
+    # multiplies two arrays for less call overhead than a scalar and one;
+    # empty + fill costs less than np.full
+    eta_vec = np.empty(d)
+    eta_vec.fill(eta)
 
-    xs = np.empty((T + 1, x0.shape[0]))
+    xs = np.empty((T + 1, d))
     xs[0] = x = x0
-    gs = np.empty((T, x0.shape[0]))
+    # the gradient record, then the displacements x_i - x_0 (i = 1..T), so
+    # that one pass squares both
+    rows = np.empty((2 * T, d))
+    gs = rows[:T]
     for i, g, xn in zip(range(T), gs, xs[1:]):
         step(x, i, g)
         np.multiply(eta_vec, g, xn)
@@ -350,9 +366,12 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
                 raise NumericalFailure(i, "iterate")
         x = xn
 
-    # one ddot per row, each equal to g.dot(g); a finite gradient's square
-    # may overflow to +inf
-    gsq = np.matmul(gs[:, None, :], gs[:, :, None]).ravel().tolist()
+    np.subtract(xs[1:], x0, rows[T:])
+    # one ddot per row: g.dot(g) for a gradient, which may overflow to +inf
+    # when g is finite, and the square np.linalg.norm takes the root of for
+    # a displacement
+    squares = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+    gsq, dsq = squares[:T].tolist(), squares[T:]
     G = 0.0
     G_comp = 0.0  # Kahan compensation, keeps G independent of rounding order
     for sq in gsq:
@@ -368,13 +387,12 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     # the sequential sum x_0 + ... + x_{T-1} (a plain sum is pairwise);
     # + 0.0 gives the +0.0 a sum started from 0.0 has in an all -0.0 column
     x_avg = (np.add.accumulate(xs[:T], axis=0)[-1] + 0.0) / T
-    disp = xs[1:] - x0
-    # one ddot per row, the square np.linalg.norm takes the root of
-    dsq = np.matmul(disp[:, None, :], disp[:, :, None]).ravel()
+    # the largest displacement square found by argmax, whose call costs less
+    # than ndarray.max's and, unlike a Python max over a list, ~nothing a row
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg,
-        r_bar=math.sqrt(dsq.max()), G=G, g0_norm=gsq[0] ** 0.5, query_count=T,
-        stream=stream, xs=xs if record_full else None,
+        r_bar=math.sqrt(dsq.item(dsq.argmax())), G=G, g0_norm=gsq[0] ** 0.5,
+        query_count=T, stream=stream, xs=xs if record_full else None,
         gs=gs if record_full else None)
     if value_fn is not None:
         fs = [float(value_fn(row)) for row in xs]

@@ -1,7 +1,9 @@
 """Doubling-restart wrapper: the strongly convex rate without knowing mu.
 
 Round m restarts the tuner from the previous output with budget 2^m, failure
-probability delta/(m(m+1)) and initial step size epsilon/(L^2 * 2^m).
+probability delta/(m(m+1)) and initial step size epsilon/(L^2 * 2^m). Its
+master seed ``derive_stream(master_seed, "restart", m)`` is derived only for
+a noisy oracle; a noiseless oracle's rounds draw nothing and take None.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionDomain, StochasticOracle, derive_stream
+from .core import ProjectionDomain, StochasticOracle
 from .tuner import Stochastic, TunerResult, tune
 
 
@@ -60,7 +62,8 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
             result = tune(oracle, domain, x, budget=plan.budget(m),
                           eta_eps=plan.eta_eps_m(m),
                           mode=Stochastic(delta=plan.delta_m(m), L=L),
-                          master_seed=derive_stream(master_seed, "restart", m))
+                          master_seed=oracle.run_stream(master_seed, "restart",
+                                                        m))
         except Exception as exc:
             raise RuntimeError(f"restart round {m} failed") from exc
         total_queries += result.total_queries

@@ -205,7 +205,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
                            T: int, damping: DampingParams,
                            cache: Optional[dict] = None,
                            round_k: Optional[int] = None,
-                           master_seed: int = 0,
+                           master_seed: Optional[int] = 0,
                            record_full: bool = False) -> BisectionOutcome:
     """Log-scale bisection for a step size with a sign change of phi(eta) - eta.
 
@@ -328,7 +328,8 @@ def select_output_z(result: TunerResult, trace_at_eps: Optional[SgdTrace]):
     return result.x_bar
 
 
-def first_gradient_norm(oracle: StochasticOracle, x0, master_seed: int) -> float:
+def first_gradient_norm(oracle: StochasticOracle, x0,
+                        master_seed: Optional[int]) -> float:
     """||g0||: one query at x0 on the run stream derive_stream(master_seed,
     "g0") (none if noiseless), a side query not charged to the budget."""
     g0 = np.empty(len(x0))
@@ -373,7 +374,7 @@ def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> flo
 
 def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
          eta_eps: Optional[float] = None, mode=Deterministic(),
-         master_seed: int = 0, record_full: bool = False,
+         master_seed: Optional[int] = 0, record_full: bool = False,
          r_eps: Optional[float] = None) -> TunerResult:
     """Budgeted parameter-free step-size tuning.
 
@@ -385,6 +386,10 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
 
     Takes exactly one of ``eta_eps`` and ``r_eps`` (relative mode: eta_eps =
     :func:`relative_eta_eps` of ||g0||, or :class:`ZeroFirstGradient`).
+    ``master_seed`` keys the run streams and reaches only
+    ``oracle.run_stream``; ``master_seed=None`` is allowed only for a
+    noiseless oracle, whose runs read no stream (a noisy one raises
+    ``ValueError``).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

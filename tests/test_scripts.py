@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,30 @@ def test_ab_compare_against_itself(tmp_path):
     assert re.search(r"^ratio new/old: median \S+, quartiles \S+-\S+, "
                      r"new won \d/2 chunks$", out, re.M)
     assert "units whose outputs differ: 0" in out
+
+
+def test_ab_compare_fails_on_a_moved_output(tmp_path):
+    # a copy whose rounds start from a step size smaller by a factor of
+    # 1 - 1e-7: the chains take the same decisions, so only the floats of
+    # each unit's record (gap, dist_to_opt) move
+    new_root = tmp_path / "new"
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, new_root / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    restarts = new_root / "src" / "stepfree" / "restarts.py"
+    text = restarts.read_text()
+    assert text.count("self.epsilon / (") == 1
+    restarts.write_text(text.replace("self.epsilon / (",
+                                     "self.epsilon * 0.9999999 / ("))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "ab_compare.py"),
+                           str(ROOT), str(new_root), "--workload",
+                           "restart_short", "--chunks", "2", "--chunk-units",
+                           "5"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "units whose outputs differ: 10" in proc.stdout
 
 
 def test_ab_compare_setup_against_itself(tmp_path):

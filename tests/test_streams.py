@@ -47,14 +47,19 @@ def test_stream_rng_masks_to_128_bits():
 
 @pytest.fixture
 def generators(monkeypatch):
-    """A list that gets one entry per np.random.Generator built."""
-    built = []
-    make = np.random.Generator
+    """A list that gets one entry per np.random.Generator built.
 
-    def counting(*args, **kwargs):
-        built.append(None)
-        return make(*args, **kwargs)
-    monkeypatch.setattr(np.random, "Generator", counting)
+    The counting stand-in is a subclass, so it is still a type: code that
+    uses np.random.Generator as one while the patch is on (scipy's import
+    does, in ``... | np.random.Generator``) keeps working.
+    """
+    built = []
+
+    class Counting(np.random.Generator):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(np.random, "Generator", Counting)
     return built
 
 
@@ -160,11 +165,26 @@ def test_tune_derives_a_stream_per_noisy_run(derived, family, noise):
         assert len(derived) == fresh_runs(result)
 
 
-def test_noiseless_restart_tune_derives_only_round_seeds(derived):
+def test_noiseless_restart_tune_derives_nothing(derived):
     oracle, domain, x0 = problem("sc_quadratic", "none")
-    restart_tune(oracle, domain, x0, M=6, delta=0.1, epsilon=3.0,
-                 L=oracle.norm_bound_L)
-    assert derived == [("restart", m) for m in range(1, 7)]
+    _, records = restart_tune(oracle, domain, x0, M=6, delta=0.1,
+                              epsilon=3.0, L=oracle.norm_bound_L)
+    assert derived == []
+    traces = [tr for r in records for tr in r.trace_cache.values()]
+    assert len(traces) > 6
+    assert all(tr.stream is None for tr in traces)
+
+
+def test_noisy_restart_tune_derives_round_seeds_in_order(derived):
+    oracle, domain, x0 = problem("l1", "sphere")
+    _, records = restart_tune(oracle, domain, x0, M=6, delta=0.1,
+                              epsilon=3.0, L=oracle.norm_bound_L)
+    assert [p for p in derived if p[0] == "restart"] == \
+        [("restart", m) for m in range(1, 7)]
+    # each round's seed comes before the streams of its own runs
+    rounds = [i for i, p in enumerate(derived) if p[0] == "restart"]
+    runs = [rounds[m + 1] - rounds[m] - 1 for m in range(5)]
+    assert runs == [fresh_runs(r) for r in records[:5]]
 
 
 def test_assigned_query_derives_streams_again(derived):
@@ -185,3 +205,20 @@ def test_noisy_run_needs_a_stream(noise):
                                   query=lambda x, rng: rng.standard_normal(3))
     with pytest.raises(ValueError, match="stream id"):
         sgd_run(query_only, domain, x0, 0.1, 4, None)
+
+
+def test_noisy_tune_needs_an_integer_master_seed():
+    oracle, domain, x0 = problem("l1", "sphere")
+    with pytest.raises(ValueError, match="noisy oracle needs an integer "
+                                         "master seed"):
+        tune(oracle, domain, x0, budget=64, eta_eps=1e-3, master_seed=None)
+
+
+def test_noiseless_tune_runs_without_a_master_seed():
+    oracle, domain, x0 = problem("l1", "none")
+    unseeded = tune(oracle, domain, x0, budget=64, eta_eps=1e-3,
+                    master_seed=None)
+    seeded = tune(oracle, domain, x0, budget=64, eta_eps=1e-3, master_seed=7)
+    assert unseeded.x_bar.tobytes() == seeded.x_bar.tobytes()
+    assert (unseeded.case, unseeded.eta, unseeded.total_queries) == \
+        (seeded.case, seeded.eta, seeded.total_queries)
