@@ -2,8 +2,9 @@
 
 Commands: tune, restart, validate-good-event, boundary-test, sweep. Configs
 come from flags, optionally seeded from a flat INI file (section.key maps to
-the flag of the same name). Exit status is 0 iff no proven-inequality check
-reported a bug.
+the flag of the same name; a key that names none of the command's flags is
+a config error). Exit status is 0 iff no proven-inequality check reported a
+bug.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ CSV_HEADER_COMMENT = "# stepfree-bench csv schema v1"
 JSONL_HEADER = {"schema": "stepfree-bench jsonl v1"}
 CSV_COLUMNS = ["run_id", "seed", "k_final", "T", "eta_o_exponent",
                "total_queries", "gap", "dist_to_opt", "case", "wall_ms"]
-# the commands that write a per-run CSV; the others take no --csv
+# the commands that write a per-run CSV; the others take no --csv or --reps
 CSV_COMMANDS = ("tune", "restart", "sweep")
 
 
@@ -74,9 +75,6 @@ class RunConfig:
     def validate(self):
         if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.csv and self.command not in CSV_COMMANDS:
-            raise ConfigError(f"{self.command} writes no CSV; drop the csv "
-                              "setting")
         if self.command in ("tune", "sweep"):
             if (self.eta_eps is None) == (self.r_eps is None):
                 raise ConfigError("exactly one of eta_eps / r_eps is required")
@@ -342,14 +340,15 @@ _CONVERT = {
 
 def _add_common(p: argparse.ArgumentParser, command: str):
     p.add_argument("--config", help="INI file with [problem]/[run]/[output] sections")
-    for f in fields(ProblemSpec):  # --family ... --reg
-        p.add_argument("--" + f.name.replace("_", "-"),
-                       type=_CONVERT.get(f.type, str), default=None)
+    if command != "boundary-test":  # every other command builds a problem
+        for f in fields(ProblemSpec):  # --family ... --reg
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           type=_CONVERT.get(f.type, str), default=None)
+        p.add_argument("--x0-dist", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--x0-dist", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     if command in CSV_COMMANDS:
+        p.add_argument("--reps", type=int, default=None)
         p.add_argument("--csv", default=None, help="per-run CSV output path")
     p.add_argument("--jsonl", default=None, help="diagnostics JSONL output path")
 
@@ -416,19 +415,25 @@ def _load_ini(path: str) -> dict:
 
 
 def _choices(command: str) -> dict:
-    """{dest: choices} of the command's options that declare choices."""
+    """{dest: choices} of the command's settings, the options but --config;
+    choices is None where the option declares none."""
     (sub,) = (a for a in _parser()._actions
               if isinstance(a, argparse._SubParsersAction))
     return {a.dest: a.choices for a in sub.choices[command]._actions
-            if a.choices}
+            if a.dest not in ("help", "config")}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Each field of ProblemSpec and RunConfig from its flag, else from the
-    INI key of its name in lower case, else from its default. An INI value
-    must be one of the choices the command's flag of that name declares."""
+    INI key of its name in lower case, else from its default. An INI key
+    must name one of the command's flags, and its value must be one of the
+    choices that flag declares."""
     ini = _load_ini(args.config) if getattr(args, "config", None) else {}
     choices = _choices(args.command)
+    unknown = sorted(set(ini) - {dest.lower() for dest in choices})
+    if unknown:
+        raise ConfigError(f"{args.command} takes no setting "
+                          f"{', '.join(unknown)}")
     defaults = {"family": "l1", "dimension": 1}
     if args.command == "validate-good-event":
         defaults["mode"] = "stochastic"
@@ -441,7 +446,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             v = getattr(args, f.name, None)
             if v is None:
                 v = ini.get(f.name.lower(), defaults.get(f.name, f.default))
-                if v not in choices.get(f.name, [v]):
+                if v not in (choices.get(f.name) or [v]):
                     raise ConfigError(
                         f"{f.name} = {v!r} is not one of "
                         f"{', '.join(choices[f.name])} for {args.command}")

@@ -15,8 +15,6 @@ import numpy as np
 Vector = np.ndarray
 Step = Callable[[Vector, int, Vector], None]
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence's output hash
 
 
 class NumericalFailure(RuntimeError):
@@ -34,57 +32,21 @@ def derive_stream(master_seed: int, *parts) -> int:
     Distinct label tuples give statistically independent streams; the result
     is a pure function of its inputs, so runs are reproducible and splittable.
     """
-    # SeedSequence's own entropy words: an int masked to 64 bits gives its
-    # nonzero little-endian 32-bit words (0 gives [0]), a string gives one
-    # word per UTF-8 byte. Handing them over as a uint32 array skips
-    # SeedSequence's per-element coercion and yields the same state.
-    words = []
-    for p in (int(master_seed), *parts):
+    # ints enter SeedSequence masked to 64 bits, strings as their UTF-8 bytes
+    entropy = [int(master_seed) & _MASK64]
+    for p in parts:
         if isinstance(p, str):
-            words.extend(p.encode())
+            entropy.extend(p.encode())
         else:
-            v = int(p) & _MASK64
-            words.append(v & 0xFFFFFFFF)
-            if v >> 32:
-                words.append(v >> 32)
-    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool
-    # SeedSequence.generate_state(4, uint32) on the 4-word pool, in Python
-    # ints (numpy's own call costs more than this loop); word 0 is the most
-    # significant of the id
-    stream, mult = 0, _INIT_B
-    for v in pool.tolist():
-        v ^= mult
-        mult = mult * _MULT_B & 0xFFFFFFFF
-        v = v * mult & 0xFFFFFFFF
-        stream = stream << 32 | v ^ v >> 16
-    return stream
-
-
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """A Philox key posing as a seed sequence.
-
-    Philox seeded from a sequence takes its key from
-    ``generate_state(2, uint64)`` and starts at counter 0, as
-    ``Philox(key=...)`` does. The latter also seeds a ``SeedSequence`` from
-    OS entropy that it never uses, which costs more than the rest of the
-    build.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, key: int):
-        self.words = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a Philox key is two uint64 words")
-        return self.words
+            entropy.append(int(p) & _MASK64)
+    words = np.random.SeedSequence(entropy).generate_state(4, np.uint32)
+    return int.from_bytes(words.astype(">u4").tobytes(), "big")  # word 0 first
 
 
 def stream_rng(stream: int) -> np.random.Generator:
     """Counter-based generator keyed by a 128-bit stream id: the generator of
-    ``Philox(key=stream)``, built from the key alone."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(stream & _MASK128)))
+    ``Philox(key=stream)``, the id masked to 128 bits."""
+    return np.random.Generator(np.random.Philox(key=stream & (2 ** 128 - 1)))
 
 
 @dataclass
@@ -97,14 +59,14 @@ class StochasticOracle:
     validation-grade problems. ``norm_bound_L`` upper-bounds every possible
     sample norm when present.
 
-    ``sampler(stream, T)``, when present, returns the step function
-    ``step(x, i, out)`` of a T-step run keyed by the 128-bit ``stream`` id,
-    which writes the i-th sample at x into the float64 array ``out`` and
-    never writes to ``x``. A random sampler draws the run's noise at once
-    from ``stream_rng(stream)``. It must follow the same law as ``query``
-    bit for bit: ``step(x_i, i, out)`` for i = 0, ..., T-1 writes what T
-    successive ``query(x_i, rng)`` calls return on ``rng =
-    stream_rng(stream)``; :func:`run_step` uses it in place of ``query``.
+    ``sampler(rng, T)``, when present, returns the step function
+    ``step(x, i, out)`` of a T-step run on the run's generator ``rng``
+    (None for a noiseless oracle), which writes the i-th sample at x into
+    the float64 array ``out`` and never writes to ``x``. A random sampler
+    draws the run's noise from ``rng`` at once. It must follow the same law
+    as ``query`` bit for bit: ``step(x_i, i, out)`` for i = 0, ..., T-1
+    writes what T successive ``query(x_i, rng)`` calls return on the same
+    generator; :func:`run_step` uses it in place of ``query``.
     ``noiseless`` declares that samples draw nothing: its runs take
     ``stream=None`` from :meth:`run_stream` and derive no stream id.
     Assigning ``query`` on a built oracle drops the sampler and the
@@ -117,8 +79,8 @@ class StochasticOracle:
     exact_subgradient: Optional[Callable[[Vector], Vector]] = None
     exact_value: Optional[Callable[[Vector], float]] = None
     optimum_info: Optional[tuple] = None  # (x_star, f_star)
-    sampler: Optional[Callable[[Optional[int], int], Step]] = field(
-        default=None, repr=False, compare=False)
+    sampler: Optional[Callable[[Optional[np.random.Generator], int], Step]] \
+        = field(default=None, repr=False, compare=False)
     noiseless: bool = False
 
     def __setattr__(self, name, value):
@@ -296,14 +258,15 @@ class SgdTrace:
 
 def run_step(oracle: StochasticOracle, stream: Optional[int], T: int) -> Step:
     """The step function of a T-step run of ``oracle`` keyed by ``stream``:
-    the oracle's sampler when present, else T successive ``query`` calls on
-    ``stream_rng(stream)``. Only a noiseless oracle takes ``stream=None``."""
+    the oracle's sampler when present, else T successive ``query`` calls,
+    either on the generator ``stream_rng(stream)``, or on None for
+    ``stream=None``, which only a noiseless oracle takes."""
     if stream is None and not oracle.noiseless:
         raise ValueError("only a noiseless oracle runs without a stream id")
-    if oracle.sampler is not None:
-        return oracle.sampler(stream, T)
-    query = oracle.query
     rng = None if stream is None else stream_rng(stream)
+    if oracle.sampler is not None:
+        return oracle.sampler(rng, T)
+    query = oracle.query
 
     def step(x, i, out):
         out[...] = np.asarray(query(x, rng), dtype=float)

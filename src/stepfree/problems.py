@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionDomain, StochasticOracle, sgd_run, stream_rng
+from .core import ProjectionDomain, StochasticOracle, sgd_run
 
 FAMILIES = ("l1", "quadratic", "huber", "sc_quadratic", "logistic")
 
@@ -53,23 +53,23 @@ class ProblemSpec:
 
 
 def _noise_sampler(spec: ProblemSpec, grad_into, sup_grad_norm: float):
-    """Build (tape, sampler, declared_L) applying the spec's noise model to
-    the exact gradient ``grad_into(x, out)``, which writes into ``out``.
+    """Build (tape, declared_L) applying the spec's noise model to the exact
+    gradient ``grad_into(x, out)``, which writes into ``out``.
 
     ``tape(rng, T)`` draws the noise of a T-step run from ``rng`` at once, as
     one row per step that ``combine`` applies to the gradient, and returns
-    its step function ``step(x, i, out)``; a single query is its one-row
-    case, so both give the same samples bit for bit. ``sampler(stream, T)``
-    is the tape on ``stream_rng(stream)`` (see :class:`StochasticOracle`);
-    without noise it draws nothing and takes ``stream=None``. sphere: adds a
-    uniformly random direction of radius sigma; sigma must not exceed the
-    headroom L - sup||grad||, so no clipping ever occurs and the sample
-    stays exactly unbiased. signflip: flips the gradient's sign with
-    probability p and rescales by 1/(1-2p) to stay unbiased.
+    its step function ``step(x, i, out)``; it is the oracle's sampler (see
+    :class:`StochasticOracle`), and a single query is its one-row case, so
+    both give the same samples bit for bit. Without noise it draws nothing
+    and takes ``rng=None``. sphere: adds a uniformly random direction of
+    radius sigma; sigma must not exceed the headroom L - sup||grad||, so no
+    clipping ever occurs and the sample stays exactly unbiased. signflip:
+    flips the gradient's sign with probability p and rescales by 1/(1-2p)
+    to stay unbiased.
     """
     if spec.noise == "none":
         step = lambda x, i, out: grad_into(x, out)  # noqa: E731
-        return (lambda rng, T: step), (lambda stream, T: step), sup_grad_norm
+        return (lambda rng, T: step), sup_grad_norm
     if spec.noise == "sphere":
         sigma = spec.noise_param
         d = spec.dimension
@@ -103,10 +103,7 @@ def _noise_sampler(spec: ProblemSpec, grad_into, sup_grad_norm: float):
             grad_into(x, out)
             combine(out, rows[i], out)
         return step
-
-    def sampler(stream, T):
-        return tape(stream_rng(stream), T)
-    return tape, sampler, L
+    return tape, L
 
 
 def make_problem(spec: ProblemSpec, seed: int):
@@ -137,7 +134,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        tape, sampler, L = _noise_sampler(spec, grad_into, math.sqrt(d))
+        tape, L = _noise_sampler(spec, grad_into, math.sqrt(d))
 
     elif spec.family == "quadratic":
         c = spec.center_scale * rng.standard_normal(d)
@@ -153,7 +150,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.ball(c, spec.radius)
         x_star, f_star = c, 0.0
-        tape, sampler, L = _noise_sampler(spec, grad_into, S * spec.radius)
+        tape, L = _noise_sampler(spec, grad_into, S * spec.radius)
 
     elif spec.family == "huber":
         c = spec.center_scale * rng.standard_normal(d)
@@ -170,7 +167,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.whole_space()
         x_star, f_star = c, 0.0
-        tape, sampler, L = _noise_sampler(spec, grad_into, math.sqrt(d))
+        tape, L = _noise_sampler(spec, grad_into, math.sqrt(d))
 
     elif spec.family == "sc_quadratic":
         # mu-strongly-convex quadratic on the ball of radius L/mu around the
@@ -191,7 +188,7 @@ def make_problem(spec: ProblemSpec, seed: int):
 
         domain = ProjectionDomain.ball(np.zeros(d), radius)
         x_star, f_star = np.zeros(d), 0.0
-        tape, sampler, L = _noise_sampler(spec, grad_into, L)
+        tape, L = _noise_sampler(spec, grad_into, L)
 
     else:  # logistic
         n = spec.n_samples
@@ -235,7 +232,7 @@ def make_problem(spec: ProblemSpec, seed: int):
             raise ValueError("logistic optimum falls outside the domain ball")
         domain = ProjectionDomain.ball(np.zeros(d), spec.radius)
         sup_grad = float(np.linalg.norm(A, axis=1).max()) + reg * spec.radius
-        tape, sampler, L = _noise_sampler(spec, grad_into, sup_grad)
+        tape, L = _noise_sampler(spec, grad_into, sup_grad)
 
     def query(x, rng):
         out = np.empty(d)
@@ -243,7 +240,7 @@ def make_problem(spec: ProblemSpec, seed: int):
         return out
 
     oracle = StochasticOracle(
-        dimension=d, query=query, sampler=sampler, norm_bound_L=L,
+        dimension=d, query=query, sampler=tape, norm_bound_L=L,
         noiseless=spec.noise == "none",
         exact_subgradient=exact_grad, exact_value=value,
         optimum_info=(np.asarray(x_star, dtype=float), float(f_star)))

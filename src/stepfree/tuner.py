@@ -81,8 +81,10 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
     Deterministic mode ignores all inputs and returns (3, 0). The stochastic
     constants are alpha_k = 32^2 * C_k and beta_k = (32 * C_k * L)^2. The
     non-adaptive variant reuses alpha_k but measures gradient mass by L^2 * T.
-    ``delta`` and ``L`` must equal the mode's own.
+    ``delta`` and ``L`` must equal the mode's own, and the budget B is >= 1.
     """
+    if B < 1:
+        raise ValueError(f"budget must be >= 1, got {B}")
     if isinstance(mode, Deterministic):
         return DampingParams(alpha=3.0, beta=0.0)
     if not isinstance(mode, Stochastic):  # NonAdaptive included

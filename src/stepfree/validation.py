@@ -79,6 +79,8 @@ def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
                          damping: DampingParams, n_paths: int,
                          master_seed: int = 0) -> float:
     """Fraction of independent realizations on which the event holds."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     held = 0
     for p in range(n_paths):
         trace = sgd_run(oracle, domain, x0, eta, T,
@@ -94,6 +96,8 @@ def good_event_union_frequency(oracle: StochasticOracle,
                                etas, T: int, damping: DampingParams,
                                n_paths: int, master_seed: int = 0) -> float:
     """Fraction of path indices on which the event holds for every eta."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     etas = list(etas)
     held = 0
     for p in range(n_paths):
@@ -140,6 +144,8 @@ def boundary_crossing_test(kind: str, T: int, delta: float, n_paths: int,
     statistic but not in the variance proxy (predictable X_hat = 0).
     Increments are bounded by 1, so the crossing probability is at most delta.
     """
+    if n_paths < 1 or T < 1:
+        raise ValueError(f"n_paths and T must be >= 1, got {n_paths}, {T}")
     if kind == "zero":
         return 0.0
     ts = np.arange(1, T + 1, dtype=float)

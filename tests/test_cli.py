@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stepfree.cli as cli
+from stepfree import ProblemSpec
 from stepfree.cli import build_parser, fit_loglog_slope, main
 
 
@@ -405,8 +407,23 @@ class TestIniChecks:
         out = tmp_path / "x.csv"
         ini = self.ini(tmp_path, f"[output]\ncsv = {out}\n")
         self.assert_config_error(base + ["--config", ini], tmp_path, capsys,
-                                 f"{base[0]} writes no CSV")
+                                 f"{base[0]} takes no setting csv")
         assert not out.exists()
+
+    @pytest.mark.parametrize("base, text, start", [
+        (TUNE, "[run]\nbudjet = 100\n", "tune takes no setting budjet"),
+        # boundary-test builds no problem, so it takes no problem setting
+        (BOUNDARY, "[problem]\nmu = -1\nfamily = nosuch\n",
+         "boundary-test takes no setting family, mu"),
+        (GOOD_EVENT, "[run]\nreps = 0\n",
+         "validate-good-event takes no setting reps"),
+    ])
+    def test_ini_key_naming_no_flag_is_a_config_error(self, base, text,
+                                                      start, tmp_path,
+                                                      capsys):
+        self.assert_config_error(
+            base + ["--config", self.ini(tmp_path, text)], tmp_path, capsys,
+            start)
 
     @pytest.mark.parametrize("base", [
         TUNE, ["restart", "--family", "sc_quadratic", "--dimension", "2",
@@ -416,3 +433,45 @@ class TestIniChecks:
         ini = self.ini(tmp_path, f"[output]\ncsv = {out}\n")
         assert run_cli(base + ["--config", ini]) == 0
         assert len(read_csv(out)) == 1
+
+
+class TestCommandInputs:
+    PROBLEM_FLAGS = ["--" + f.name.replace("_", "-")
+                     for f in fields(ProblemSpec)]
+
+    @staticmethod
+    def assert_refused(args, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + [flag, "7"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", PROBLEM_FLAGS + ["--reps", "--x0-dist"])
+    def test_boundary_test_refuses_what_it_would_ignore(self, flag, capsys):
+        self.assert_refused(TestIniChecks.BOUNDARY, flag, capsys)
+
+    def test_validate_good_event_refuses_reps(self, capsys):
+        self.assert_refused(TestIniChecks.GOOD_EVENT, "--reps", capsys)
+
+    def test_boundary_test_settings(self):
+        assert set(cli._choices("boundary-test")) == {
+            "seed", "delta", "jsonl", "kind", "T", "n_paths", "mean"}
+
+    @pytest.mark.parametrize("args, message", [
+        (["validate-good-event", "--n-paths", "0"], "n_paths must be >= 1"),
+        (["validate-good-event", "--union-grid", "--eta-eps", "1e-3",
+          "--n-paths", "0"], "n_paths must be >= 1"),
+        (["validate-good-event", "--budget", "0"], "budget must be >= 1"),
+        (["boundary-test", "--n-paths", "0"], "n_paths and T must be >= 1"),
+        (["boundary-test", "--kind", "zero", "--n-paths", "0"],
+         "n_paths and T must be >= 1"),
+        (["boundary-test", "--T", "0"], "n_paths and T must be >= 1"),
+    ])
+    def test_bad_counts_are_one_error_line(self, args, message, tmp_path,
+                                           capsys):
+        out = tmp_path / "out.jsonl"
+        assert run_cli(args + ["--jsonl", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert len(err.splitlines()) == 1
+        assert not out.exists()

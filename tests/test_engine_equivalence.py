@@ -383,7 +383,7 @@ class TestNoiseTapes:
         points = x_star + 2.0 * np.random.default_rng(T).standard_normal(
             (T, 5))
         for stream in (0, 2 ** 127 + 12345):
-            step = oracle.sampler(stream, T)
+            step = oracle.sampler(stream_rng(stream), T)
             rng = stream_rng(stream)
             out = np.empty(5)
             for i, x in enumerate(points):
@@ -403,7 +403,7 @@ class TestNoiseTapes:
         points = x_star + 2.0 * np.random.default_rng(0).standard_normal(
             (16, 5))
         points[0] = -0.0
-        step = oracle.sampler(9, len(points))
+        step = oracle.sampler(stream_rng(9), len(points))
         out = np.empty(5)
         for i, x in enumerate(points):
             before = x.tobytes()

@@ -57,6 +57,14 @@ def test_ab_compare_against_itself(tmp_path):
     assert "units whose outputs differ: 0" in out
 
 
+def test_ab_compare_cli_workload_against_itself(tmp_path):
+    # tune_mix drives the CLI in-process, the path of noisy streams
+    out = run_script("ab_compare.py", ROOT, ROOT, "--workload", "tune_mix",
+                     "--chunks", 2, "--chunk-units", 1, cwd=tmp_path)
+    assert len(re.findall(r"^(old|new) queries_per_s = \d", out, re.M)) == 2
+    assert "units whose outputs differ: 0" in out
+
+
 def test_ab_compare_fails_on_a_moved_output(tmp_path):
     # a copy whose rounds start from a step size smaller by a factor of
     # 1 - 1e-7: the chains take the same decisions, so only the floats of

@@ -40,6 +40,33 @@ def test_stream_rng_is_philox_of_the_key(key):
     equal_states(fast.bit_generator.state, ref.bit_generator.state)
 
 
+# known answers, recorded with numpy 2.4.6: they pin the ids and draws
+# independently of any reference copy of the code under test
+@pytest.mark.parametrize("labels,stream", [
+    ((1, -3), 0x7a6a6ff223b5b3b89e9c891fd5971c3c),
+    ((1, "tune"), 0x775be84ee77e7952acc89ced1fb96a1),
+    ((1, 2 ** 64), 0x6d6791ff672d8ee54eb1072c8ae19ca1),
+    ((42,), 0xcd540ab79f1e2e6d79fb94b6d57873dc),
+    ((7, "restart", 3, -1, 2 ** 64 + 5),
+     0x668b4d7a4f5bfc092fa0f8272c0e1998),
+])
+def test_derive_stream_known_answers(labels, stream):
+    assert stepfree.derive_stream(*labels) == stream
+
+
+@pytest.mark.parametrize("key,uniform,normal", [
+    (0, "c0264720d3a5873f6054ce8515ebce3f",
+     "bdec7238cb63c43f1c839c801363fcbfb017e7856439f53f"),
+    (2 ** 64, "3a347f18ff06ea3f20846933e80ae83f",
+     "15afa24c01cfe7bfc011c058a68a8dbfc5763905302ce03f"),
+    (2 ** 128 - 1, "2e7c9c03b351db3f51f3272dd449e23f",
+     "626d45b84c34e43f14bc03ebe28af2bfeb7da1fa05f3f6bf"),
+])
+def test_stream_rng_known_answers(key, uniform, normal):
+    assert stream_rng(key).random(2).tobytes().hex() == uniform
+    assert stream_rng(key).standard_normal(3).tobytes().hex() == normal
+
+
 def test_stream_rng_masks_to_128_bits():
     assert stream_rng(-1).random(3).tobytes() == \
         stream_rng(2 ** 128 - 1).random(3).tobytes()

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from stepfree import (DampingParams, ProblemSpec, ProjectionDomain,
                       Stochastic, StochasticOracle, check_theorem_bounds,
                       default_x0, make_problem, sgd_run, tune)
-from stepfree.tuner import phi
+from stepfree.tuner import Deterministic, NonAdaptive, damping_for_round, phi
 from stepfree.validation import (binom_upper, boundary_a_t,
                                  boundary_crossing_test, good_event_frequency,
-                                 good_event_margin, has_bug,
+                                 good_event_margin,
+                                 good_event_union_frequency, has_bug,
                                  localization_check, log2_plus, loglog_plus,
                                  stitched_boundary)
 
@@ -145,6 +146,43 @@ class TestBoundaryCrossing:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             boundary_crossing_test("cauchy", 10, 0.1, 10)
+
+
+class TestPathCounts:
+    """Counts that leave nothing to take a frequency over are refused."""
+
+    @staticmethod
+    def problem():
+        spec = ProblemSpec(family="l1", dimension=2)
+        oracle, domain, x_star, _ = make_problem(spec, seed=0)
+        return oracle, domain, default_x0(domain, x_star, 1.0, 0), x_star
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_good_event_frequencies(self, n_paths):
+        oracle, domain, x0, x_star = self.problem()
+        damping = DampingParams(3.0, 0.0)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            good_event_frequency(oracle, domain, x0, x_star, 0.1, 16,
+                                 damping, n_paths)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            good_event_union_frequency(oracle, domain, x0, x_star,
+                                       [0.1, 0.2], 16, damping, n_paths)
+
+    @pytest.mark.parametrize("kind", ["zero", "coin", "bernoulli"])
+    @pytest.mark.parametrize("T,n_paths", [(10, 0), (10, -3), (0, 10),
+                                           (-1, 10)])
+    def test_boundary_crossing(self, kind, T, n_paths):
+        with pytest.raises(ValueError, match="n_paths and T must be >= 1"):
+            boundary_crossing_test(kind, T, 0.1, n_paths)
+
+    @pytest.mark.parametrize("mode", [Deterministic(),
+                                      Stochastic(delta=0.1, L=1.0),
+                                      NonAdaptive(delta=0.1, L=1.0)])
+    @pytest.mark.parametrize("B", [0, -4])
+    def test_damping_budget(self, mode, B):
+        delta, L = getattr(mode, "delta", None), getattr(mode, "L", None)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            damping_for_round(2, B, delta, L, mode)
 
 
 class TestBinomialBounds:
