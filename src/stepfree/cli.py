@@ -123,6 +123,11 @@ class Outputs(contextlib.ExitStack):
             self.jsonl_file.write(json.dumps(diag, sort_keys=True) + "\n")
 
 
+# the largest --round-k of validate-good-event --union-grid: its grid of
+# 2^k + 1 step sizes is 2^k + 1 runs per path (513 at k = 9), and at k = 10
+# its top step, eta_eps * 2.0 ** 1024, overflows
+MAX_UNION_ROUND_K = 9
+
 # cases of runs that end with a reason instead of a result
 FAILED_CASES = ("numerical_failure", "zero_first_gradient")
 
@@ -236,6 +241,9 @@ def cmd_restart(cfg: RunConfig) -> int:
 
 
 def cmd_validate_good_event(cfg: RunConfig) -> int:
+    if cfg.union_grid and cfg.round_k > MAX_UNION_ROUND_K:
+        raise ConfigError(f"--union-grid takes --round-k <= "
+                          f"{MAX_UNION_ROUND_K}, got {cfg.round_k}")
     oracle, domain, x_star, _ = make_problem(cfg.problem, cfg.seed)
     x0 = default_x0(domain, x_star, cfg.x0_dist, cfg.seed)
     L = oracle.norm_bound_L

@@ -56,7 +56,9 @@ class StochasticOracle:
     ``query(x, rng)`` returns one stochastic subgradient sample; its
     conditional expectation at any fixed point must lie in the subdifferential.
     ``exact_subgradient`` is the noiseless side channel, present only on
-    validation-grade problems. ``norm_bound_L`` upper-bounds every possible
+    validation-grade problems. It takes a point, or a (k, d) block of
+    points, and returns the subgradient of each row, bit for bit what k
+    calls on the rows return. ``norm_bound_L`` upper-bounds every possible
     sample norm when present.
 
     ``sampler(rng, T)``, when present, returns the step function
@@ -193,27 +195,6 @@ class ProjectionDomain:
         return bool(np.linalg.norm(self.project(x) - x) <= tol)
 
 
-class _ValueStat:
-    """Field descriptor for ``best_x``, ``best_f`` and ``value_avg`` of an
-    :class:`SgdTrace`: the first access on a trace with a ``replay`` takes all
-    three from the rerun it returns."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, trace, owner=None):
-        if trace is None:
-            return None  # the dataclass default
-        if trace.replay is not None:
-            rerun, trace.replay = trace.replay(), None
-            for name in ("best_x", "best_f", "value_avg"):
-                trace.__dict__[name] = getattr(rerun, name)
-        return trace.__dict__[self.name]
-
-    def __set__(self, trace, value):
-        trace.__dict__[self.name] = value
-
-
 @dataclass
 class SgdTrace:
     """Summary of one realization of a fixed-step projected SGD run.
@@ -225,13 +206,11 @@ class SgdTrace:
     full record); the steps themselves are screened for finiteness once
     each, which :func:`sgd_run` shows is enough. ``x_avg`` averages
     the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f`` (lowest
-    value over x_0, ..., x_T) and ``value_avg`` are set only when the run
-    tracked values. Traces made by the tuner are run without value tracking
-    and carry a ``replay``: their value statistics are computed on first
-    access, by rerunning the same realization with ``oracle.exact_value``.
-    A run is a pure function of (oracle, x0, eta, T, stream), so they equal
-    those of a run that tracked values. ``stream`` is None for the runs of a
-    noiseless oracle, which depend on no stream.
+    value over x_0, ..., x_T) and ``value_avg`` are set only by a run given
+    a ``value_fn``, and are None otherwise. A run is a pure function of
+    (oracle, x0, eta, T, stream), so rerunning a trace's realization with
+    ``value_fn`` gives its value statistics. ``stream`` is None for the runs
+    of a noiseless oracle, which depend on no stream.
     """
 
     eta: float
@@ -245,11 +224,9 @@ class SgdTrace:
     stream: Optional[int]
     xs: Optional[np.ndarray] = None  # (T+1, d) when full record kept
     gs: Optional[np.ndarray] = None  # (T, d)
-    best_x: Optional[Vector] = _ValueStat()
-    best_f: Optional[float] = _ValueStat()
-    value_avg: Optional[float] = _ValueStat()  # mean of f over x_0, ..., x_{T-1}
-    replay: Optional[Callable[[], "SgdTrace"]] = field(
-        default=None, repr=False, compare=False)
+    best_x: Optional[Vector] = None
+    best_f: Optional[float] = None
+    value_avg: Optional[float] = None  # mean of f over x_0, ..., x_{T-1}
 
     @property
     def has_full_record(self) -> bool:

@@ -116,9 +116,16 @@ def make_problem(spec: ProblemSpec, seed: int):
     # takes scalar factors and bounds as (d,) arrays, which numpy combines
     # with less call overhead than scalars, with the same roundings
 
-    def exact_grad(x):  # grad_into, allocating its result
-        out = np.empty(d)
-        grad_into(x, out)
+    def exact_grad(x):
+        # grad_into, allocating its result. A (k, d) block of points gets a
+        # row each: every family's grad_into is elementwise and takes the
+        # block as it is, but logistic's, whose yA.dot(x) takes one point.
+        out = np.empty(np.shape(x))
+        if out.ndim == 2 and spec.family == "logistic":
+            for row, out_row in zip(x, out):
+                grad_into(row, out_row)
+        else:
+            grad_into(x, out)
         return out
 
     if spec.family == "l1":

@@ -43,7 +43,7 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
                  master_seed: int = 0):
     """Run M doubling-budget restart rounds; returns (x_M, per-round results).
 
-    Rounds are strictly sequential; nothing (caches, g0 measurements) carries
+    Rounds are strictly sequential; nothing (traces, g0 measurements) carries
     over between them. Rounds too small for the tuner simply return their
     input point, which is accepted behavior.
     """

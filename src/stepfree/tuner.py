@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -81,8 +80,11 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
     Deterministic mode ignores all inputs and returns (3, 0). The stochastic
     constants are alpha_k = 32^2 * C_k and beta_k = (32 * C_k * L)^2. The
     non-adaptive variant reuses alpha_k but measures gradient mass by L^2 * T.
-    ``delta`` and ``L`` must equal the mode's own, and the budget B is >= 1.
+    ``delta`` and ``L`` must equal the mode's own, the round k is >= 1 and
+    the budget B is >= 1.
     """
+    if k < 1:
+        raise ValueError(f"round k must be >= 1, got {k}")
     if B < 1:
         raise ValueError(f"budget must be >= 1, got {B}")
     if isinstance(mode, Deterministic):
@@ -164,7 +166,6 @@ class BisectionOutcome:
 
     kind: str
     evaluations: list = field(default_factory=list)  # (StepSizeExp, SgdTrace)
-    fresh_queries: int = 0
     midpoint_evals: int = 0
     eta_o: Optional[StepSizeExp] = None
     eta_lo_star: Optional[StepSizeExp] = None
@@ -205,7 +206,6 @@ def verify_output_property(outcome: BisectionOutcome, damping: DampingParams,
 def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
                            x0, eta_lo: StepSizeExp, eta_hi: StepSizeExp,
                            T: int, damping: DampingParams,
-                           cache: Optional[dict] = None,
                            round_k: Optional[int] = None,
                            master_seed: Optional[int] = 0,
                            record_full: bool = False) -> BisectionOutcome:
@@ -213,35 +213,23 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
 
     The exponent gap of the input interval must be a power of two >= 2, so
     every geometric midpoint stays on the dyadic grid. Each candidate is
-    evaluated at most once; traces are cached under (round_k, exponent) and
-    reused at zero query cost. Runs do not track values; when the oracle has
-    ``exact_value``, each trace's value statistics are replayed on first
-    access.
+    run once, on the stream ``(master_seed, "trace", round_k or 0,
+    exponent)``, without value tracking; ``evaluations`` lists the runs in
+    order.
     """
     if eta_lo.base != eta_hi.base:
         raise ValueError("interval endpoints must share a base step size")
     gap = eta_hi.exponent - eta_lo.exponent
     if gap < 2 or (gap & (gap - 1)) != 0:
         raise ValueError("eta_hi / eta_lo must equal 2^(2^k) with k >= 1")
-    if cache is None:
-        cache = {}
 
     outcome = BisectionOutcome(kind="selected")
 
     def evaluate(candidate: StepSizeExp) -> SgdTrace:
-        key = (round_k, candidate.exponent)
-        trace = cache.get(key)
-        if trace is None:
-            stream = oracle.run_stream(master_seed, "trace", round_k or 0,
-                                       candidate.exponent)
-            trace = sgd_run(oracle, domain, x0, candidate.value, T, stream,
-                            record_full=record_full)
-            if oracle.exact_value is not None:
-                trace.replay = partial(sgd_run, oracle, domain, x0,
-                                       candidate.value, T, stream,
-                                       value_fn=oracle.exact_value)
-            cache[key] = trace
-            outcome.fresh_queries += trace.query_count
+        stream = oracle.run_stream(master_seed, "trace", round_k or 0,
+                                   candidate.exponent)
+        trace = sgd_run(oracle, domain, x0, candidate.value, T, stream,
+                        record_full=record_full)
         outcome.evaluations.append((candidate, trace))
         return trace
 
@@ -292,7 +280,7 @@ class TunerResult:
     k_final: int
     total_queries: int
     case: str  # "normal" | "edge_low_step" | "budget_too_small"
-    trace_cache: dict
+    traces: dict  # (k, exponent) -> SgdTrace, every run of every round
     budget: int
     eta_eps: float
     x0: np.ndarray
@@ -300,18 +288,6 @@ class TunerResult:
     mode: Deterministic | Stochastic | NonAdaptive
     final_outcome: Optional[BisectionOutcome] = None
     damping_final: Optional[DampingParams] = None
-
-    @property
-    def best_observed(self) -> Optional[tuple]:
-        """(point, value) with the lowest exact value over every cached run,
-        or None without ``oracle.exact_value`` or when the budget was too
-        small. Replays each cached run that has not computed its values."""
-        if self.case == "budget_too_small":
-            return None
-        best = min((tr for tr in self.trace_cache.values()
-                    if tr.best_f is not None),
-                   key=lambda tr: tr.best_f, default=None)
-        return None if best is None else (best.best_x, best.best_f)
 
     @property
     def z(self) -> np.ndarray:
@@ -382,7 +358,8 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
 
     Doubles the bisection's upper limit (2^(2^k) * eta_eps for k = 2, 4,
     8, ...) until the bisection succeeds, running SGD for T_k = floor(B/(2k))
-    steps per evaluation. The total number of oracle queries never exceeds
+    steps per evaluation, each candidate once; ``traces`` keeps every run
+    under (k, exponent). The total number of oracle queries never exceeds
     the budget; the single pre-tuning measurement of ||g0|| is reported
     separately and not charged against it.
 
@@ -409,7 +386,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
     if r_eps is not None:
         eta_eps = relative_eta_eps(r_eps, g0_norm, budget)
 
-    cache: dict = {}
+    traces: dict = {}
     total_queries = 0
     k = 2
     while k <= budget / 4:
@@ -418,9 +395,11 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         outcome = root_finding_bisection(
             oracle, domain, x0,
             eta_lo=StepSizeExp(eta_eps, 0), eta_hi=StepSizeExp(eta_eps, 2 ** k),
-            T=T_k, damping=damping, cache=cache, round_k=k,
+            T=T_k, damping=damping, round_k=k,
             master_seed=master_seed, record_full=record_full)
-        total_queries += outcome.fresh_queries
+        for candidate, trace in outcome.evaluations:
+            traces[(k, candidate.exponent)] = trace
+            total_queries += trace.query_count
         if outcome.kind != "infeasible":
             case = "normal" if outcome.kind == "selected" else "edge_low_step"
             x_bar, eta = outcome.trace.x_avg.copy(), outcome.eta_o
@@ -434,6 +413,6 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         raise AssertionError("query budget exceeded")  # accounting bug
     return TunerResult(
         x_bar=x_bar, eta=eta, T=T_k, k_final=k, total_queries=total_queries,
-        case=case, trace_cache=cache, budget=budget, eta_eps=eta_eps, x0=x0,
+        case=case, traces=traces, budget=budget, eta_eps=eta_eps, x0=x0,
         g0_norm=g0_norm, mode=mode, final_outcome=outcome,
         damping_final=damping)

@@ -58,8 +58,7 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     x_star = np.asarray(x_star, dtype=float)
     T = trace.T
     xs, gs = trace.xs, trace.gs
-    exact = np.stack([oracle.exact_subgradient(xs[i]) for i in range(T)])
-    deltas = gs - exact
+    deltas = gs - oracle.exact_subgradient(xs[:T])
     inner = np.einsum("ij,ij->i", deltas, xs[:T] - x_star[None, :])
     prefix = np.cumsum(inner)
     dist = np.linalg.norm(xs - x_star[None, :], axis=1)
@@ -143,9 +142,14 @@ def boundary_crossing_test(kind: str, T: int, delta: float, n_paths: int,
     "bernoulli": {0,1} increments with the given mean, centered in the
     statistic but not in the variance proxy (predictable X_hat = 0).
     Increments are bounded by 1, so the crossing probability is at most delta.
+    Needs delta in (0, 1) and mean in [0, 1].
     """
     if n_paths < 1 or T < 1:
         raise ValueError(f"n_paths and T must be >= 1, got {n_paths}, {T}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    if not 0.0 <= mean <= 1.0:
+        raise ValueError(f"mean must be in [0, 1], got {mean!r}")
     if kind == "zero":
         return 0.0
     ts = np.arange(1, T + 1, dtype=float)
@@ -284,7 +288,7 @@ def check_theorem_bounds(result: TunerResult,
             const = (9.0 * alpha - 2.0) / (2.0 * (alpha - 2.0))
         endpoint_ok = False
         if tr_2x is not None:
-            # both endpoint traces of [eta, 2 eta] are cached; their max is a
+            # the final round ran both ends of [eta, 2 eta]; their max is a
             # heuristic surrogate for the unidentified eta' in that interval
             surrogate = const * d0 * max(damping.denominator(tr),
                                          damping.denominator(tr_2x)) / T

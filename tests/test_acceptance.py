@@ -161,7 +161,7 @@ def test_criterion_04_localization():
         result = tune(oracle, domain, x0, budget=96,
                       eta_eps=float(2.0 ** -(4 + seed % 6)),
                       master_seed=seed, record_full=True)
-        for trace in result.trace_cache.values():
+        for trace in result.traces.values():
             n_traces += 1
             if trace.eta <= phi(trace, damping):
                 n_certified += 1
@@ -230,8 +230,10 @@ def _sweep_medians(spec, budgets, eta_eps, reps):
             x0 = default_x0(domain, x_star, 1.0, seed)
             result = tune(oracle, domain, x0, budget=budget, eta_eps=eta_eps,
                           master_seed=seed)
-            trace = result.trace_cache[(result.k_final, result.eta.exponent)]
-            mean_vals.append(trace.value_avg - f_star)
+            trace = result.traces[(result.k_final, result.eta.exponent)]
+            values = sgd_run(oracle, domain, result.x0, trace.eta, trace.T,
+                             trace.stream, value_fn=oracle.exact_value)
+            mean_vals.append(values.value_avg - f_star)
             out_vals.append(oracle.exact_value(result.x_bar) - f_star)
         mean_meds.append(float(np.median(mean_vals)))
         out_meds.append(float(np.median(out_vals)))

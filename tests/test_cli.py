@@ -469,9 +469,45 @@ class TestCommandInputs:
     ])
     def test_bad_counts_are_one_error_line(self, args, message, tmp_path,
                                            capsys):
+        self.assert_one_error_line(args, message, tmp_path, capsys)
+
+    @staticmethod
+    def assert_one_error_line(args, message, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
         assert run_cli(args + ["--jsonl", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message)
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    UNION_GRID = ["validate-good-event", "--union-grid", "--eta-eps", "1e-3"]
+
+    @pytest.mark.parametrize("args, message", [
+        (UNION_GRID + ["--round-k", "-1"], "round k must be >= 1"),
+        (UNION_GRID + ["--round-k", "0"], "round k must be >= 1"),
+        (["validate-good-event", "--round-k", "0"], "round k must be >= 1"),
+        (UNION_GRID + ["--round-k", "11"],
+         f"--union-grid takes --round-k <= {cli.MAX_UNION_ROUND_K}"),
+        (UNION_GRID + ["--round-k", "1000000"], "--union-grid takes"),
+        (["boundary-test", "--delta", "0"], "delta must be in (0, 1)"),
+        (["boundary-test", "--delta", "1"], "delta must be in (0, 1)"),
+        (["boundary-test", "--kind", "bernoulli", "--mean", "2"],
+         "mean must be in [0, 1]"),
+        (["boundary-test", "--kind", "bernoulli", "--mean", "-0.5"],
+         "mean must be in [0, 1]"),
+    ])
+    def test_bad_ranges_are_one_error_line(self, args, message, tmp_path,
+                                           capsys, monkeypatch):
+        def no_run(*_, **__):
+            raise AssertionError("a run started")
+        for name in ("good_event_frequency", "good_event_union_frequency"):
+            monkeypatch.setattr(cli, name, no_run)
+        with np.errstate(all="raise"):  # no numpy warning either
+            self.assert_one_error_line(args, message, tmp_path, capsys)
+
+    def test_largest_union_round_runs(self, tmp_path, capsys):
+        k = cli.MAX_UNION_ROUND_K
+        assert run_cli(self.UNION_GRID + [
+            "--round-k", k, "--budget", 4 * k, "--T", "1", "--n-paths", "1",
+            "--jsonl", tmp_path / "out.jsonl"]) == 0
+        assert "good-event frequency" in capsys.readouterr().out

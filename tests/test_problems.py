@@ -132,6 +132,29 @@ class TestNoiseModels:
         assert worst <= oracle.norm_bound_L
 
 
+class TestExactSubgradientBlock:
+    """A (k, d) block of points gives the per-row subgradients bit for bit."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("k", [1, 2, 33])
+    def test_block_equals_rows(self, family, k):
+        spec = ProblemSpec(family=family, dimension=5, noise="none")
+        oracle, _, x_star, _ = make_problem(spec, seed=2)
+        rng = np.random.default_rng(k)
+        block = x_star + 2.0 * rng.standard_normal((k, 5))
+        block[0, :2] = -0.0
+        block[-1, 3:] = 0.0
+        if k > 2:
+            block[1] = x_star  # every l1 and huber coordinate at its kink
+            block[2] = -0.0
+        rows = np.stack([oracle.exact_subgradient(x) for x in block])
+        got = oracle.exact_subgradient(block)
+        assert got.shape == (k, 5)
+        assert got.tobytes() == rows.tobytes()
+        # a (d,) point still gives a (d,) subgradient
+        assert oracle.exact_subgradient(block[0]).shape == (5,)
+
+
 class TestHelpers:
     def test_default_x0_distance(self):
         spec = ProblemSpec(family="l1", dimension=6)

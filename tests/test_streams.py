@@ -100,7 +100,7 @@ def problem(family, noise, seed=0):
 
 def fresh_runs(result):
     """SGD runs of a tune call, its g0 side query included."""
-    return len(result.trace_cache) + 1
+    return len(result.traces) + 1
 
 
 @pytest.mark.parametrize("family,noise", [
@@ -110,7 +110,7 @@ def test_tune_builds_a_generator_per_noisy_run(generators, family, noise):
     oracle, domain, x0 = problem(family, noise)
     result = tune(oracle, domain, x0, budget=512, eta_eps=1e-3,
                   mode=Stochastic(delta=0.1, L=oracle.norm_bound_L))
-    assert len(result.trace_cache) > 1
+    assert len(result.traces) > 1
     assert len(generators) == (0 if noise == "none" else fresh_runs(result))
 
 
@@ -184,10 +184,10 @@ def test_tune_derives_a_stream_per_noisy_run(derived, family, noise):
     oracle, domain, x0 = problem(family, noise)
     assert oracle.noiseless == (noise == "none")
     result = tune(oracle, domain, x0, budget=512, eta_eps=1e-3)
-    assert len(result.trace_cache) > 1
+    assert len(result.traces) > 1
     if oracle.noiseless:
         assert derived == []
-        assert all(tr.stream is None for tr in result.trace_cache.values())
+        assert all(tr.stream is None for tr in result.traces.values())
     else:
         assert len(derived) == fresh_runs(result)
 
@@ -197,7 +197,7 @@ def test_noiseless_restart_tune_derives_nothing(derived):
     _, records = restart_tune(oracle, domain, x0, M=6, delta=0.1,
                               epsilon=3.0, L=oracle.norm_bound_L)
     assert derived == []
-    traces = [tr for r in records for tr in r.trace_cache.values()]
+    traces = [tr for r in records for tr in r.traces.values()]
     assert len(traces) > 6
     assert all(tr.stream is None for tr in traces)
 
@@ -220,7 +220,7 @@ def test_assigned_query_derives_streams_again(derived):
     assert not oracle.noiseless
     result = tune(oracle, domain, x0, budget=64, eta_eps=1e-3)
     assert len(derived) == fresh_runs(result)
-    assert all(tr.stream is not None for tr in result.trace_cache.values())
+    assert all(tr.stream is not None for tr in result.traces.values())
 
 
 @pytest.mark.parametrize("noise", ["sphere", "signflip"])

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import stepfree.tuner as tuner
 from stepfree import (DampingParams, Deterministic, NonAdaptive,
-                      ProjectionDomain, SgdTrace, StepSizeExp, Stochastic,
-                      StochasticOracle, ZeroFirstGradient, sgd_run, tune)
+                      ProblemSpec, ProjectionDomain, SgdTrace, StepSizeExp,
+                      Stochastic, StochasticOracle, ZeroFirstGradient,
+                      default_x0, make_problem, sgd_run, tune)
 from stepfree.tuner import (damping_for_round, eta_max_diagnostic, phi,
                             relative_eta_eps, root_finding_bisection,
                             round_constant, select_output_z,
@@ -93,6 +94,15 @@ class TestDamping:
     def test_invalid_mode_construction(self, cls, delta, L, message):
         with pytest.raises(ValueError, match=message):
             cls(delta=delta, L=L)
+
+    @pytest.mark.parametrize("mode", [
+        Deterministic(), Stochastic(delta=0.1, L=1.0),
+        NonAdaptive(delta=0.1, L=1.0)])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_round_below_one_rejected(self, mode, k):
+        delta, L = getattr(mode, "delta", None), getattr(mode, "L", None)
+        with pytest.raises(ValueError, match="round k must be >= 1"):
+            damping_for_round(k, 100, delta, L, mode)
 
     def test_modes_only(self):
         for mode in ("deterministic", "stochastic", "nonadaptive"):
@@ -184,19 +194,6 @@ class TestBisection:
         assert out.eta_o.value == 0.5
         assert len(out.evaluations) == 2
 
-    def test_cache_reuse_is_free(self):
-        cache = {}
-        args = dict(eta_lo=StepSizeExp(1 / 16, 0),
-                    eta_hi=StepSizeExp(1 / 16, 4), T=4,
-                    damping=DampingParams(3.0, 0.0), cache=cache, round_k=2)
-        first = root_finding_bisection(abs_oracle(), WHOLE, np.array([1.0]),
-                                       **args)
-        again = root_finding_bisection(abs_oracle(), WHOLE, np.array([1.0]),
-                                       **args)
-        assert first.fresh_queries == 16
-        assert again.fresh_queries == 0
-        assert again.eta_o.value == first.eta_o.value
-
     def test_bad_interval_rejected(self):
         for hi_exp in (1, 3, 6):
             with pytest.raises(ValueError):
@@ -204,6 +201,66 @@ class TestBisection:
                     abs_oracle(), WHOLE, np.array([1.0]),
                     eta_lo=StepSizeExp(0.1, 0), eta_hi=StepSizeExp(0.1, hi_exp),
                     T=4, damping=DampingParams(3.0, 0.0))
+
+
+MEMBERS = [("l1", "none", 0.0), ("l1", "sphere", 0.5),
+           ("quadratic", "sphere", 0.5), ("huber", "signflip", 0.2),
+           ("sc_quadratic", "none", 0.0), ("logistic", "none", 0.0)]
+_members = {}
+
+
+def member_problem(member):
+    if member not in _members:
+        family, noise, param = member
+        spec = ProblemSpec(family=family, dimension=3, noise=noise,
+                           noise_param=param, n_samples=50)
+        _members[member] = make_problem(spec, 0)
+    return _members[member]
+
+
+class TestEachCandidateRunsOnce:
+    """Each round's bisection runs every candidate once, and ``traces`` holds
+    exactly the runs ``tune`` made and charged."""
+
+    @given(member=st.sampled_from(MEMBERS),
+           mode=st.sampled_from(["deterministic", "stochastic",
+                                 "nonadaptive"]),
+           budget=st.integers(1, 600), log2_eta_eps=st.integers(-12, 0),
+           dist=st.sampled_from([0.0, 0.5, 4.0]), seed=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_runs_equal_traces(self, member, mode, budget, log2_eta_eps,
+                               dist, seed):
+        oracle, domain, x_star, _ = member_problem(member)
+        L = oracle.norm_bound_L
+        mode = {"deterministic": Deterministic(),
+                "stochastic": Stochastic(delta=0.1, L=L),
+                "nonadaptive": NonAdaptive(delta=0.1, L=L)}[mode]
+        runs, outcomes = [], []
+        real_run, real_bisect = tuner.sgd_run, tuner.root_finding_bisection
+
+        def counted_run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        def recorded_bisect(*args, **kwargs):
+            outcomes.append(real_bisect(*args, **kwargs))
+            return outcomes[-1]
+        tuner.sgd_run, tuner.root_finding_bisection = (counted_run,
+                                                       recorded_bisect)
+        try:
+            result = tune(oracle, domain, default_x0(domain, x_star, dist, 0),
+                          budget=budget, eta_eps=2.0 ** log2_eta_eps,
+                          mode=mode, master_seed=seed)
+        finally:
+            tuner.sgd_run, tuner.root_finding_bisection = (real_run,
+                                                           real_bisect)
+        for outcome in outcomes:
+            exponents = [c.exponent for c, _ in outcome.evaluations]
+            assert len(set(exponents)) == len(exponents)
+        assert len(runs) == len(result.traces)
+        assert sorted(map(id, runs)) == sorted(map(id, result.traces.values()))
+        assert result.total_queries == sum(
+            tr.T for tr in result.traces.values())
 
 
 class TestTune:
@@ -246,12 +303,6 @@ class TestTune:
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
         assert res.total_queries == 64  # budget accounting excludes it
         assert calls[0] == 64 + 1
-
-    def test_best_observed(self):
-        res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
-                   eta_eps=1 / 16)
-        point, value = res.best_observed
-        assert value == 0.0
 
     @given(shift=st.integers(-2, 2), seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
@@ -447,5 +498,5 @@ class TestOverflowedCandidates:
         res = tune(overflow_oracle(*OVERFLOW_AT_HI), WHOLE, np.zeros(2),
                    budget=48, eta_eps=1e-3)
         assert res.k_final == 4 and res.case == "normal"
-        assert math.isinf(res.trace_cache[(4, 16)].r_bar)
+        assert math.isinf(res.traces[(4, 16)].r_bar)
         assert res.eta.exponent == 7

@@ -147,6 +147,24 @@ class TestBoundaryCrossing:
         with pytest.raises(ValueError):
             boundary_crossing_test("cauchy", 10, 0.1, 10)
 
+    @pytest.mark.parametrize("kind", ["zero", "coin", "bernoulli"])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    def test_delta_outside_unit_interval(self, kind, delta):
+        with pytest.raises(ValueError, match="delta must be in"):
+            boundary_crossing_test(kind, 10, delta, 10)
+
+    @pytest.mark.parametrize("kind", ["zero", "coin", "bernoulli"])
+    @pytest.mark.parametrize("mean", [-0.1, 1.5, 2.0, math.nan])
+    def test_mean_outside_unit_interval(self, kind, mean):
+        with pytest.raises(ValueError, match="mean must be in"):
+            boundary_crossing_test(kind, 10, 0.1, 10, mean=mean)
+
+    @pytest.mark.parametrize("mean", [0.0, 1.0])
+    def test_mean_at_the_ends(self, mean):
+        # constant increments: centred, they never move
+        assert boundary_crossing_test("bernoulli", 50, 0.1, 10,
+                                      mean=mean) == 0.0
+
 
 class TestPathCounts:
     """Counts that leave nothing to take a frequency over are refused."""
