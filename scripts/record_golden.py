@@ -5,11 +5,11 @@ Runs a fixed set of small ``stepfree-bench`` commands (tune on five
 family/noise pairs, tune --r-eps, tune in non-adaptive mode, tune from an INI
 file with a flag overriding it, tune with an invalid delta, a noiseless and a
 noisy restart chain, a 4-budget sweep, validate-good-event with and without
---union-grid and a boundary test) and writes, per command, its CSV (if the
-command writes one), its JSONL and its stdout followed by the exit status and
-any stderr. Wall times are the one field that differs between runs, so the
-CSV's ``wall_ms`` column is masked as ``*``; everything else must match byte
-for byte.
+--union-grid and a boundary test) and writes, per command, its CSV and JSONL
+(those it writes) and its stdout followed by the exit status and any stderr.
+Wall times are the one field that differs between runs, so the CSV's
+``wall_ms`` column is masked as ``*``; everything else must match byte for
+byte.
 
     PYTHONPATH=src python scripts/record_golden.py --out tests/golden
 
@@ -90,7 +90,7 @@ CASES = {
     # the INI file sets reps = 3; the flag overrides it
     "tune_config_override": [
         "tune", "--config", CONFIG, "--reps", "2"],
-    # exits 2 after opening its outputs: delta must lie in (0, 1)
+    # exits 2 before opening any output: delta must lie in (0, 1)
     "tune_invalid_delta": [
         "tune", "--family", "l1", "--dimension", "2", "--mode", "stochastic",
         "--delta", "1.5", "--budget", "64", "--eta-eps", "1e-3", "--seed",
@@ -127,8 +127,8 @@ def mask_wall_ms(text: str) -> str:
 
 
 def run_case(argv: list) -> dict:
-    """{file suffix: text} of one CLI command's outputs; no "csv" entry for
-    a command that writes no CSV."""
+    """{file suffix: text} of one CLI command's outputs; no "csv" or
+    "jsonl" entry for a command that writes no such file."""
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, jsonl_path = Path(tmp, "out.csv"), Path(tmp, "out.jsonl")
         config = Path(tmp, "config.ini")
@@ -141,9 +141,10 @@ def run_case(argv: list) -> dict:
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             status = cli_main(argv)
-        out = {"jsonl": jsonl_path.read_bytes().decode(),
-               "stdout": f"{stdout.getvalue()}exit status {status}\n"
+        out = {"stdout": f"{stdout.getvalue()}exit status {status}\n"
                          f"{stderr.getvalue()}"}
+        if jsonl_path.exists():
+            out["jsonl"] = jsonl_path.read_bytes().decode()
         if csv_path.exists():
             out["csv"] = mask_wall_ms(csv_path.read_bytes().decode())
         return out

@@ -78,6 +78,11 @@ class RunConfig:
         if self.command in ("tune", "sweep"):
             if (self.eta_eps is None) == (self.r_eps is None):
                 raise ConfigError("exactly one of eta_eps / r_eps is required")
+        # checked here, before any output file is opened, where runs read it
+        reads_delta = self.command == "restart" or (
+            self.command in ("tune", "sweep") and self.mode != "deterministic")
+        if reads_delta and not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
         if self.command == "sweep":
             if len(self.budgets) < 4:
                 raise ConfigError("sweep needs at least 4 budget points")
@@ -487,7 +492,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[cfg.command](cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,45 +51,40 @@ def stream_rng(stream: int) -> np.random.Generator:
 
 @dataclass
 class StochasticOracle:
-    """Queryable source of (sub)gradient samples.
+    """Source of (sub)gradient samples, drawn a run at a time.
 
-    ``query(x, rng)`` returns one stochastic subgradient sample; its
-    conditional expectation at any fixed point must lie in the subdifferential.
+    ``sampler(rng, T)`` returns the step function ``step(x, i, out)`` of a
+    T-step run on the run's generator ``rng`` (None for a noiseless
+    oracle), which writes the i-th sample at x into the float64 array
+    ``out`` and never writes to ``x``; the conditional expectation of a
+    sample at any fixed point must lie in the subdifferential. A random
+    sampler may draw the run's noise from ``rng`` at once, but a T-step run
+    must give bit for bit what T one-step runs in turn give on the same
+    generator; :meth:`query` is the one-step case. ``noiseless`` declares
+    that samples draw nothing: its runs take ``stream=None`` from
+    :meth:`run_stream` and derive no stream id.
+
     ``exact_subgradient`` is the noiseless side channel, present only on
     validation-grade problems. It takes a point, or a (k, d) block of
     points, and returns the subgradient of each row, bit for bit what k
     calls on the rows return. ``norm_bound_L`` upper-bounds every possible
     sample norm when present.
-
-    ``sampler(rng, T)``, when present, returns the step function
-    ``step(x, i, out)`` of a T-step run on the run's generator ``rng``
-    (None for a noiseless oracle), which writes the i-th sample at x into
-    the float64 array ``out`` and never writes to ``x``. A random sampler
-    draws the run's noise from ``rng`` at once. It must follow the same law
-    as ``query`` bit for bit: ``step(x_i, i, out)`` for i = 0, ..., T-1
-    writes what T successive ``query(x_i, rng)`` calls return on the same
-    generator; :func:`run_step` uses it in place of ``query``.
-    ``noiseless`` declares that samples draw nothing: its runs take
-    ``stream=None`` from :meth:`run_stream` and derive no stream id.
-    Assigning ``query`` on a built oracle drops the sampler and the
-    declaration, which no longer match it.
     """
 
     dimension: int
-    query: Callable[[Vector, np.random.Generator], Vector]
+    sampler: Callable[[Optional[np.random.Generator], int], Step] \
+        = field(repr=False, compare=False)
     norm_bound_L: Optional[float] = None
     exact_subgradient: Optional[Callable[[Vector], Vector]] = None
     exact_value: Optional[Callable[[Vector], float]] = None
     optimum_info: Optional[tuple] = None  # (x_star, f_star)
-    sampler: Optional[Callable[[Optional[np.random.Generator], int], Step]] \
-        = field(default=None, repr=False, compare=False)
     noiseless: bool = False
 
-    def __setattr__(self, name, value):
-        if name == "query" and "query" in self.__dict__:
-            self.__dict__["sampler"] = None
-            self.__dict__["noiseless"] = False
-        object.__setattr__(self, name, value)
+    def query(self, x: Vector, rng: Optional[np.random.Generator]) -> Vector:
+        """One sample at x on ``rng``: the sampler's one-step case."""
+        out = np.empty(len(x))
+        self.sampler(rng, 1)(x, 0, out)
+        return out
 
     def run_stream(self, master_seed: Optional[int], *parts) -> Optional[int]:
         """The stream id of a run: ``derive_stream(master_seed, *parts)``,
@@ -220,7 +215,6 @@ class SgdTrace:
     r_bar: float
     G: float
     g0_norm: float
-    query_count: int
     stream: Optional[int]
     xs: Optional[np.ndarray] = None  # (T+1, d) when full record kept
     gs: Optional[np.ndarray] = None  # (T, d)
@@ -235,19 +229,11 @@ class SgdTrace:
 
 def run_step(oracle: StochasticOracle, stream: Optional[int], T: int) -> Step:
     """The step function of a T-step run of ``oracle`` keyed by ``stream``:
-    the oracle's sampler when present, else T successive ``query`` calls,
-    either on the generator ``stream_rng(stream)``, or on None for
-    ``stream=None``, which only a noiseless oracle takes."""
+    the oracle's sampler on the generator ``stream_rng(stream)``, or on None
+    for ``stream=None``, which only a noiseless oracle takes."""
     if stream is None and not oracle.noiseless:
         raise ValueError("only a noiseless oracle runs without a stream id")
-    rng = None if stream is None else stream_rng(stream)
-    if oracle.sampler is not None:
-        return oracle.sampler(rng, T)
-    query = oracle.query
-
-    def step(x, i, out):
-        out[...] = np.asarray(query(x, rng), dtype=float)
-    return step
+    return oracle.sampler(None if stream is None else stream_rng(stream), T)
 
 
 def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
@@ -332,7 +318,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg,
         r_bar=math.sqrt(dsq.item(dsq.argmax())), G=G, g0_norm=gsq[0] ** 0.5,
-        query_count=T, stream=stream, xs=xs if record_full else None,
+        stream=stream, xs=xs if record_full else None,
         gs=gs if record_full else None)
     if value_fn is not None:
         fs = [float(value_fn(row)) for row in xs]

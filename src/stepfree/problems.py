@@ -241,13 +241,8 @@ def make_problem(spec: ProblemSpec, seed: int):
         sup_grad = float(np.linalg.norm(A, axis=1).max()) + reg * spec.radius
         tape, L = _noise_sampler(spec, grad_into, sup_grad)
 
-    def query(x, rng):
-        out = np.empty(d)
-        tape(rng, 1)(x, 0, out)
-        return out
-
     oracle = StochasticOracle(
-        dimension=d, query=query, sampler=tape, norm_bound_L=L,
+        dimension=d, sampler=tape, norm_bound_L=L,
         noiseless=spec.noise == "none",
         exact_subgradient=exact_grad, exact_value=value,
         optimum_info=(np.asarray(x_star, dtype=float), float(f_star)))

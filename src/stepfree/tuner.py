@@ -176,8 +176,11 @@ class BisectionOutcome:
     trace_hi_star: Optional[SgdTrace] = None
 
 
-def verify_output_property(outcome: BisectionOutcome, damping: DampingParams,
-                           rtol: float = 1e-9) -> bool:
+OUTPUT_RTOL = 1e-9  # relative tolerance of the sandwich's inequalities
+
+
+def verify_output_property(outcome: BisectionOutcome,
+                           damping: DampingParams) -> bool:
     """Per-realization sandwich on a selected step size.
 
     Checks r_bar(eta_o) / (2 * denom(eta_hi*)) <= eta_o <= r_bar(eta_lo*) /
@@ -192,14 +195,14 @@ def verify_output_property(outcome: BisectionOutcome, damping: DampingParams,
     eta_o = outcome.eta_o.value
     den_o = damping.denominator(tr_o)
     den_hi = damping.denominator(tr_hi)
-    tol = rtol * max(1.0, eta_o)
+    tol = OUTPUT_RTOL * max(1.0, eta_o)
     ok = True
     # lower half of the sandwich: r_bar(eta_o) <= 2 * eta_o * denom(eta_hi*)
-    ok &= tr_o.r_bar <= 2.0 * eta_o * den_hi * (1.0 + rtol) + tol
+    ok &= tr_o.r_bar <= 2.0 * eta_o * den_hi * (1.0 + OUTPUT_RTOL) + tol
     # upper half: eta_o * denom(eta_o) <= r_bar(eta_lo*)
-    ok &= eta_o * den_o <= tr_lo.r_bar * (1.0 + rtol) + tol
-    ok &= tr_o.r_bar <= tr_lo.r_bar * (1.0 + rtol) + tol
-    ok &= den_o <= 2.0 * den_hi * (1.0 + rtol) + tol
+    ok &= eta_o * den_o <= tr_lo.r_bar * (1.0 + OUTPUT_RTOL) + tol
+    ok &= tr_o.r_bar <= tr_lo.r_bar * (1.0 + OUTPUT_RTOL) + tol
+    ok &= den_o <= 2.0 * den_hi * (1.0 + OUTPUT_RTOL) + tol
     return bool(ok)
 
 
@@ -399,7 +402,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
             master_seed=master_seed, record_full=record_full)
         for candidate, trace in outcome.evaluations:
             traces[(k, candidate.exponent)] = trace
-            total_queries += trace.query_count
+            total_queries += trace.T
         if outcome.kind != "infeasible":
             case = "normal" if outcome.kind == "selected" else "edge_low_step"
             x_bar, eta = outcome.trace.x_avg.copy(), outcome.eta_o

@@ -27,8 +27,15 @@ def log2_plus(x: float) -> float:
     return max(2.0, math.log2(x))
 
 
-def loglog_plus(x: float) -> float:
-    return math.log2(log2_plus(x))
+def loglog_plus(x: float, *den: float) -> float:
+    """log2(log2_plus(x / (den[0] * den[1] * ...))). Where that quotient or
+    its denominator leaves the float range while x and every den are
+    positive and finite, log2 of the quotient is taken term by term."""
+    d = math.prod(den)
+    q = x / d if d else math.inf
+    if not 0 < q < math.inf and all(0 < v < math.inf for v in (x, *den)):
+        return math.log2(max(2.0, math.log2(x) - sum(map(math.log2, den))))
+    return math.log2(log2_plus(q))
 
 
 # --------------------------------------------------------------------------
@@ -133,9 +140,11 @@ def stitched_boundary(t: int, delta: float, sum_sq: float) -> float:
     return 4.0 * math.sqrt(a * sum_sq + a * a)
 
 
+BOUNDARY_BLOCK = 500  # paths drawn per batch of the crossing test
+
+
 def boundary_crossing_test(kind: str, T: int, delta: float, n_paths: int,
-                           seed: int = 0, mean: float = 0.3,
-                           block: int = 500) -> float:
+                           seed: int = 0, mean: float = 0.3) -> float:
     """Monte Carlo crossing frequency of the stitched boundary.
 
     kind "zero": all-zero increments; "coin": fair +/-1 increments;
@@ -158,7 +167,7 @@ def boundary_crossing_test(kind: str, T: int, delta: float, n_paths: int,
     crossings = 0
     done = 0
     while done < n_paths:
-        b = min(block, n_paths - done)
+        b = min(BOUNDARY_BLOCK, n_paths - done)
         if kind == "coin":
             x = rng.integers(0, 2, size=(b, T)).astype(float) * 2.0 - 1.0
             s = np.cumsum(x, axis=1)
@@ -187,13 +196,17 @@ def binom_upper(successes: int, n: int, conf: float = 0.99) -> float:
 # localization of certified traces
 # --------------------------------------------------------------------------
 
-def localization_check(trace: SgdTrace, x_star, alpha: float = 3.0):
+LOCALIZATION_ALPHA = 3.0  # the deterministic mode's damping alpha
+
+
+def localization_check(trace: SgdTrace, x_star):
     """Localization of a noiseless trace passing its certificate.
 
-    Returns (applies, ok): applies iff eta <= phi(eta) at (alpha, 0); when it
-    applies, ok asserts dbar <= (alpha+1)/(alpha-1) * d0 and
-    r_bar <= 2*alpha/(alpha-1) * d0.
+    Returns (applies, ok): applies iff eta <= phi(eta) at (alpha, 0) with
+    alpha = LOCALIZATION_ALPHA; when it applies, ok asserts
+    dbar <= (alpha+1)/(alpha-1) * d0 and r_bar <= 2*alpha/(alpha-1) * d0.
     """
+    alpha = LOCALIZATION_ALPHA
     damping = DampingParams(alpha=alpha, beta=0.0)
     applies = passes(trace.eta, trace, damping)
     if not applies:
@@ -253,14 +266,10 @@ def check_theorem_bounds(result: TunerResult,
 
     # 2. T lower bound
     if deterministic:
-        denom = 12.0 * loglog_plus(d0 / (result.eta_eps * result.g0_norm)
-                                   if result.g0_norm > 0 else math.inf)
-        t_bound = max(B / denom, 1.0)
-    else:
-        if L is None:
-            t_bound = 1.0
-        else:
-            t_bound = max(B / (8.0 * loglog_plus(d0 / (result.eta_eps * L))), 1.0)
+        denom = 12.0 * loglog_plus(d0, result.eta_eps, result.g0_norm)
+    else:  # without L the bound is 1
+        denom = B if L is None else 8.0 * loglog_plus(d0, result.eta_eps, L)
+    t_bound = max(B / denom, 1.0)
     check("T_lower_bound", T, t_bound, T + tol >= t_bound)
 
     if result.case == "budget_too_small":

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
+from oracles import query_oracle
 from stepfree import (DampingParams, Deterministic, NonAdaptive, ProblemSpec,
-                      ProjectionDomain, Stochastic, StochasticOracle,
-                      check_theorem_bounds, default_x0, derive_stream,
-                      make_problem, restart_tune, sgd_run, tune)
+                      ProjectionDomain, Stochastic, check_theorem_bounds,
+                      default_x0, derive_stream, make_problem, restart_tune,
+                      sgd_run, tune)
 from stepfree.problems import grid_search_baseline
 from stepfree.tuner import phi, verify_output_property
 from stepfree.validation import (binom_upper, boundary_crossing_test,
@@ -26,10 +27,10 @@ WHOLE = ProjectionDomain.whole_space()
 
 def abs_oracle():
     grad = lambda x: np.sign(x)
-    return StochasticOracle(dimension=1, query=lambda x, rng: grad(x),
-                            norm_bound_L=1.0, exact_subgradient=grad,
-                            exact_value=lambda x: float(np.abs(x).sum()),
-                            optimum_info=(np.zeros(1), 0.0))
+    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+                        norm_bound_L=1.0, exact_subgradient=grad,
+                        exact_value=lambda x: float(np.abs(x).sum()),
+                        optimum_info=(np.zeros(1), 0.0))
 
 
 def random_config(rng):

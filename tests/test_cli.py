@@ -1,12 +1,14 @@
 import csv
 import json
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stepfree.cli as cli
+from oracles import per_sample
 from stepfree import ProblemSpec
 from stepfree.cli import build_parser, fit_loglog_slope, main
 
@@ -147,6 +149,25 @@ class TestConfigValidation:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["tune", "--mode", "stochastic", "--eta-eps", "1e-3"],
+        ["sweep", "--mode", "nonadaptive", "--budgets", "16,32,64,128",
+         "--reps", "20", "--eta-eps", "1e-3"],
+        ["restart"],
+    ])
+    @pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
+    def test_invalid_delta_opens_no_output(self, args, delta, tmp_path,
+                                           capsys):
+        csv_path, jsonl_path = tmp_path / "x.csv", tmp_path / "x.jsonl"
+        assert run_cli(args + ["--delta", delta, "--csv", csv_path,
+                               "--jsonl", jsonl_path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: delta must be in (0, 1), got {float(delta)!r}\n")
+        assert not csv_path.exists() and not jsonl_path.exists()
+
+    def test_deterministic_tune_reads_no_delta(self):
+        assert run_cli(["tune", "--eta-eps", "1e-3", "--delta", "1.5"]) == 0
+
 
 class TestOtherCommands:
     def test_boundary_test(self, tmp_path):
@@ -215,7 +236,8 @@ def blow_up_on(monkeypatch, fails):
     def patched(spec, seed):
         oracle, domain, x_star, f_star = make(spec, seed)
         if fails(seed):
-            oracle.query = lambda x, rng: np.full(len(x), np.nan)
+            oracle = replace(oracle, sampler=per_sample(
+                lambda x, rng: np.full(len(x), np.nan)), noiseless=False)
         return oracle, domain, x_star, f_star
     monkeypatch.setattr(cli, "make_problem", patched)
 
@@ -293,7 +315,8 @@ def zero_gradient_on(monkeypatch, zero):
     def patched(spec, seed):
         oracle, domain, x_star, f_star = make(spec, seed)
         if zero(seed):
-            oracle.query = lambda x, rng: np.zeros(len(x))
+            oracle = replace(oracle, sampler=per_sample(
+                lambda x, rng: np.zeros(len(x))), noiseless=False)
         return oracle, domain, x_star, f_star
     monkeypatch.setattr(cli, "make_problem", patched)
 
@@ -511,3 +534,42 @@ class TestCommandInputs:
             "--round-k", k, "--budget", 4 * k, "--T", "1", "--n-paths", "1",
             "--jsonl", tmp_path / "out.jsonl"]) == 0
         assert "good-event frequency" in capsys.readouterr().out
+
+    def test_numerical_failure_is_one_error_line(self, tmp_path, capsys):
+        # the grid's first step, 1e200 * g, leaves the float range
+        with np.errstate(over="ignore"):
+            self.assert_one_error_line(
+                self.UNION_GRID[:2] + ["--eta-eps", "1e200", "--round-k", "9",
+                                       "--T", "2", "--n-paths", "1"],
+                "non-finite iterate at step 0", tmp_path, capsys)
+
+
+class TestTinyStepSizeBounds:
+    """T lower bounds whose direct quotient d0 / (eta_eps * g) divides by
+    an underflowed zero; their log is taken term by term."""
+
+    @staticmethod
+    def t_bound(args, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert run_cli(["tune", "--family", "sc_quadratic", "--budget", "4096",
+                        "--eta-eps", "1e-300", "--jsonl", out] + args) == 0
+        assert capsys.readouterr().err == ""
+        (diag,) = read_jsonl(out)
+        (line,) = [c for c in diag["checks"]
+                   if c["check_id"] == "T_lower_bound"]
+        assert line["realized"] == 1024 and line["verdict"] == "pass"
+        return line["bound"]
+
+    def test_deterministic(self, tmp_path, capsys):
+        # d0 = ||g0|| = 1e-100: log2(1e-100 / (1e-300 * 1e-100)) ~ 996.6
+        bound = self.t_bound(["--x0-dist", "1e-100"], tmp_path, capsys)
+        assert bound == pytest.approx(
+            4096 / (12 * math.log2(300 * math.log2(10))))
+        assert bound == pytest.approx(34.27, abs=0.01)
+
+    def test_stochastic(self, tmp_path, capsys):
+        # d0 = 1e-110, L = 1e-100: log2(1e-110 / (1e-300 * 1e-100)) ~ 963.4
+        bound = self.t_bound(["--mode", "stochastic", "--L", "1e-100",
+                              "--x0-dist", "1e-110"], tmp_path, capsys)
+        assert bound == pytest.approx(
+            4096 / (8 * math.log2(290 * math.log2(10))))

@@ -3,22 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepfree import (NumericalFailure, ProjectionDomain, StochasticOracle,
-                      derive_stream, sgd_run)
+from oracles import query_oracle
+from stepfree import NumericalFailure, ProjectionDomain, derive_stream, sgd_run
 from stepfree.core import trace_distances
 
 
 def abs_oracle():
     """f(x) = |x| in one dimension; subgradient 0 at the kink."""
     grad = lambda x: np.sign(x)
-    return StochasticOracle(dimension=1, query=lambda x, rng: grad(x),
-                            norm_bound_L=1.0, exact_subgradient=grad,
-                            exact_value=lambda x: float(np.abs(x).sum()),
-                            optimum_info=(np.zeros(1), 0.0))
+    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+                        norm_bound_L=1.0, exact_subgradient=grad,
+                        exact_value=lambda x: float(np.abs(x).sum()),
+                        optimum_info=(np.zeros(1), 0.0))
 
 
 def zero_oracle(d=3):
-    return StochasticOracle(dimension=d, query=lambda x, rng: np.zeros(d))
+    return query_oracle(dimension=d, query=lambda x, rng: np.zeros(d))
 
 
 WHOLE = ProjectionDomain.whole_space()
@@ -50,7 +50,7 @@ class TestSgdRun:
 
     def test_projection_halfline(self):
         # f(x) = x on [0, inf): one step reaches the boundary and stays
-        oracle = StochasticOracle(dimension=1, query=lambda x, rng: np.ones(1))
+        oracle = query_oracle(dimension=1, query=lambda x, rng: np.ones(1))
         dom = ProjectionDomain.box(np.zeros(1), np.full(1, np.inf))
         tr = sgd_run(oracle, dom, np.array([0.5]), 1.0, 2, stream=0,
                      record_full=True)
@@ -60,7 +60,7 @@ class TestSgdRun:
 
     def test_determinism(self):
         spec = dict(x0=np.array([2.0, -1.0]), eta=0.1, T=20, stream=987654321)
-        noisy = StochasticOracle(
+        noisy = query_oracle(
             dimension=2, query=lambda x, rng: x + rng.standard_normal(2))
         a = sgd_run(noisy, WHOLE, **spec)
         b = sgd_run(noisy, WHOLE, **spec)
@@ -77,7 +77,7 @@ class TestSgdRun:
             bad_query.n += 1
             return g
 
-        oracle = StochasticOracle(dimension=1, query=counting)
+        oracle = query_oracle(dimension=1, query=counting)
         with pytest.raises(NumericalFailure) as err:
             sgd_run(oracle, WHOLE, np.zeros(1), 0.1, 10, stream=0)
         assert err.value.step == 3
@@ -99,12 +99,12 @@ class TestTraceInvariants:
         rng = np.random.default_rng(seed)
         d = 3
         c = rng.standard_normal(d)
-        oracle = StochasticOracle(
+        oracle = query_oracle(
             dimension=d,
             query=lambda x, r: np.sign(x - c) + 0.3 * r.standard_normal(d))
         tr = sgd_run(oracle, WHOLE, rng.standard_normal(d), eta, T,
                      stream=seed, record_full=True)
-        assert tr.query_count == T
+        assert len(tr.gs) == T  # one recorded gradient per query
         assert tr.r_bar <= eta * np.sqrt(T * tr.G) + 1e-9
         assert tr.G >= tr.g0_norm ** 2 - 1e-12
         if tr.r_bar > 0:
@@ -123,8 +123,8 @@ class TestTraceInvariants:
         d, T, eta = 4, 20, 0.2
         c = rng.standard_normal(d)
         grad = lambda x: x - c
-        oracle = StochasticOracle(dimension=d, query=lambda x, r: grad(x),
-                                  exact_subgradient=grad)
+        oracle = query_oracle(dimension=d, query=lambda x, r: grad(x),
+                              exact_subgradient=grad)
         tr = sgd_run(oracle, WHOLE, rng.standard_normal(d) * 2, eta, T,
                      stream=seed, record_full=True)
         d0, d_bar, series = trace_distances(tr, c)
@@ -148,8 +148,8 @@ class TestTraceInvariants:
         c = rng.standard_normal(d)
         grad = lambda x: np.sign(x - c)
         val = lambda x: float(np.abs(x - c).sum())
-        oracle = StochasticOracle(dimension=d, query=lambda x, r: grad(x),
-                                  exact_subgradient=grad, exact_value=val)
+        oracle = query_oracle(dimension=d, query=lambda x, r: grad(x),
+                              exact_subgradient=grad, exact_value=val)
         tr = sgd_run(oracle, WHOLE, rng.standard_normal(d), eta, T,
                      stream=seed, value_fn=val, record_full=True)
         d0 = float(np.linalg.norm(tr.x0 - c))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepfree
+from oracles import per_sample, query_oracle
 from stepfree import (NumericalFailure, ProblemSpec, ProjectionDomain,
-                      SgdTrace, StochasticOracle, default_x0, derive_stream,
-                      make_problem, sgd_run, stream_rng, tune)
+                      SgdTrace, default_x0, derive_stream, make_problem,
+                      sgd_run, stream_rng, tune)
 from stepfree.tuner import Deterministic, Stochastic
 
 
@@ -77,7 +79,7 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, record_full=False,
 
     return SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_sum / T, r_bar=r_bar, G=G,
-        g0_norm=g0_norm, query_count=T, stream=stream,
+        g0_norm=g0_norm, stream=stream,
         xs=np.array(xs) if record_full else None,
         gs=np.array(gs) if record_full else None,
         best_x=best_x, best_f=(best_f if value_fn is not None else None),
@@ -85,8 +87,8 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, record_full=False,
     )
 
 
-FIELDS = ("eta", "T", "query_count", "stream", "x0", "x_avg", "r_bar", "G",
-          "g0_norm", "xs", "gs", "best_x", "best_f", "value_avg")
+FIELDS = ("eta", "T", "stream", "x0", "x_avg", "r_bar", "G", "g0_norm", "xs",
+          "gs", "best_x", "best_f", "value_avg")
 
 
 def bits(v):
@@ -181,8 +183,7 @@ class TestEngineEquivalence:
                                           tr.T, tr.stream))
 
     def test_no_exact_value_no_stats(self):
-        oracle = StochasticOracle(dimension=1,
-                                  query=lambda x, rng: np.sign(x))
+        oracle = query_oracle(dimension=1, query=lambda x, rng: np.sign(x))
         result = tune(oracle, ProjectionDomain.whole_space(), np.array([1.0]),
                       budget=64, eta_eps=1 / 16)
         assert all(tr.best_f is None and tr.value_avg is None
@@ -199,6 +200,7 @@ def scripted(grads):
         i = query.n
         query.n += 1
         return grads[i] if i < len(grads) else np.ones_like(x)
+    query.n = 0
     return query
 
 
@@ -233,9 +235,7 @@ class TestNumericalFailure:
         value_fn = (lambda x: float(np.abs(x).sum())) if track_values else None
         results = []
         for engine in (reference_sgd_run, sgd_run):
-            oracle = StochasticOracle(dimension=2,
-                                      query=scripted(SCRIPTS[name]))
-            oracle.query.n = 0
+            oracle = query_oracle(dimension=2, query=scripted(SCRIPTS[name]))
             results.append(outcome(engine, oracle, domain, np.zeros(2), 10.0,
                                    4, stream=0, record_full=record_full,
                                    value_fn=value_fn))
@@ -243,9 +243,7 @@ class TestNumericalFailure:
 
     def test_expected_outcomes(self):
         def run(name, kind="whole"):
-            oracle = StochasticOracle(dimension=2,
-                                      query=scripted(SCRIPTS[name]))
-            oracle.query.n = 0
+            oracle = query_oracle(dimension=2, query=scripted(SCRIPTS[name]))
             return outcome(sgd_run, oracle, NUMERIC_DOMAINS[kind],
                            np.zeros(2), 10.0, 4, 0)
 
@@ -273,8 +271,8 @@ def test_bisection_check_survives_optimize_flag():
                               StochasticOracle)
         print("debug", __debug__)
         tuner.verify_output_property = lambda outcome, damping: False
-        oracle = StochasticOracle(dimension=1,
-                                  query=lambda x, rng: np.sign(x))
+        step = lambda x, i, out: np.sign(x, out)
+        oracle = StochasticOracle(dimension=1, sampler=lambda rng, T: step)
         try:
             out = tuner.root_finding_bisection(
                 oracle, ProjectionDomain.whole_space(), np.array([1.0]),
@@ -297,9 +295,8 @@ def test_bisection_check_survives_optimize_flag():
 
 def test_overflowed_G_saturates_at_inf():
     # the square of the first gradient overflows; G stays +inf, not nan
-    oracle = StochasticOracle(dimension=2,
-                              query=scripted(SCRIPTS["square_overflows"]))
-    oracle.query.n = 0
+    oracle = query_oracle(dimension=2,
+                          query=scripted(SCRIPTS["square_overflows"]))
     with np.errstate(over="ignore"):
         trace = sgd_run(oracle, ProjectionDomain.whole_space(), np.zeros(2),
                         10.0, 4, stream=0)
@@ -421,13 +418,12 @@ class TestNoiseTapes:
         args = (oracle, domain, x_star + 3.0, 1e-2, 2048, 11)
         assert outcome(sgd_run, *args) == outcome(reference_sgd_run, *args)
 
-    def test_assigned_query_replaces_the_sampler(self):
+    def test_replaced_sampler_drives_the_run(self):
         spec = ProblemSpec(family="l1", dimension=3, noise="sphere",
                            noise_param=0.5)
         oracle, domain, x_star, _ = make_problem(spec, 0)
-        assert oracle.sampler is not None
-        oracle.query = lambda x, rng: np.full(len(x), 2.0)
-        assert oracle.sampler is None
+        oracle = replace(oracle, sampler=per_sample(
+            lambda x, rng: np.full(len(x), 2.0)))
         trace = sgd_run(oracle, domain, x_star, 0.5, 10, stream=1,
                         record_full=True)
         assert bits(trace.gs) == bits(np.full((10, 3), 2.0))
@@ -557,7 +553,7 @@ QUERY_ONLY = {
 @pytest.mark.parametrize("kind", ["whole", "ball", "box"])
 def test_query_only_oracles_equal_reference(name, kind):
     d, query = QUERY_ONLY[name]
-    oracle = StochasticOracle(dimension=d, query=query)
+    oracle = query_oracle(dimension=d, query=query)
     x_star = np.zeros(d)
     args = (oracle, domain_of(kind, x_star), np.linspace(1.0, -2.0, d), 0.3,
             20, 77)
@@ -587,8 +583,8 @@ def test_zero_centred_ball_projects_as_the_old_formula():
 def test_negative_zero_column_averages_to_positive_zero():
     # the iterates' second coordinate stays -0.0; a sum started from 0.0
     # makes its average +0.0
-    oracle = StochasticOracle(dimension=2,
-                              query=lambda x, rng: np.array([1.0, 0.0]))
+    oracle = query_oracle(dimension=2,
+                          query=lambda x, rng: np.array([1.0, 0.0]))
     args = (oracle, ProjectionDomain.whole_space(), np.array([0.0, -0.0]),
             0.5, 5, 0)
     assert outcome(sgd_run, *args) == outcome(reference_sgd_run, *args)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import query_oracle
 from stepfree import ProblemSpec, default_x0, make_problem, restart_tune
 from stepfree.restarts import RestartPlan
 
@@ -77,15 +78,11 @@ class TestRestartTune:
             restart_tune(oracle, domain, x0, M=3, delta=0.1, epsilon=0.0, L=1.0)
 
     def test_round_index_in_errors(self):
-        class Boom:
-            dimension = 2
-            norm_bound_L = 1.0
-            exact_value = None
-
-            def query(self, x, rng):
-                raise FloatingPointError("synthetic oracle fault")
+        def boom(x, rng):
+            raise FloatingPointError("synthetic oracle fault")
 
         _, domain, x0, _, _ = self.make()
-        with pytest.raises(RuntimeError, match="round 1"):
-            restart_tune(Boom(), domain, x0, M=3, delta=0.1, epsilon=1.0,
-                         L=1.0)
+        with pytest.raises(RuntimeError, match="round 1") as err:
+            restart_tune(query_oracle(dimension=2, query=boom), domain, x0,
+                         M=3, delta=0.1, epsilon=1.0, L=1.0)
+        assert isinstance(err.value.__cause__, FloatingPointError)

@@ -1,14 +1,17 @@
 """Run streams: the key-built Philox generator, the generators a run builds,
 and the g0 side query."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stepfree
-from stepfree import (ProblemSpec, StochasticOracle, default_x0, make_problem,
-                      restart_tune, sgd_run, stream_rng, tune)
+from oracles import per_sample, query_oracle
+from stepfree import (ProblemSpec, default_x0, make_problem, restart_tune,
+                      sgd_run, stream_rng, tune)
 from stepfree.cli import main as cli_main
 from stepfree.tuner import Stochastic, first_gradient_norm
 
@@ -128,8 +131,10 @@ def test_restart_tune_builds_a_generator_per_noisy_run(generators, family,
 
 def test_query_only_oracle_builds_a_generator_per_run(generators):
     oracle, domain, x0 = problem("l1", "none")
-    # assigning query drops the sampler: the run goes through query
-    oracle.query = lambda x, rng: np.sign(x)
+    # a per-sample oracle not declared noiseless: each run, the g0 side
+    # query's included, builds its generator
+    oracle = replace(oracle, sampler=per_sample(lambda x, rng: np.sign(x)),
+                     noiseless=False)
     result = tune(oracle, domain, x0, budget=64, eta_eps=1e-3)
     assert len(generators) == fresh_runs(result)
 
@@ -154,7 +159,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example([3e-170, 4e-170])
 def test_g0_norm_is_linalg_norm(g):
     g = np.array(g)
-    oracle = StochasticOracle(dimension=len(g), query=lambda x, rng: g)
+    oracle = query_oracle(dimension=len(g), query=lambda x, rng: g)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = first_gradient_norm(oracle, np.zeros(len(g)), 0)
         ref = float(np.linalg.norm(g))
@@ -214,24 +219,11 @@ def test_noisy_restart_tune_derives_round_seeds_in_order(derived):
     assert runs == [fresh_runs(r) for r in records[:5]]
 
 
-def test_assigned_query_derives_streams_again(derived):
-    oracle, domain, x0 = problem("l1", "none")
-    oracle.query = lambda x, rng: np.sign(x)
-    assert not oracle.noiseless
-    result = tune(oracle, domain, x0, budget=64, eta_eps=1e-3)
-    assert len(derived) == fresh_runs(result)
-    assert all(tr.stream is not None for tr in result.traces.values())
-
-
 @pytest.mark.parametrize("noise", ["sphere", "signflip"])
 def test_noisy_run_needs_a_stream(noise):
     oracle, domain, x0 = problem("l1", noise)
     with pytest.raises(ValueError, match="stream id"):
         sgd_run(oracle, domain, x0, 0.1, 4, None)
-    query_only = StochasticOracle(dimension=3,
-                                  query=lambda x, rng: rng.standard_normal(3))
-    with pytest.raises(ValueError, match="stream id"):
-        sgd_run(query_only, domain, x0, 0.1, 4, None)
 
 
 def test_noisy_tune_needs_an_integer_master_seed():

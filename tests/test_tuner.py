@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepfree.tuner as tuner
+from oracles import per_sample, query_oracle
 from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       ProblemSpec, ProjectionDomain, SgdTrace, StepSizeExp,
-                      Stochastic, StochasticOracle, ZeroFirstGradient,
-                      default_x0, make_problem, sgd_run, tune)
+                      Stochastic, ZeroFirstGradient, default_x0, make_problem,
+                      sgd_run, tune)
 from stepfree.tuner import (damping_for_round, eta_max_diagnostic, phi,
                             relative_eta_eps, root_finding_bisection,
                             round_constant, select_output_z,
@@ -20,16 +22,16 @@ WHOLE = ProjectionDomain.whole_space()
 
 def abs_oracle():
     grad = lambda x: np.sign(x)
-    return StochasticOracle(dimension=1, query=lambda x, rng: grad(x),
-                            norm_bound_L=1.0, exact_subgradient=grad,
-                            exact_value=lambda x: float(np.abs(x).sum()),
-                            optimum_info=(np.zeros(1), 0.0))
+    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+                        norm_bound_L=1.0, exact_subgradient=grad,
+                        exact_value=lambda x: float(np.abs(x).sum()),
+                        optimum_info=(np.zeros(1), 0.0))
 
 
 def fake_trace(r_bar, G, T=4, eta=0.1):
     return SgdTrace(eta=eta, T=T, x0=np.zeros(1), x_avg=np.zeros(1),
                     r_bar=r_bar, G=G, g0_norm=math.sqrt(G / T) if G else 0.0,
-                    query_count=T, stream=0)
+                    stream=0)
 
 
 class TestPhi:
@@ -293,13 +295,12 @@ class TestTune:
         assert verify_output_property(res.final_outcome, res.damping_final)
 
     def test_g0_not_charged(self):
-        oracle = abs_oracle()
-        query, calls = oracle.query, [0]
+        calls = [0]
 
         def counted(x, rng):
             calls[0] += 1
-            return query(x, rng)
-        oracle.query = counted
+            return np.sign(x)
+        oracle = replace(abs_oracle(), sampler=per_sample(counted))
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
         assert res.total_queries == 64  # budget accounting excludes it
         assert calls[0] == 64 + 1
@@ -311,7 +312,7 @@ class TestTune:
         # selected step size and output exactly (noiseless, same streams)
         s = 2.0 ** shift
         grad = lambda x: np.sign(x)
-        oracle = StochasticOracle(dimension=1, query=lambda x, rng: grad(x))
+        oracle = query_oracle(dimension=1, query=lambda x, rng: grad(x))
         base = tune(oracle, WHOLE, np.array([1.0]), budget=128,
                     eta_eps=1 / 32, master_seed=seed)
         scaled = tune(oracle, WHOLE, np.array([s * 1.0]), budget=128,
@@ -363,7 +364,7 @@ class TestPostProcessing:
         def query(x, rng):
             calls[0] += 1
             return np.zeros(1) if calls[0] == 1 else np.sign(x)
-        oracle = StochasticOracle(dimension=1, query=query)
+        oracle = query_oracle(dimension=1, query=query)
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=4.0)
         assert res.case == "edge_low_step" and res.eta.exponent == 0
         assert res.g0_norm == 0.0
@@ -397,14 +398,13 @@ class TestPostProcessing:
         def query(x, rng):
             calls[0] += 1
             return np.sign(x)
-        oracle = StochasticOracle(dimension=1, query=query)
+        oracle = query_oracle(dimension=1, query=query)
         result = tune(oracle, WHOLE, np.array([1.0]), budget=256, r_eps=0.5)
         assert result.eta_eps == relative_eta_eps(0.5, result.g0_norm, 256)
         assert calls[0] == result.total_queries + 1
 
     def test_relative_mode_zero_first_gradient(self):
-        oracle = StochasticOracle(dimension=1,
-                                  query=lambda x, rng: np.zeros(1))
+        oracle = query_oracle(dimension=1, query=lambda x, rng: np.zeros(1))
         with pytest.raises(ZeroFirstGradient):
             tune(oracle, WHOLE, np.array([1.0]), budget=256, r_eps=0.5)
 
@@ -454,7 +454,7 @@ def overflow_oracle(lo, hi):
         if lo < x[0] < hi:
             return np.array([-1e200, 0.0])
         return np.sign(x - c)
-    return StochasticOracle(dimension=2, query=query)
+    return query_oracle(dimension=2, query=query)
 
 
 # runs of 12 steps from 0: eta = 1e-3 overflows in the first window, every

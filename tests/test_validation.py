@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import query_oracle
 from stepfree import (DampingParams, ProblemSpec, ProjectionDomain,
-                      Stochastic, StochasticOracle, check_theorem_bounds,
-                      default_x0, make_problem, sgd_run, tune)
+                      Stochastic, check_theorem_bounds, default_x0,
+                      make_problem, sgd_run, tune)
 from stepfree.tuner import Deterministic, NonAdaptive, damping_for_round, phi
 from stepfree.validation import (binom_upper, boundary_a_t,
                                  boundary_crossing_test, good_event_frequency,
@@ -29,9 +30,9 @@ def scripted_oracle(gs):
         state["i"] += 1
         return g
 
-    return StochasticOracle(dimension=1, query=query,
-                            exact_subgradient=lambda x: np.sign(x),
-                            exact_value=lambda x: float(np.abs(x).sum()))
+    return query_oracle(dimension=1, query=query,
+                        exact_subgradient=lambda x: np.sign(x),
+                        exact_value=lambda x: float(np.abs(x).sum()))
 
 
 class TestGoodEvent:
@@ -219,13 +220,28 @@ class TestLog2Plus:
         assert loglog_plus(2 ** 16) == 4.0
         assert loglog_plus(1.0) == 1.0  # log2 of the clipped value 2
 
+    def test_quotient_in_range_is_direct(self):
+        for num, a, b in [(3.0, 0.5, 0.25), (1e-3, 1e-3, 2.0), (0.0, 1.0, 1.0),
+                          (1.0, 1.0, 0.0), (1.0, 1e-300, math.inf),
+                          (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0)]:
+            q = num / (a * b) if a * b else math.inf
+            assert loglog_plus(num, a, b) == loglog_plus(q)
+
+    def test_quotient_outside_the_float_range(self):
+        # a * b underflows to 0, and the quotient to 0 or inf
+        assert loglog_plus(1e-100, 1e-300, 1e-100) == \
+            pytest.approx(math.log2(300 * math.log2(10)))
+        assert loglog_plus(1e300, 1e-300, 1e-300) == \
+            pytest.approx(math.log2(900 * math.log2(10)))
+        assert loglog_plus(1e-300, 1e300, 1e10) == 1.0
+
 
 def abs_oracle():
     grad = lambda x: np.sign(x)
-    return StochasticOracle(dimension=1, query=lambda x, rng: grad(x),
-                            norm_bound_L=1.0, exact_subgradient=grad,
-                            exact_value=lambda x: float(np.abs(x).sum()),
-                            optimum_info=(np.zeros(1), 0.0))
+    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+                        norm_bound_L=1.0, exact_subgradient=grad,
+                        exact_value=lambda x: float(np.abs(x).sum()),
+                        optimum_info=(np.zeros(1), 0.0))
 
 
 class TestLocalization:
