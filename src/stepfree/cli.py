@@ -491,7 +491,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[cfg.command](cfg)
+        # the engine reports every non-finite value as a per-run outcome,
+        # so numpy's overflow and invalid-value warnings are noise here
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[cfg.command](cfg)
     except (ValueError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,7 +71,6 @@ class StochasticOracle:
     sample norm when present.
     """
 
-    dimension: int
     sampler: Callable[[Optional[np.random.Generator], int], Step] \
         = field(repr=False, compare=False)
     norm_bound_L: Optional[float] = None
@@ -152,12 +151,10 @@ class ProjectionDomain:
                                 upper=np.asarray(upper, dtype=float))
 
     def project(self, x: Vector) -> Vector:
-        return self.screened(x)[0]
-
-    def screened(self, x: Vector) -> tuple[Vector, bool]:
-        """(projection of x, whether x passed :meth:`project_in_place`)."""
+        """The projection of x, as a new float array."""
         x = np.array(x, dtype=float)
-        return x, self.project_in_place(x)
+        self.project_in_place(x)
+        return x
 
     def project_in_place(self, x: Vector) -> bool:
         """Overwrite x with its projection; return whether x passed the
@@ -192,20 +189,20 @@ class ProjectionDomain:
 
 @dataclass
 class SgdTrace:
-    """Summary of one realization of a fixed-step projected SGD run.
+    """One realization of a fixed-step projected SGD run: its record and
+    the summaries read off it.
 
-    ``r_bar`` is max_{i<=T} ||x0 - x_i|| and ``G`` is the running sum of
-    squared gradient norms over the T queried gradients, +inf once a square
-    or the sum overflows. ``G`` and ``g0_norm`` are read off the run's
-    (T, d) gradient record after its last step (kept as ``gs`` only in a
-    full record); the steps themselves are screened for finiteness once
-    each, which :func:`sgd_run` shows is enough. ``x_avg`` averages
-    the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f`` (lowest
-    value over x_0, ..., x_T) and ``value_avg`` are set only by a run given
-    a ``value_fn``, and are None otherwise. A run is a pure function of
-    (oracle, x0, eta, T, stream), so rerunning a trace's realization with
-    ``value_fn`` gives its value statistics. ``stream`` is None for the runs
-    of a noiseless oracle, which depend on no stream.
+    ``xs`` is the (T+1, d) iterate record x_0, ..., x_T and ``gs`` the (T, d)
+    record of the T queried gradients. ``r_bar`` is max_{i<=T} ||x0 - x_i||
+    and ``G`` is the running sum of squared gradient norms over ``gs``, +inf
+    once a square or the sum overflows; ``G`` and ``g0_norm`` are read off
+    ``gs`` after the run's last step. The steps themselves are screened for
+    finiteness once each, which :func:`sgd_run` shows is enough. ``x_avg``
+    averages the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f``
+    (lowest value over x_0, ..., x_T) and ``value_avg`` are set only by a
+    run given a ``value_fn``, and are None otherwise; any value statistic
+    can also be read off ``xs``. ``stream`` is None for the runs of a
+    noiseless oracle, which depend on no stream.
     """
 
     eta: float
@@ -216,15 +213,11 @@ class SgdTrace:
     G: float
     g0_norm: float
     stream: Optional[int]
-    xs: Optional[np.ndarray] = None  # (T+1, d) when full record kept
-    gs: Optional[np.ndarray] = None  # (T, d)
+    xs: np.ndarray  # (T+1, d)
+    gs: np.ndarray  # (T, d)
     best_x: Optional[Vector] = None
     best_f: Optional[float] = None
     value_avg: Optional[float] = None  # mean of f over x_0, ..., x_{T-1}
-
-    @property
-    def has_full_record(self) -> bool:
-        return self.xs is not None
 
 
 def run_step(oracle: StochasticOracle, stream: Optional[int], T: int) -> Step:
@@ -237,7 +230,7 @@ def run_step(oracle: StochasticOracle, stream: Optional[int], T: int) -> Step:
 
 
 def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
-            T: int, stream: Optional[int], record_full: bool = False,
+            T: int, stream: Optional[int],
             value_fn: Optional[Callable[[Vector], float]] = None) -> SgdTrace:
     """Run projected SGD for exactly T steps with a fixed step size.
 
@@ -257,8 +250,8 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     statistics are read off the iterate record after the loop. The gradient
     record is the first T rows of a (2T, d) buffer whose last T rows then
     take the displacements x_i - x_0, so one matmul gives the squares that
-    ``G``, ``g0_norm`` and ``r_bar`` are made of. A full record's ``gs`` is
-    a view of those first T rows, not a copy: the gradients as the steps
+    ``G``, ``g0_norm`` and ``r_bar`` are made of. The trace's ``gs`` is a
+    view of those first T rows, not a copy: the gradients as the steps
     wrote them.
     """
     if T < 1:
@@ -318,8 +311,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg,
         r_bar=math.sqrt(dsq.item(dsq.argmax())), G=G, g0_norm=gsq[0] ** 0.5,
-        stream=stream, xs=xs if record_full else None,
-        gs=gs if record_full else None)
+        stream=stream, xs=xs, gs=gs)
     if value_fn is not None:
         fs = [float(value_fn(row)) for row in xs]
         best = 0
@@ -334,13 +326,11 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
 
 
 def trace_distances(trace: SgdTrace, x_star) -> tuple[float, float, np.ndarray]:
-    """Distances to the optimum along a fully recorded run.
+    """Distances to the optimum along a run's iterate record.
 
     Returns (d0, d_bar, series) where series[t] = ||x_t - x_star|| for
     t = 0..T and d_bar is the running maximum over the whole record.
     """
-    if not trace.has_full_record:
-        raise ValueError("trace_distances requires a full record")
     x_star = np.asarray(x_star, dtype=float)
     series = np.linalg.norm(trace.xs - x_star[None, :], axis=1)
     return float(series[0]), float(series.max()), series

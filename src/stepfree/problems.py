@@ -242,8 +242,7 @@ def make_problem(spec: ProblemSpec, seed: int):
         tape, L = _noise_sampler(spec, grad_into, sup_grad)
 
     oracle = StochasticOracle(
-        dimension=d, sampler=tape, norm_bound_L=L,
-        noiseless=spec.noise == "none",
+        sampler=tape, norm_bound_L=L, noiseless=spec.noise == "none",
         exact_subgradient=exact_grad, exact_value=value,
         optimum_info=(np.asarray(x_star, dtype=float), float(f_star)))
     return oracle, domain, np.asarray(x_star, dtype=float), float(f_star)

@@ -51,8 +51,9 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
         raise ValueError("M must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    if epsilon <= 0 or L <= 0:
-        raise ValueError("epsilon and L must be positive")
+    if not (epsilon > 0 and L > 0):  # nan fails too
+        raise ValueError(f"epsilon and L must be positive, got {epsilon!r} "
+                         f"and {L!r}")
     plan = RestartPlan(M=M, epsilon=epsilon, delta=delta, L=L)
     x = domain.project(np.asarray(x0, dtype=float))
     records: list[TunerResult] = []

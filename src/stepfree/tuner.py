@@ -37,7 +37,7 @@ class Stochastic:
     def __post_init__(self):
         if self.delta is None or not (0.0 < self.delta < 1.0):
             raise ValueError("stochastic modes need delta in (0, 1)")
-        if self.L is None or self.L <= 0:
+        if self.L is None or not self.L > 0:  # nan fails too
             raise ValueError("stochastic modes need a gradient norm bound L > 0")
 
 
@@ -210,8 +210,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
                            x0, eta_lo: StepSizeExp, eta_hi: StepSizeExp,
                            T: int, damping: DampingParams,
                            round_k: Optional[int] = None,
-                           master_seed: Optional[int] = 0,
-                           record_full: bool = False) -> BisectionOutcome:
+                           master_seed: Optional[int] = 0) -> BisectionOutcome:
     """Log-scale bisection for a step size with a sign change of phi(eta) - eta.
 
     The exponent gap of the input interval must be a power of two >= 2, so
@@ -231,8 +230,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
     def evaluate(candidate: StepSizeExp) -> SgdTrace:
         stream = oracle.run_stream(master_seed, "trace", round_k or 0,
                                    candidate.exponent)
-        trace = sgd_run(oracle, domain, x0, candidate.value, T, stream,
-                        record_full=record_full)
+        trace = sgd_run(oracle, domain, x0, candidate.value, T, stream)
         outcome.evaluations.append((candidate, trace))
         return trace
 
@@ -355,7 +353,7 @@ def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> flo
 
 def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
          eta_eps: Optional[float] = None, mode=Deterministic(),
-         master_seed: Optional[int] = 0, record_full: bool = False,
+         master_seed: Optional[int] = 0,
          r_eps: Optional[float] = None) -> TunerResult:
     """Budgeted parameter-free step-size tuning.
 
@@ -377,8 +375,10 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         raise ValueError("budget must be >= 1")
     if (eta_eps is None) == (r_eps is None):
         raise ValueError("exactly one of eta_eps / r_eps is required")
-    if eta_eps is not None and eta_eps <= 0:
-        raise ValueError("eta_eps must be positive")
+    # written "not > 0" so that nan fails too
+    for name, value in (("eta_eps", eta_eps), ("r_eps", r_eps)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     if not isinstance(mode, (Deterministic, Stochastic)):
         raise ValueError(f"unknown mode {mode!r}")
     delta = getattr(mode, "delta", None)
@@ -398,8 +398,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         outcome = root_finding_bisection(
             oracle, domain, x0,
             eta_lo=StepSizeExp(eta_eps, 0), eta_hi=StepSizeExp(eta_eps, 2 ** k),
-            T=T_k, damping=damping, round_k=k,
-            master_seed=master_seed, record_full=record_full)
+            T=T_k, damping=damping, round_k=k, master_seed=master_seed)
         for candidate, trace in outcome.evaluations:
             traces[(k, candidate.exponent)] = trace
             total_queries += trace.T

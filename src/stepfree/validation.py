@@ -51,15 +51,13 @@ class GoodEventReport:
 
 def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
                       damping: DampingParams) -> GoodEventReport:
-    """Prefix margins of the noise event for one fully recorded run.
+    """Prefix margins of the noise event along one run's record.
 
     margin_t = sum_{i<t} <Delta_i, x_i - x_star>
              + (1/4) max{dbar_t, eta*sqrt(beta)} * sqrt(alpha*G_t + beta),
     with Delta_i the gradient oracle error. The event holds iff every prefix
     margin is nonnegative; in noiseless runs the first term vanishes.
     """
-    if not trace.has_full_record:
-        raise ValueError("good_event_margin requires a full record")
     if oracle.exact_subgradient is None:
         raise ValueError("good_event_margin requires the exact-gradient side channel")
     x_star = np.asarray(x_star, dtype=float)
@@ -90,8 +88,7 @@ def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
     held = 0
     for p in range(n_paths):
         trace = sgd_run(oracle, domain, x0, eta, T,
-                        oracle.run_stream(master_seed, "goodevent", p),
-                        record_full=True)
+                        oracle.run_stream(master_seed, "goodevent", p))
         if good_event_margin(trace, oracle, x_star, damping).held:
             held += 1
     return held / n_paths
@@ -110,8 +107,7 @@ def good_event_union_frequency(oracle: StochasticOracle,
         ok = True
         for j, eta in enumerate(etas):
             trace = sgd_run(oracle, domain, x0, eta, T,
-                            oracle.run_stream(master_seed, "goodevent", j, p),
-                            record_full=True)
+                            oracle.run_stream(master_seed, "goodevent", j, p))
             if not good_event_margin(trace, oracle, x_star, damping).held:
                 ok = False
                 break
@@ -281,8 +277,8 @@ def check_theorem_bounds(result: TunerResult,
     alpha = damping.alpha
     e = result.eta.exponent
     # the final round's runs at eta and at 2 eta (if it made one)
-    traces = {c.exponent: t for c, t in result.final_outcome.evaluations}
-    tr, tr_2x = traces[e], traces.get(e + 1)
+    tr = result.traces[(result.k_final, e)]
+    tr_2x = result.traces.get((result.k_final, e + 1))
 
     if result.case == "normal":
         # localization

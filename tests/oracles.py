@@ -20,9 +20,8 @@ def per_sample(query):
     return sampler
 
 
-def query_oracle(dimension, query, **fields):
+def query_oracle(query, **fields):
     """The oracle whose samples are ``query(x, rng)``, with the other
     fields given; unless ``noiseless=True`` is among them, its runs need a
     stream id."""
-    return StochasticOracle(dimension=dimension, sampler=per_sample(query),
-                            **fields)
+    return StochasticOracle(sampler=per_sample(query), **fields)

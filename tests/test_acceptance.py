@@ -27,7 +27,7 @@ WHOLE = ProjectionDomain.whole_space()
 
 def abs_oracle():
     grad = lambda x: np.sign(x)
-    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+    return query_oracle(query=lambda x, rng: grad(x),
                         norm_bound_L=1.0, exact_subgradient=grad,
                         exact_value=lambda x: float(np.abs(x).sum()),
                         optimum_info=(np.zeros(1), 0.0))
@@ -161,7 +161,7 @@ def test_criterion_04_localization():
         x0 = default_x0(domain, x_star, float(2.0 ** (seed % 5 - 2)), seed)
         result = tune(oracle, domain, x0, budget=96,
                       eta_eps=float(2.0 ** -(4 + seed % 6)),
-                      master_seed=seed, record_full=True)
+                      master_seed=seed)
         for trace in result.traces.values():
             n_traces += 1
             if trace.eta <= phi(trace, damping):

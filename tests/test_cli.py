@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -535,13 +536,35 @@ class TestCommandInputs:
             "--jsonl", tmp_path / "out.jsonl"]) == 0
         assert "good-event frequency" in capsys.readouterr().out
 
+    # the grid's first step, 1e200 * g, leaves the float range
+    OVERFLOWING_GRID = UNION_GRID[:2] + ["--eta-eps", "1e200", "--round-k",
+                                         "9", "--T", "2", "--n-paths", "1"]
+
     def test_numerical_failure_is_one_error_line(self, tmp_path, capsys):
-        # the grid's first step, 1e200 * g, leaves the float range
-        with np.errstate(over="ignore"):
-            self.assert_one_error_line(
-                self.UNION_GRID[:2] + ["--eta-eps", "1e200", "--round-k", "9",
-                                       "--T", "2", "--n-paths", "1"],
-                "non-finite iterate at step 0", tmp_path, capsys)
+        self.assert_one_error_line(self.OVERFLOWING_GRID,
+                                   "non-finite iterate at step 0", tmp_path,
+                                   capsys)
+
+    @pytest.mark.parametrize("args, code", [
+        (OVERFLOWING_GRID, 2),
+        (["validate-good-event", "--eta", "1e308", "--T", "64",
+          "--n-paths", "2"], 0)])
+    def test_overflow_raises_no_numpy_warning(self, args, code, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args) == code
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, setting", [
+        (["tune", "--eta-eps", "nan"], "eta_eps"),
+        (["tune", "--r-eps", "nan"], "r_eps"),
+        (["restart", "--family", "sc_quadratic", "--epsilon", "nan"],
+         "epsilon")])
+    def test_nan_step_size_is_one_error_line(self, args, setting, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + setting)
+        assert len(err.splitlines()) == 1
 
 
 class TestTinyStepSizeBounds:

@@ -11,14 +11,14 @@ from stepfree.core import trace_distances
 def abs_oracle():
     """f(x) = |x| in one dimension; subgradient 0 at the kink."""
     grad = lambda x: np.sign(x)
-    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+    return query_oracle(query=lambda x, rng: grad(x),
                         norm_bound_L=1.0, exact_subgradient=grad,
                         exact_value=lambda x: float(np.abs(x).sum()),
                         optimum_info=(np.zeros(1), 0.0))
 
 
 def zero_oracle(d=3):
-    return query_oracle(dimension=d, query=lambda x, rng: np.zeros(d))
+    return query_oracle(query=lambda x, rng: np.zeros(d))
 
 
 WHOLE = ProjectionDomain.whole_space()
@@ -33,16 +33,14 @@ class TestSgdRun:
         assert np.array_equal(tr.x_avg, x0)
 
     def test_abs_quarter_step(self):
-        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 0.25, 4, stream=0,
-                     record_full=True)
+        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 0.25, 4, stream=0)
         assert np.array_equal(tr.xs.ravel(), [1.0, 0.75, 0.5, 0.25, 0.0])
         assert tr.G == 4.0
         assert tr.r_bar == 1.0
         assert tr.x_avg[0] == 0.625
 
     def test_abs_oscillating(self):
-        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 2.0, 4, stream=0,
-                     record_full=True)
+        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 2.0, 4, stream=0)
         assert np.array_equal(tr.xs.ravel(), [1.0, -1.0, 1.0, -1.0, 1.0])
         assert tr.G == 4.0
         assert tr.r_bar == 2.0
@@ -50,18 +48,16 @@ class TestSgdRun:
 
     def test_projection_halfline(self):
         # f(x) = x on [0, inf): one step reaches the boundary and stays
-        oracle = query_oracle(dimension=1, query=lambda x, rng: np.ones(1))
+        oracle = query_oracle(query=lambda x, rng: np.ones(1))
         dom = ProjectionDomain.box(np.zeros(1), np.full(1, np.inf))
-        tr = sgd_run(oracle, dom, np.array([0.5]), 1.0, 2, stream=0,
-                     record_full=True)
+        tr = sgd_run(oracle, dom, np.array([0.5]), 1.0, 2, stream=0)
         assert np.array_equal(tr.xs.ravel(), [0.5, 0.0, 0.0])
         assert tr.G == 2.0
         assert tr.r_bar == 0.5
 
     def test_determinism(self):
         spec = dict(x0=np.array([2.0, -1.0]), eta=0.1, T=20, stream=987654321)
-        noisy = query_oracle(
-            dimension=2, query=lambda x, rng: x + rng.standard_normal(2))
+        noisy = query_oracle(query=lambda x, rng: x + rng.standard_normal(2))
         a = sgd_run(noisy, WHOLE, **spec)
         b = sgd_run(noisy, WHOLE, **spec)
         assert a.G == b.G and a.r_bar == b.r_bar
@@ -77,7 +73,7 @@ class TestSgdRun:
             bad_query.n += 1
             return g
 
-        oracle = query_oracle(dimension=1, query=counting)
+        oracle = query_oracle(query=counting)
         with pytest.raises(NumericalFailure) as err:
             sgd_run(oracle, WHOLE, np.zeros(1), 0.1, 10, stream=0)
         assert err.value.step == 3
@@ -100,10 +96,9 @@ class TestTraceInvariants:
         d = 3
         c = rng.standard_normal(d)
         oracle = query_oracle(
-            dimension=d,
             query=lambda x, r: np.sign(x - c) + 0.3 * r.standard_normal(d))
         tr = sgd_run(oracle, WHOLE, rng.standard_normal(d), eta, T,
-                     stream=seed, record_full=True)
+                     stream=seed)
         assert len(tr.gs) == T  # one recorded gradient per query
         assert tr.r_bar <= eta * np.sqrt(T * tr.G) + 1e-9
         assert tr.G >= tr.g0_norm ** 2 - 1e-12
@@ -123,10 +118,10 @@ class TestTraceInvariants:
         d, T, eta = 4, 20, 0.2
         c = rng.standard_normal(d)
         grad = lambda x: x - c
-        oracle = query_oracle(dimension=d, query=lambda x, r: grad(x),
+        oracle = query_oracle(query=lambda x, r: grad(x),
                               exact_subgradient=grad)
         tr = sgd_run(oracle, WHOLE, rng.standard_normal(d) * 2, eta, T,
-                     stream=seed, record_full=True)
+                     stream=seed)
         d0, d_bar, series = trace_distances(tr, c)
         for i in range(T):
             lhs = series[i + 1] ** 2
@@ -148,10 +143,10 @@ class TestTraceInvariants:
         c = rng.standard_normal(d)
         grad = lambda x: np.sign(x - c)
         val = lambda x: float(np.abs(x - c).sum())
-        oracle = query_oracle(dimension=d, query=lambda x, r: grad(x),
+        oracle = query_oracle(query=lambda x, r: grad(x),
                               exact_subgradient=grad, exact_value=val)
         tr = sgd_run(oracle, WHOLE, rng.standard_normal(d), eta, T,
-                     stream=seed, value_fn=val, record_full=True)
+                     stream=seed, value_fn=val)
         d0 = float(np.linalg.norm(tr.x0 - c))
         f_star = 0.0
         bound = tr.r_bar * d0 / (eta * T) + eta * tr.G / (2 * T)
@@ -160,29 +155,21 @@ class TestTraceInvariants:
 
 class TestTraceDistances:
     def test_at_optimum(self):
-        tr = sgd_run(zero_oracle(1), WHOLE, np.zeros(1), 1.0, 3, stream=0,
-                     record_full=True)
+        tr = sgd_run(zero_oracle(1), WHOLE, np.zeros(1), 1.0, 3, stream=0)
         d0, d_bar, _ = trace_distances(tr, np.zeros(1))
         assert d0 == 0.0 and d_bar == 0.0
 
     def test_abs_series(self):
-        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 0.25, 4, stream=0,
-                     record_full=True)
+        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 0.25, 4, stream=0)
         d0, d_bar, series = trace_distances(tr, np.zeros(1))
         assert d0 == 1.0 and d_bar == 1.0
         assert np.array_equal(series, [1.0, 0.75, 0.5, 0.25, 0.0])
 
     def test_oscillating_series(self):
-        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 2.0, 4, stream=0,
-                     record_full=True)
+        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 2.0, 4, stream=0)
         _, d_bar, series = trace_distances(tr, np.zeros(1))
         assert d_bar == 1.0
         assert np.all(series == 1.0)
-
-    def test_requires_record(self):
-        tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 0.25, 4, stream=0)
-        with pytest.raises(ValueError):
-            trace_distances(tr, np.zeros(1))
 
 
 class TestProjections:
@@ -244,7 +231,8 @@ class TestProjections:
         for x in ([0.5, 7.0], [-0.0, 1e-300], [3e200, 1.0], [1e154, 1e154],
                   [np.nan, 0.0], [np.inf, 1.0], [-np.inf, np.inf]):
             x = np.array(x)
-            y, finite = dom.screened(x)
+            y = x.copy()
+            finite = dom.project_in_place(y)
             assert np.array_equal(y, dom.project(x), equal_nan=True)
             if finite:
                 assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,12 +79,20 @@ class TestRestartTune:
         with pytest.raises(ValueError):
             restart_tune(oracle, domain, x0, M=3, delta=0.1, epsilon=0.0, L=1.0)
 
+    @pytest.mark.parametrize("epsilon, L", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, -1.0)])
+    def test_epsilon_and_L_must_be_positive(self, epsilon, L):
+        oracle, domain, x0, _, _ = self.make()
+        with pytest.raises(ValueError, match="epsilon and L must be positive"):
+            restart_tune(oracle, domain, x0, M=3, delta=0.1, epsilon=epsilon,
+                         L=L)
+
     def test_round_index_in_errors(self):
         def boom(x, rng):
             raise FloatingPointError("synthetic oracle fault")
 
         _, domain, x0, _, _ = self.make()
         with pytest.raises(RuntimeError, match="round 1") as err:
-            restart_tune(query_oracle(dimension=2, query=boom), domain, x0,
+            restart_tune(query_oracle(query=boom), domain, x0,
                          M=3, delta=0.1, epsilon=1.0, L=1.0)
         assert isinstance(err.value.__cause__, FloatingPointError)

@@ -159,7 +159,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example([3e-170, 4e-170])
 def test_g0_norm_is_linalg_norm(g):
     g = np.array(g)
-    oracle = query_oracle(dimension=len(g), query=lambda x, rng: g)
+    oracle = query_oracle(query=lambda x, rng: g)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = first_gradient_norm(oracle, np.zeros(len(g)), 0)
         ref = float(np.linalg.norm(g))

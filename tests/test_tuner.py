@@ -22,7 +22,7 @@ WHOLE = ProjectionDomain.whole_space()
 
 def abs_oracle():
     grad = lambda x: np.sign(x)
-    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+    return query_oracle(query=lambda x, rng: grad(x),
                         norm_bound_L=1.0, exact_subgradient=grad,
                         exact_value=lambda x: float(np.abs(x).sum()),
                         optimum_info=(np.zeros(1), 0.0))
@@ -31,7 +31,7 @@ def abs_oracle():
 def fake_trace(r_bar, G, T=4, eta=0.1):
     return SgdTrace(eta=eta, T=T, x0=np.zeros(1), x_avg=np.zeros(1),
                     r_bar=r_bar, G=G, g0_norm=math.sqrt(G / T) if G else 0.0,
-                    stream=0)
+                    stream=0, xs=np.zeros((T + 1, 1)), gs=np.zeros((T, 1)))
 
 
 class TestPhi:
@@ -92,7 +92,7 @@ class TestDamping:
     @pytest.mark.parametrize("delta, L, message", [
         (0.0, 1.0, "delta in"), (1.0, 1.0, "delta in"),
         (None, 1.0, "delta in"), (0.1, 0.0, "L > 0"), (0.1, -1.0, "L > 0"),
-        (0.1, None, "L > 0")])
+        (0.1, None, "L > 0"), (0.1, math.nan, "L > 0")])
     def test_invalid_mode_construction(self, cls, delta, L, message):
         with pytest.raises(ValueError, match=message):
             cls(delta=delta, L=L)
@@ -312,7 +312,7 @@ class TestTune:
         # selected step size and output exactly (noiseless, same streams)
         s = 2.0 ** shift
         grad = lambda x: np.sign(x)
-        oracle = query_oracle(dimension=1, query=lambda x, rng: grad(x))
+        oracle = query_oracle(query=lambda x, rng: grad(x))
         base = tune(oracle, WHOLE, np.array([1.0]), budget=128,
                     eta_eps=1 / 32, master_seed=seed)
         scaled = tune(oracle, WHOLE, np.array([s * 1.0]), budget=128,
@@ -364,7 +364,7 @@ class TestPostProcessing:
         def query(x, rng):
             calls[0] += 1
             return np.zeros(1) if calls[0] == 1 else np.sign(x)
-        oracle = query_oracle(dimension=1, query=query)
+        oracle = query_oracle(query=query)
         res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=4.0)
         assert res.case == "edge_low_step" and res.eta.exponent == 0
         assert res.g0_norm == 0.0
@@ -398,15 +398,22 @@ class TestPostProcessing:
         def query(x, rng):
             calls[0] += 1
             return np.sign(x)
-        oracle = query_oracle(dimension=1, query=query)
+        oracle = query_oracle(query=query)
         result = tune(oracle, WHOLE, np.array([1.0]), budget=256, r_eps=0.5)
         assert result.eta_eps == relative_eta_eps(0.5, result.g0_norm, 256)
         assert calls[0] == result.total_queries + 1
 
     def test_relative_mode_zero_first_gradient(self):
-        oracle = query_oracle(dimension=1, query=lambda x, rng: np.zeros(1))
+        oracle = query_oracle(query=lambda x, rng: np.zeros(1))
         with pytest.raises(ZeroFirstGradient):
             tune(oracle, WHOLE, np.array([1.0]), budget=256, r_eps=0.5)
+
+    @pytest.mark.parametrize("setting", ["eta_eps", "r_eps"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0])
+    def test_step_size_settings_must_be_positive(self, setting, value):
+        with pytest.raises(ValueError, match=f"{setting} must be positive"):
+            tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
+                 **{setting: value})
 
     def test_one_of_eta_eps_and_r_eps(self):
         oracle = abs_oracle()
@@ -454,7 +461,7 @@ def overflow_oracle(lo, hi):
         if lo < x[0] < hi:
             return np.array([-1e200, 0.0])
         return np.sign(x - c)
-    return query_oracle(dimension=2, query=query)
+    return query_oracle(query=query)
 
 
 # runs of 12 steps from 0: eta = 1e-3 overflows in the first window, every

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def scripted_oracle(gs):
         state["i"] += 1
         return g
 
-    return query_oracle(dimension=1, query=query,
+    return query_oracle(query=query,
                         exact_subgradient=lambda x: np.sign(x),
                         exact_value=lambda x: float(np.abs(x).sum()))
 
@@ -38,8 +39,7 @@ def scripted_oracle(gs):
 class TestGoodEvent:
     def test_noiseless_margins_equal_threshold(self):
         oracle = scripted_oracle([[1.0], [1.0], [1.0]])
-        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.25, 3, stream=0,
-                     record_full=True)
+        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.25, 3, stream=0)
         rep = good_event_margin(tr, oracle, np.zeros(1),
                                 DampingParams(3.0, 0.0))
         assert rep.held
@@ -51,8 +51,7 @@ class TestGoodEvent:
     def test_small_noise_held(self):
         # one step of eta=1 from x0=1 with sample 0.5 (error -0.5)
         oracle = scripted_oracle([[0.5]])
-        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 1.0, 1, stream=0,
-                     record_full=True)
+        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 1.0, 1, stream=0)
         rep = good_event_margin(tr, oracle, np.zeros(1),
                                 DampingParams(4.0, 4.0))
         # prefix -0.5, threshold (1/4) * max{1, 2} * sqrt(4*0.25 + 4)
@@ -63,8 +62,7 @@ class TestGoodEvent:
     def test_large_noise_detected(self):
         # sample -1 flips the step direction; tiny damping cannot absorb it
         oracle = scripted_oracle([[-1.0]])
-        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 1.0, 1, stream=0,
-                     record_full=True)
+        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 1.0, 1, stream=0)
         rep = good_event_margin(tr, oracle, np.zeros(1),
                                 DampingParams(0.01, 0.01))
         assert rep.margins[0] == pytest.approx(
@@ -72,10 +70,10 @@ class TestGoodEvent:
         assert not rep.held
         assert rep.worst_t == 1
 
-    def test_requires_record_and_side_channel(self):
-        oracle = scripted_oracle([[1.0]])
+    def test_requires_side_channel(self):
+        oracle = query_oracle(query=lambda x, rng: np.ones(1))
         tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.5, 2, stream=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="side channel"):
             good_event_margin(tr, oracle, np.zeros(1), DampingParams(3, 0))
 
     def test_noiseless_frequency_is_one(self):
@@ -238,7 +236,7 @@ class TestLog2Plus:
 
 def abs_oracle():
     grad = lambda x: np.sign(x)
-    return query_oracle(dimension=1, query=lambda x, rng: grad(x),
+    return query_oracle(query=lambda x, rng: grad(x),
                         norm_bound_L=1.0, exact_subgradient=grad,
                         exact_value=lambda x: float(np.abs(x).sum()),
                         optimum_info=(np.zeros(1), 0.0))
@@ -247,16 +245,14 @@ def abs_oracle():
 class TestLocalization:
     def test_certified_trace(self):
         oracle = abs_oracle()
-        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.25, 4, stream=0,
-                     record_full=True)
+        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.25, 4, stream=0)
         assert tr.eta <= phi(tr, DampingParams(3.0, 0.0))
         applies, ok = localization_check(tr, np.zeros(1))
         assert applies and ok
 
     def test_uncertified_trace_skipped(self):
         oracle = abs_oracle()
-        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 2.0, 4, stream=0,
-                     record_full=True)
+        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 2.0, 4, stream=0)
         applies, ok = localization_check(tr, np.zeros(1))
         assert not applies and ok
 
@@ -275,6 +271,14 @@ class TestTheoremChecks:
         assert by_id["gap_vs_endpoint_max"].bound == \
             pytest.approx(math.sqrt(27) * 2 / 16, rel=1e-9)
         assert not has_bug(lines)
+
+    @pytest.mark.parametrize("x0, eta_eps", [(1.0, 1 / 16), (1.0, 4.0)])
+    def test_report_reads_the_final_round_from_traces(self, x0, eta_eps):
+        oracle = abs_oracle()
+        res = tune(oracle, WHOLE, np.array([x0]), budget=64, eta_eps=eta_eps)
+        lines = check_theorem_bounds(res, oracle)
+        assert check_theorem_bounds(replace(res, final_outcome=None),
+                                    oracle) == lines
 
     def test_trivial_at_optimum(self):
         oracle = abs_oracle()
