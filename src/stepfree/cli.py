@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import NumericalFailure, derive_stream
 from .problems import ProblemSpec, default_x0, make_problem
-from .restarts import RestartPlan, restart_tune
+from .restarts import restart_tune, total_budget
 from .tuner import (Deterministic, NonAdaptive, Stochastic, ZeroFirstGradient,
                     damping_for_round, tune)
 from .validation import (CheckLine, binom_upper, boundary_crossing_test,
@@ -102,28 +102,35 @@ def _mode_object(cfg: RunConfig, L: float):
 
 
 class Outputs(contextlib.ExitStack):
-    """A command's output files, each opened with its schema header: the
-    per-run CSV and the JSONL. Use in a ``with`` block, which closes them."""
+    """A command's output files, the per-run CSV and the JSONL, each opened
+    with its schema header at the first write: a command that fails before
+    it writes leaves no file. Use in a ``with`` block, which closes them."""
 
     def __init__(self, cfg: RunConfig):
         super().__init__()
+        self.cfg, self.opened = cfg, False
         self.writer = self.jsonl_file = None
-        if cfg.csv:
-            csv_file = self.enter_context(open(cfg.csv, "w", newline=""))
+
+    def _open(self):
+        self.opened = True
+        if self.cfg.csv:
+            csv_file = self.enter_context(open(self.cfg.csv, "w", newline=""))
             csv_file.write(CSV_HEADER_COMMENT + "\n")
             self.writer = csv.DictWriter(csv_file, fieldnames=CSV_COLUMNS)
             self.writer.writeheader()
-        if cfg.jsonl:
-            self.jsonl_file = self.enter_context(open(cfg.jsonl, "w"))
+        if self.cfg.jsonl:
+            self.jsonl_file = self.enter_context(open(self.cfg.jsonl, "w"))
         self.record(JSONL_HEADER)
 
     def row(self, row: dict, diag: dict):
         """One run: its CSV row and its JSONL record."""
+        self.record(diag)
         if self.writer:
             self.writer.writerow(row)
-        self.record(diag)
 
     def record(self, diag: dict):
+        if not self.opened:
+            self._open()
         if self.jsonl_file:
             self.jsonl_file.write(json.dumps(diag, sort_keys=True) + "\n")
 
@@ -205,9 +212,7 @@ def cmd_restart(cfg: RunConfig) -> int:
             seed = derive_stream(cfg.seed, "rep", run_id)
             oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
             x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
-            bound = RestartPlan(M=cfg.rounds, epsilon=cfg.epsilon,
-                                delta=cfg.delta,
-                                L=oracle.norm_bound_L).total_budget
+            bound = total_budget(cfg.rounds)
             t0 = time.perf_counter()
             try:
                 x_final, records = restart_tune(
@@ -495,7 +500,7 @@ def main(argv=None) -> int:
         # so numpy's overflow and invalid-value warnings are noise here
         with np.errstate(over="ignore", invalid="ignore"):
             return COMMANDS[cfg.command](cfg)
-    except (ValueError, NumericalFailure) as exc:
+    except (ValueError, NumericalFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,34 +8,15 @@ a noisy oracle; a noiseless oracle's rounds draw nothing and take None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ProjectionDomain, StochasticOracle
 from .tuner import Stochastic, TunerResult, tune
 
 
-@dataclass(frozen=True)
-class RestartPlan:
-    M: int
-    epsilon: float
-    delta: float
-    L: float
-
-    def budget(self, m: int) -> int:
-        return 2 ** m
-
-    def delta_m(self, m: int) -> float:
-        return self.delta / (m * (m + 1))
-
-    def eta_eps_m(self, m: int) -> float:
-        return self.epsilon / (self.L ** 2 * self.budget(m))
-
-    @property
-    def total_budget(self) -> int:
-        # sum of 2^m for m = 1..M
-        return 2 ** (self.M + 1) - 2
+def total_budget(M: int) -> int:
+    """The queries a chain of M rounds may make: the sum of 2^m, m = 1..M."""
+    return 2 ** (M + 1) - 2
 
 
 def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
@@ -54,15 +35,14 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
     if not (epsilon > 0 and L > 0):  # nan fails too
         raise ValueError(f"epsilon and L must be positive, got {epsilon!r} "
                          f"and {L!r}")
-    plan = RestartPlan(M=M, epsilon=epsilon, delta=delta, L=L)
     x = domain.project(np.asarray(x0, dtype=float))
     records: list[TunerResult] = []
     total_queries = 0
     for m in range(1, M + 1):
         try:
-            result = tune(oracle, domain, x, budget=plan.budget(m),
-                          eta_eps=plan.eta_eps_m(m),
-                          mode=Stochastic(delta=plan.delta_m(m), L=L),
+            result = tune(oracle, domain, x, budget=2 ** m,
+                          eta_eps=epsilon / (L ** 2 * 2 ** m),
+                          mode=Stochastic(delta=delta / (m * (m + 1)), L=L),
                           master_seed=oracle.run_stream(master_seed, "restart",
                                                         m))
         except Exception as exc:
@@ -70,6 +50,6 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
         total_queries += result.total_queries
         records.append(result)
         x = result.x_bar
-    if total_queries > plan.total_budget:
+    if total_queries > total_budget(M):
         raise AssertionError("restart chain exceeded its total budget")
     return x, records

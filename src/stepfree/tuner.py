@@ -1,15 +1,15 @@
 """Parameter-free SGD step-size tuning.
 
 Implements the bisection certificate phi(eta) = r_bar / sqrt(alpha*G + beta),
-a log-scale root-finding bisection over a dyadic grid of candidate step
-sizes, and a doubling outer loop that keeps the total number of gradient
-queries within a fixed budget.
+a root-finding bisection over the integer exponents j of the dyadic grid
+eta_eps * 2^j of candidate step sizes, and a doubling outer loop that keeps
+the total number of gradient queries within a fixed budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,12 +104,8 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
 
 @dataclass(frozen=True)
 class StepSizeExp:
-    """A candidate step size base * 2^exponent on the dyadic grid.
-
-    Storing the integer exponent keeps geometric midpoints exact: the
-    midpoint of two candidates with an even exponent gap is again a grid
-    point, so floating point drift never breaks the grid.
-    """
+    """A step size base * 2^exponent on the dyadic grid: the type of
+    :attr:`TunerResult.eta`, the selected eta_eps * 2^j."""
 
     base: float
     exponent: int
@@ -117,14 +113,6 @@ class StepSizeExp:
     @property
     def value(self) -> float:
         return self.base * (2.0 ** self.exponent)
-
-    def midpoint(self, other: "StepSizeExp") -> "StepSizeExp":
-        if self.base != other.base:
-            raise ValueError("midpoint of candidates with different bases")
-        gap = other.exponent - self.exponent
-        if gap % 2 != 0:
-            raise ValueError("geometric midpoint needs an even exponent gap")
-        return StepSizeExp(self.base, (self.exponent + other.exponent) // 2)
 
 
 def phi(trace: SgdTrace, damping: DampingParams) -> float:
@@ -141,13 +129,13 @@ def phi(trace: SgdTrace, damping: DampingParams) -> float:
     return trace.r_bar / math.sqrt(denom_sq)
 
 
-def passes(eta: float, trace: SgdTrace, damping: DampingParams) -> bool:
-    """The certificate check eta <= phi(eta) of a candidate step size.
+def passes(trace: SgdTrace, damping: DampingParams) -> bool:
+    """The certificate check eta <= phi(eta) of a run at its step size.
 
     A run whose r_bar and G both overflowed has phi = inf / inf = nan, which
     certifies nothing: such a candidate fails, wherever it is checked.
     """
-    return eta <= phi(trace, damping)  # False when phi is nan
+    return trace.eta <= phi(trace, damping)  # False when phi is nan
 
 
 # --------------------------------------------------------------------------
@@ -156,24 +144,21 @@ def passes(eta: float, trace: SgdTrace, damping: DampingParams) -> bool:
 
 @dataclass
 class BisectionOutcome:
-    """Result of one RootFindingBisection call.
+    """Result of one RootFindingBisection call over the exponents 0..2^k.
 
     ``kind`` is "infeasible" (the upper limit failed its check and should be
     increased), "edge_low" (the lower limit failed its check and is returned
-    as-is) or "selected". For a selected outcome the final interval satisfies
-    eta_hi_star = 2 * eta_lo_star and eta_o is one of the endpoints.
+    as-is, ``o`` = 0) or "selected". ``evaluations`` maps each exponent run
+    to its trace, in run order. ``lo`` and ``hi`` are the final interval; for
+    a selected outcome hi = lo + 1 and the output exponent ``o`` is one of
+    them.
     """
 
     kind: str
-    evaluations: list = field(default_factory=list)  # (StepSizeExp, SgdTrace)
-    midpoint_evals: int = 0
-    eta_o: Optional[StepSizeExp] = None
-    eta_lo_star: Optional[StepSizeExp] = None
-    eta_hi_star: Optional[StepSizeExp] = None
-    branch: Optional[str] = None  # "hi" | "lo"
-    trace: Optional[SgdTrace] = None
-    trace_lo_star: Optional[SgdTrace] = None
-    trace_hi_star: Optional[SgdTrace] = None
+    evaluations: dict  # exponent -> SgdTrace
+    o: Optional[int]  # None for an infeasible outcome
+    lo: int
+    hi: int
 
 
 OUTPUT_RTOL = 1e-9  # relative tolerance of the sandwich's inequalities
@@ -189,10 +174,9 @@ def verify_output_property(outcome: BisectionOutcome,
     """
     if outcome.kind != "selected":
         raise ValueError("output property applies to selected outcomes only")
-    tr_o = outcome.trace
-    tr_lo = outcome.trace_lo_star
-    tr_hi = outcome.trace_hi_star
-    eta_o = outcome.eta_o.value
+    runs = outcome.evaluations
+    tr_o, tr_lo, tr_hi = runs[outcome.o], runs[outcome.lo], runs[outcome.hi]
+    eta_o = tr_o.eta
     den_o = damping.denominator(tr_o)
     den_hi = damping.denominator(tr_hi)
     tol = OUTPUT_RTOL * max(1.0, eta_o)
@@ -207,63 +191,44 @@ def verify_output_property(outcome: BisectionOutcome,
 
 
 def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
-                           x0, eta_lo: StepSizeExp, eta_hi: StepSizeExp,
-                           T: int, damping: DampingParams,
-                           round_k: Optional[int] = None,
+                           x0, eta_eps: float, k: int, T: int,
+                           damping: DampingParams,
                            master_seed: Optional[int] = 0) -> BisectionOutcome:
     """Log-scale bisection for a step size with a sign change of phi(eta) - eta.
 
-    The exponent gap of the input interval must be a power of two >= 2, so
-    every geometric midpoint stays on the dyadic grid. Each candidate is
-    run once, on the stream ``(master_seed, "trace", round_k or 0,
-    exponent)``, without value tracking; ``evaluations`` lists the runs in
-    order.
+    Bisects the exponents j of the dyadic grid eta_eps * 2^j over 0..2^k
+    (k >= 1), so every midpoint is an integer. Each candidate j is run once,
+    on the stream ``(master_seed, "trace", k, j)``, without value tracking;
+    the runs go in the order 2^k, 0, then the midpoints.
     """
-    if eta_lo.base != eta_hi.base:
-        raise ValueError("interval endpoints must share a base step size")
-    gap = eta_hi.exponent - eta_lo.exponent
-    if gap < 2 or (gap & (gap - 1)) != 0:
-        raise ValueError("eta_hi / eta_lo must equal 2^(2^k) with k >= 1")
+    if k < 1:
+        raise ValueError(f"round k must be >= 1, got {k}")
+    runs: dict = {}
 
-    outcome = BisectionOutcome(kind="selected")
+    def run_passes(j: int) -> bool:
+        stream = oracle.run_stream(master_seed, "trace", k, j)
+        runs[j] = sgd_run(oracle, domain, x0, eta_eps * (2.0 ** j), T, stream)
+        return passes(runs[j], damping)
 
-    def evaluate(candidate: StepSizeExp) -> SgdTrace:
-        stream = oracle.run_stream(master_seed, "trace", round_k or 0,
-                                   candidate.exponent)
-        trace = sgd_run(oracle, domain, x0, candidate.value, T, stream)
-        outcome.evaluations.append((candidate, trace))
-        return trace
-
-    hi, lo = eta_hi, eta_lo
-    tr_hi = evaluate(hi)
-    if passes(hi.value, tr_hi, damping):
-        outcome.kind = "infeasible"
-        return outcome
-
-    tr_lo = evaluate(lo)
-    if not passes(lo.value, tr_lo, damping):
-        outcome.kind = "edge_low"
-        outcome.eta_o = lo
-        outcome.trace = tr_lo
-        return outcome
+    lo, hi = 0, 2 ** k
+    if run_passes(hi):
+        return BisectionOutcome("infeasible", runs, None, lo, hi)
+    if not run_passes(lo):
+        return BisectionOutcome("edge_low", runs, lo, lo, hi)
 
     # invariant: lo <= phi(lo) and hi > phi(hi)
-    while hi.exponent - lo.exponent > 1:
-        mid = lo.midpoint(hi)
-        tr_mid = evaluate(mid)
-        outcome.midpoint_evals += 1
-        if passes(mid.value, tr_mid, damping):
-            lo, tr_lo = mid, tr_mid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if run_passes(mid):
+            lo = mid
         else:
-            hi, tr_hi = mid, tr_mid
+            hi = mid
 
     # selection rule: return eta_hi iff r_bar(hi) <= r_bar(lo) * phi(hi) / hi
-    if tr_hi.r_bar <= tr_lo.r_bar * phi(tr_hi, damping) / hi.value:
-        outcome.eta_o, outcome.trace, outcome.branch = hi, tr_hi, "hi"
-    else:
-        outcome.eta_o, outcome.trace, outcome.branch = lo, tr_lo, "lo"
-    outcome.eta_lo_star, outcome.eta_hi_star = lo, hi
-    outcome.trace_lo_star, outcome.trace_hi_star = tr_lo, tr_hi
+    tr_lo, tr_hi = runs[lo], runs[hi]
+    choose_hi = tr_hi.r_bar <= tr_lo.r_bar * phi(tr_hi, damping) / tr_hi.eta
+    outcome = BisectionOutcome("selected", runs, hi if choose_hi else lo,
+                               lo, hi)
     if not verify_output_property(outcome, damping):
         raise AssertionError("bisection output property violated")
     return outcome
@@ -293,14 +258,14 @@ class TunerResult:
     @property
     def z(self) -> np.ndarray:
         """The output point: x_bar, or x0 by :func:`select_output_z`."""
-        outcome = self.final_outcome
-        return select_output_z(self, None if outcome is None else outcome.trace)
+        return select_output_z(self)
 
 
-def select_output_z(result: TunerResult, trace_at_eps: Optional[SgdTrace]):
+def select_output_z(result: TunerResult):
     """Post-processing rule: fall back to x0 when the edge step size fired
-    and the first gradient is already small. ``trace_at_eps`` is read only
-    when the selected step size is eta_eps itself, and is then its run."""
+    and the first gradient is already small, as measured by the final
+    round's run at eta_eps."""
+    trace_at_eps = result.traces.get((result.k_final, 0))
     if (trace_at_eps is not None and result.eta.exponent == 0
             and result.g0_norm <= math.sqrt(trace_at_eps.G) / result.T):
         return result.x0
@@ -395,16 +360,15 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
     while k <= budget / 4:
         T_k = budget // (2 * k)
         damping = damping_for_round(k, budget, delta, L, mode)
-        outcome = root_finding_bisection(
-            oracle, domain, x0,
-            eta_lo=StepSizeExp(eta_eps, 0), eta_hi=StepSizeExp(eta_eps, 2 ** k),
-            T=T_k, damping=damping, round_k=k, master_seed=master_seed)
-        for candidate, trace in outcome.evaluations:
-            traces[(k, candidate.exponent)] = trace
+        outcome = root_finding_bisection(oracle, domain, x0, eta_eps, k, T_k,
+                                         damping, master_seed)
+        for j, trace in outcome.evaluations.items():
+            traces[(k, j)] = trace
             total_queries += trace.T
         if outcome.kind != "infeasible":
             case = "normal" if outcome.kind == "selected" else "edge_low_step"
-            x_bar, eta = outcome.trace.x_avg.copy(), outcome.eta_o
+            x_bar = outcome.evaluations[outcome.o].x_avg.copy()
+            eta = StepSizeExp(eta_eps, outcome.o)
             break
         k *= 2
     else:  # no round fits the budget

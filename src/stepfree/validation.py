@@ -204,7 +204,7 @@ def localization_check(trace: SgdTrace, x_star):
     """
     alpha = LOCALIZATION_ALPHA
     damping = DampingParams(alpha=alpha, beta=0.0)
-    applies = passes(trace.eta, trace, damping)
+    applies = passes(trace, damping)
     if not applies:
         return False, True
     d0, d_bar, _ = trace_distances(trace, x_star)

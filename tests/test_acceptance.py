@@ -79,7 +79,7 @@ def test_criterion_01_budget_and_structure():
         if result.case == "normal":
             n_selected += 1
             assert result.T == budget // (2 * result.k_final)
-            assert result.final_outcome.midpoint_evals == result.k_final
+            assert len(result.final_outcome.evaluations) - 2 == result.k_final
             _SELECTED_OUTCOMES.append((result.final_outcome,
                                        result.damping_final))
         elif result.case == "budget_too_small":

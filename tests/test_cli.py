@@ -566,6 +566,30 @@ class TestCommandInputs:
         assert err.startswith("error: " + setting)
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["tune", "--eta-eps", "nan"], "eta_eps must be positive"),
+        (["tune", "--r-eps", "-1"], "r_eps must be positive"),
+        (["restart", "--family", "sc_quadratic", "--epsilon", "nan"],
+         "epsilon and L must be positive"),
+        (["restart", "--family", "sc_quadratic", "--L", "0"],
+         "epsilon and L must be positive")])
+    def test_failed_first_run_leaves_no_file(self, args, message, tmp_path,
+                                             capsys):
+        csv_path, jsonl_path = tmp_path / "o.csv", tmp_path / "o.jsonl"
+        assert run_cli(args + ["--csv", csv_path, "--jsonl", jsonl_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert len(err.splitlines()) == 1
+        assert not csv_path.exists() and not jsonl_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--csv", "--jsonl"])
+    def test_unwritable_path_is_one_error_line(self, flag, tmp_path, capsys):
+        path = tmp_path / "missing" / "o.out"
+        assert run_cli(["tune", "--eta-eps", "1e-3", flag, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+
 
 class TestTinyStepSizeBounds:
     """T lower bounds whose direct quotient d0 / (eta_eps * g) divides by

@@ -261,8 +261,7 @@ def test_bisection_check_survives_optimize_flag():
     script = textwrap.dedent("""
         import numpy as np
         import stepfree.tuner as tuner
-        from stepfree import (DampingParams, ProjectionDomain, StepSizeExp,
-                              StochasticOracle)
+        from stepfree import DampingParams, ProjectionDomain, StochasticOracle
         print("debug", __debug__)
         tuner.verify_output_property = lambda outcome, damping: False
         step = lambda x, i, out: np.sign(x, out)
@@ -270,8 +269,7 @@ def test_bisection_check_survives_optimize_flag():
         try:
             out = tuner.root_finding_bisection(
                 oracle, ProjectionDomain.whole_space(), np.array([1.0]),
-                eta_lo=StepSizeExp(1 / 16, 0), eta_hi=StepSizeExp(1 / 16, 4),
-                T=4, damping=DampingParams(3.0, 0.0))
+                eta_eps=1 / 16, k=2, T=4, damping=DampingParams(3.0, 0.0))
         except AssertionError as exc:
             print("raised", exc)
         else:

@@ -12,8 +12,8 @@ from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       ProblemSpec, ProjectionDomain, SgdTrace, StepSizeExp,
                       Stochastic, ZeroFirstGradient, default_x0, make_problem,
                       sgd_run, tune)
-from stepfree.tuner import (damping_for_round, eta_max_diagnostic, phi,
-                            relative_eta_eps, root_finding_bisection,
+from stepfree.tuner import (damping_for_round, eta_max_diagnostic, passes,
+                            phi, relative_eta_eps, root_finding_bisection,
                             round_constant, select_output_z,
                             verify_output_property)
 
@@ -146,62 +146,41 @@ class TestStepSizeExp:
     def test_value(self):
         assert StepSizeExp(1 / 16, 4).value == 1.0
 
-    def test_midpoint_exact(self):
-        a, b = StepSizeExp(0.1, 0), StepSizeExp(0.1, 8)
-        assert a.midpoint(b).exponent == 4
-
-    def test_odd_gap_rejected(self):
-        with pytest.raises(ValueError):
-            StepSizeExp(0.1, 0).midpoint(StepSizeExp(0.1, 3))
-
-    @given(e1=st.integers(0, 40), half_gap=st.integers(1, 10))
-    @settings(max_examples=50)
-    def test_midpoint_is_geometric_mean(self, e1, half_gap):
-        a = StepSizeExp(0.37, e1)
-        b = StepSizeExp(0.37, e1 + 2 * half_gap)
-        m = a.midpoint(b)
-        assert m.value == pytest.approx(math.sqrt(a.value * b.value), rel=1e-9)
-
 
 class TestBisection:
     def test_hand_example(self):
         # |x| from x0=1, T=4: interval [1/16, 1] narrows to [1/4, 1/2] and
         # the selection rule picks the low endpoint
         out = root_finding_bisection(
-            abs_oracle(), WHOLE, np.array([1.0]),
-            eta_lo=StepSizeExp(1 / 16, 0), eta_hi=StepSizeExp(1 / 16, 4),
-            T=4, damping=DampingParams(3.0, 0.0))
+            abs_oracle(), WHOLE, np.array([1.0]), eta_eps=1 / 16, k=2, T=4,
+            damping=DampingParams(3.0, 0.0))
         assert out.kind == "selected"
-        assert out.eta_o.value == 0.25
-        assert out.branch == "lo"
-        assert out.eta_lo_star.value == 0.25
-        assert out.eta_hi_star.value == 0.5
-        assert out.midpoint_evals == 2
-        assert [e.value for e, _ in out.evaluations] == [1.0, 1 / 16, 1 / 4, 1 / 2]
+        assert out.evaluations[out.o].eta == 0.25
+        assert (out.o, out.lo, out.hi) == (2, 2, 3)  # the low endpoint
+        assert list(out.evaluations) == [4, 0, 2, 3]
+        assert [tr.eta for tr in out.evaluations.values()] == \
+            [1.0, 1 / 16, 1 / 4, 1 / 2]
 
     def test_upper_limit_infeasible(self):
         out = root_finding_bisection(
-            abs_oracle(), WHOLE, np.array([1.0]),
-            eta_lo=StepSizeExp(1 / 256, 0), eta_hi=StepSizeExp(1 / 256, 4),
-            T=4, damping=DampingParams(3.0, 0.0))
+            abs_oracle(), WHOLE, np.array([1.0]), eta_eps=1 / 256, k=2, T=4,
+            damping=DampingParams(3.0, 0.0))
         assert out.kind == "infeasible"
         assert len(out.evaluations) == 1
 
     def test_edge_low_at_optimum(self):
         out = root_finding_bisection(
-            abs_oracle(), WHOLE, np.array([0.0]),
-            eta_lo=StepSizeExp(0.5, 0), eta_hi=StepSizeExp(0.5, 4),
-            T=4, damping=DampingParams(3.0, 0.0))
+            abs_oracle(), WHOLE, np.array([0.0]), eta_eps=0.5, k=2, T=4,
+            damping=DampingParams(3.0, 0.0))
         assert out.kind == "edge_low"
-        assert out.eta_o.value == 0.5
+        assert out.o == 0 and out.evaluations[0].eta == 0.5
         assert len(out.evaluations) == 2
 
-    def test_bad_interval_rejected(self):
-        for hi_exp in (1, 3, 6):
-            with pytest.raises(ValueError):
+    def test_round_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="round k must be >= 1"):
                 root_finding_bisection(
-                    abs_oracle(), WHOLE, np.array([1.0]),
-                    eta_lo=StepSizeExp(0.1, 0), eta_hi=StepSizeExp(0.1, hi_exp),
+                    abs_oracle(), WHOLE, np.array([1.0]), eta_eps=0.1, k=k,
                     T=4, damping=DampingParams(3.0, 0.0))
 
 
@@ -237,7 +216,7 @@ class TestEachCandidateRunsOnce:
         mode = {"deterministic": Deterministic(),
                 "stochastic": Stochastic(delta=0.1, L=L),
                 "nonadaptive": NonAdaptive(delta=0.1, L=L)}[mode]
-        runs, outcomes = [], []
+        runs, outcomes, runs_per_bisection = [], [], []
         real_run, real_bisect = tuner.sgd_run, tuner.root_finding_bisection
 
         def counted_run(*args, **kwargs):
@@ -245,7 +224,9 @@ class TestEachCandidateRunsOnce:
             return runs[-1]
 
         def recorded_bisect(*args, **kwargs):
+            before = len(runs)
             outcomes.append(real_bisect(*args, **kwargs))
+            runs_per_bisection.append(len(runs) - before)
             return outcomes[-1]
         tuner.sgd_run, tuner.root_finding_bisection = (counted_run,
                                                        recorded_bisect)
@@ -256,13 +237,58 @@ class TestEachCandidateRunsOnce:
         finally:
             tuner.sgd_run, tuner.root_finding_bisection = (real_run,
                                                            real_bisect)
-        for outcome in outcomes:
-            exponents = [c.exponent for c, _ in outcome.evaluations]
-            assert len(set(exponents)) == len(exponents)
+        # a rerun of a candidate would overwrite its entry, not add one
+        assert runs_per_bisection == [len(o.evaluations) for o in outcomes]
         assert len(runs) == len(result.traces)
         assert sorted(map(id, runs)) == sorted(map(id, result.traces.values()))
         assert result.total_queries == sum(
             tr.T for tr in result.traces.values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestIntegerBisection:
+    """The bisection over the exponents 0..2^k of the grid eta_eps * 2^j."""
+
+    @given(member=st.sampled_from(MEMBERS), k=st.integers(1, 5),
+           stochastic=st.booleans(), T=st.integers(1, 16),
+           log2_eta_eps=st.integers(-12, 0),
+           dist=st.sampled_from([0.0, 0.5, 4.0]), seed=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_runs_on_the_grid(self, member, k, stochastic, T, log2_eta_eps,
+                              dist, seed):
+        oracle, domain, x_star, _ = member_problem(member)
+        L = oracle.norm_bound_L
+        mode = Stochastic(delta=0.1, L=L) if stochastic else Deterministic()
+        damping = damping_for_round(k, 64, getattr(mode, "delta", None),
+                                    getattr(mode, "L", None), mode)
+        x0 = default_x0(domain, x_star, dist, 0)
+        eta_eps = 2.0 ** log2_eta_eps
+        out = root_finding_bisection(oracle, domain, x0, eta_eps, k, T,
+                                     damping, master_seed=seed)
+        runs = out.evaluations
+        for j, tr in runs.items():
+            assert tr.eta == eta_eps * 2.0 ** j and tr.T == T
+        if 0 in runs:  # the run at eta_eps reads the stream of (k, 0)
+            again = sgd_run(oracle, domain, x0, eta_eps, T,
+                            oracle.run_stream(seed, "trace", k, 0))
+            assert np.array_equal(again.xs, runs[0].xs, equal_nan=True)
+        # replay: 2^k first, then 0, then the midpoint of the interval left
+        lo, hi = 0, 2 ** k
+        order = [hi]
+        if not passes(runs[hi], damping):
+            order.append(lo)
+            if passes(runs[lo], damping):
+                while hi - lo > 1:
+                    order.append((lo + hi) // 2)
+                    if passes(runs[order[-1]], damping):
+                        lo = order[-1]
+                    else:
+                        hi = order[-1]
+        assert list(runs) == order
+        if out.kind == "selected":
+            assert out.hi == out.lo + 1 and out.o in (out.lo, out.hi)
+            assert len(runs) == k + 2
+            assert verify_output_property(out, damping)
 
 
 class TestTune:
@@ -381,11 +407,12 @@ class TestPostProcessing:
                       eta_eps=1 / 16)
         result.eta = StepSizeExp(1 / 16, 0)
         result.T = 16
-        trace = fake_trace(r_bar=0.5, G=16.0, T=16)
+        result.traces[(result.k_final, 0)] = fake_trace(r_bar=0.5, G=16.0,
+                                                        T=16)
         result.g0_norm = 1.0  # sqrt(16)/16 = 0.25 < 1 -> keep x_bar
-        assert np.array_equal(select_output_z(result, trace), result.x_bar)
+        assert np.array_equal(select_output_z(result), result.x_bar)
         result.g0_norm = 0.2  # 0.2 <= 0.25 -> fall back to x0
-        assert np.array_equal(select_output_z(result, trace), result.x0)
+        assert np.array_equal(select_output_z(result), result.x0)
 
     def test_relative_eta_eps(self):
         assert relative_eta_eps(2.0, 4.0, 100) == pytest.approx(0.005)
@@ -477,31 +504,30 @@ class TestOverflowedCandidates:
 
     def bisect(self, window):
         return root_finding_bisection(
-            overflow_oracle(*window), WHOLE, np.zeros(2),
-            StepSizeExp(1e-3, 0), StepSizeExp(1e-3, 16), T=12,
-            damping=DampingParams(3.0, 0.0))
+            overflow_oracle(*window), WHOLE, np.zeros(2), eta_eps=1e-3, k=4,
+            T=12, damping=DampingParams(3.0, 0.0))
 
     def overflowed(self, outcome):
-        return [c.exponent for c, tr in outcome.evaluations
+        return [j for j, tr in outcome.evaluations.items()
                 if math.isnan(phi(tr, DampingParams(3.0, 0.0)))]
 
     def test_at_lo_in_bisection(self):
         out = self.bisect(OVERFLOW_AT_LO)
         assert self.overflowed(out) == [0]
-        assert out.kind == "edge_low" and out.eta_o.exponent == 0
+        assert out.kind == "edge_low" and out.o == 0
 
     def test_at_hi_in_bisection(self):
         out = self.bisect(OVERFLOW_AT_HI)
         assert self.overflowed(out) == [16]
         assert out.kind == "selected"
-        assert out.eta_hi_star.exponent == 8 and out.eta_o.exponent == 7
+        assert out.hi == 8 and out.o == 7
 
     def test_in_tune(self):
         # round 2 (T = 12) passes at its hi; round 4 (T = 6) decides
         res = tune(overflow_oracle(*OVERFLOW_AT_LO), WHOLE, np.zeros(2),
                    budget=48, eta_eps=1e-3)
         assert res.k_final == 4 and res.case == "edge_low_step"
-        assert math.isinf(res.final_outcome.trace.r_bar)
+        assert math.isinf(res.traces[(4, res.eta.exponent)].r_bar)
         res = tune(overflow_oracle(*OVERFLOW_AT_HI), WHOLE, np.zeros(2),
                    budget=48, eta_eps=1e-3)
         assert res.k_final == 4 and res.case == "normal"
