@@ -24,19 +24,15 @@ class TestPlan:
                                   epsilon=epsilon, L=L, master_seed=0)
         return records
 
-    def test_schedule_values(self):
-        records = self.schedule(M=3, delta=0.06)
+    @pytest.mark.parametrize("epsilon, L, eta_eps", [
+        (1.0, 1.0, [0.5, 0.25, 0.125]), (2.0, 2.0, [0.25, 0.125, 0.0625])])
+    def test_schedule_values(self, epsilon, L, eta_eps):
+        records = self.schedule(M=3, delta=0.06, epsilon=epsilon, L=L)
         assert [r.budget for r in records] == [2, 4, 8]
         assert [r.mode.delta for r in records] == \
             pytest.approx([0.03, 0.01, 0.005])
-        assert [r.eta_eps for r in records] == \
-            pytest.approx([0.5, 0.25, 0.125])
+        assert [r.eta_eps for r in records] == pytest.approx(eta_eps)
         assert total_budget(3) == 14
-
-    def test_eta_eps_scales_with_L(self):
-        records = self.schedule(M=3, delta=0.1, epsilon=2.0, L=2.0)
-        assert [r.eta_eps for r in records] == \
-            pytest.approx([0.25, 0.125, 0.0625])
 
     @pytest.mark.parametrize("M", [1, 4, 10])
     def test_delta_sum(self, M):

@@ -259,8 +259,7 @@ class TestIntegerBisection:
         oracle, domain, x_star, _ = member_problem(member)
         L = oracle.norm_bound_L
         mode = Stochastic(delta=0.1, L=L) if stochastic else Deterministic()
-        damping = damping_for_round(k, 64, getattr(mode, "delta", None),
-                                    getattr(mode, "L", None), mode)
+        damping = damping_for_round(k, 64, 0.1, L, mode)
         x0 = default_x0(domain, x_star, dist, 0)
         eta_eps = 2.0 ** log2_eta_eps
         out = root_finding_bisection(oracle, domain, x0, eta_eps, k, T,
