@@ -16,10 +16,10 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -44,82 +44,63 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """A command's settings; each field but the first two is the flag of
-    the same name (see :func:`config_from_args`)."""
-
-    command: str
-    problem: ProblemSpec
-    budget: int = 64
-    budgets: tuple = ()
-    rounds: int = 4
-    delta: float = 0.1
-    epsilon: float = 1.0
-    eta_eps: Optional[float] = None
-    r_eps: Optional[float] = None
-    mode: str = "deterministic"  # validate-good-event: "stochastic"
-    seed: int = 0  # master seed
-    reps: int = 1
-    x0_dist: float = 1.0
-    eta: float = 0.25
-    T: int = 512
-    n_paths: int = 1000
-    round_k: int = 2
-    union_grid: bool = False
-    kind: str = "coin"
-    mean: float = 0.3
-    csv: Optional[str] = None
-    jsonl: Optional[str] = None
-
-    def validate(self):
-        if self.reps < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.command in ("tune", "sweep"):
-            if (self.eta_eps is None) == (self.r_eps is None):
-                raise ConfigError("exactly one of eta_eps / r_eps is required")
-        # checked here, before any output file is opened, where runs read it
-        reads_delta = self.command == "restart" or (
-            self.command in ("tune", "sweep") and self.mode != "deterministic")
-        if reads_delta and not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
-        if self.command == "sweep":
-            if len(self.budgets) < 4:
-                raise ConfigError("sweep needs at least 4 budget points")
-            if self.reps < 20:
-                raise ConfigError("sweep needs at least 20 repetitions")
+def check_settings(cfg: argparse.Namespace):
+    """The checks across a command's settings, made before any output file
+    is opened."""
+    if (cfg.command == "validate-good-event" and cfg.union_grid
+            and cfg.eta_eps is None):
+        raise ConfigError("--union-grid needs --eta-eps for the grid base")
+    if cfg.command in CSV_COMMANDS and cfg.reps < 1:
+        raise ConfigError("repetitions must be >= 1")
+    if cfg.command in ("tune", "sweep"):
+        if (cfg.eta_eps is None) == (cfg.r_eps is None):
+            raise ConfigError("exactly one of eta_eps / r_eps is required")
+    # checked here, before any output file is opened, where runs read it
+    reads_delta = cfg.command == "restart" or (
+        cfg.command in ("tune", "sweep") and cfg.mode != "deterministic")
+    if reads_delta and not 0.0 < cfg.delta < 1.0:
+        raise ConfigError(f"delta must be in (0, 1), got {cfg.delta!r}")
+    if cfg.command == "sweep":
+        if len(cfg.budgets) < 4:
+            raise ConfigError("sweep needs at least 4 budget points")
+        if cfg.reps < 20:
+            raise ConfigError("sweep needs at least 20 repetitions")
 
 
 MODES = {"deterministic": lambda delta, L: Deterministic(),
          "stochastic": Stochastic, "nonadaptive": NonAdaptive}
 
 
-def _mode_object(cfg: RunConfig, L: float):
-    """The mode ``cfg.mode`` names, for a problem with gradient bound L."""
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    return MODES[cfg.mode](delta=cfg.delta, L=L)
-
-
 class Outputs(contextlib.ExitStack):
     """A command's output files, the per-run CSV and the JSONL, each opened
     with its schema header at the first write: a command that fails before
-    it writes leaves no file. Use in a ``with`` block, which closes them."""
+    it writes, or cannot open one of them, leaves no file. Use in a
+    ``with`` block, which closes them."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: argparse.Namespace):
         super().__init__()
-        self.cfg, self.opened = cfg, False
+        self.csv_path, self.jsonl_path = getattr(cfg, "csv", None), cfg.jsonl
+        self.opened = False
         self.writer = self.jsonl_file = None
 
     def _open(self):
         self.opened = True
-        if self.cfg.csv:
-            csv_file = self.enter_context(open(self.cfg.csv, "w", newline=""))
+        csv_file = None
+        try:
+            if self.csv_path:
+                csv_file = self.enter_context(
+                    open(self.csv_path, "w", newline=""))
+            if self.jsonl_path:
+                self.jsonl_file = self.enter_context(open(self.jsonl_path, "w"))
+        except OSError:
+            if csv_file:  # the JSONL failed: leave no CSV either
+                csv_file.close()
+                os.remove(self.csv_path)
+            raise
+        if csv_file:
             csv_file.write(CSV_HEADER_COMMENT + "\n")
             self.writer = csv.DictWriter(csv_file, fieldnames=CSV_COLUMNS)
             self.writer.writeheader()
-        if self.cfg.jsonl:
-            self.jsonl_file = self.enter_context(open(self.cfg.jsonl, "w"))
         self.record(JSONL_HEADER)
 
     def row(self, row: dict, diag: dict):
@@ -164,7 +145,7 @@ def _failure_row(run_id: int, seed: int, t0: float, reason: str,
             {"run_id": run_id, "case": case, "error": reason})
 
 
-def _tune_once(cfg: RunConfig, run_id: int, budget: int):
+def _tune_once(cfg: argparse.Namespace, run_id: int, budget: int):
     """One tuner repetition; returns (csv row, jsonl record, bug flag)."""
     seed = derive_stream(cfg.seed, "rep", run_id)
     oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
@@ -173,7 +154,8 @@ def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     try:
         result = tune(oracle, domain, x0, budget=budget, eta_eps=cfg.eta_eps,
                       r_eps=cfg.r_eps,
-                      mode=_mode_object(cfg, oracle.norm_bound_L),
+                      mode=MODES[cfg.mode](delta=cfg.delta,
+                                          L=oracle.norm_bound_L),
                       master_seed=seed)
     except ZeroFirstGradient as exc:
         return (*_failure_row(run_id, seed, t0, str(exc),
@@ -193,7 +175,7 @@ def _tune_once(cfg: RunConfig, run_id: int, budget: int):
     return row, diag, has_bug(checks)
 
 
-def cmd_tune(cfg: RunConfig) -> int:
+def cmd_tune(cfg: argparse.Namespace) -> int:
     bug = False
     with Outputs(cfg) as out:
         for run_id in range(cfg.reps):
@@ -205,14 +187,13 @@ def cmd_tune(cfg: RunConfig) -> int:
     return 1 if bug else 0
 
 
-def cmd_restart(cfg: RunConfig) -> int:
+def cmd_restart(cfg: argparse.Namespace) -> int:
     bug = False
     with Outputs(cfg) as out:
         for run_id in range(cfg.reps):
             seed = derive_stream(cfg.seed, "rep", run_id)
             oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
             x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
-            bound = total_budget(cfg.rounds)
             t0 = time.perf_counter()
             try:
                 x_final, records = restart_tune(
@@ -233,6 +214,7 @@ def cmd_restart(cfg: RunConfig) -> int:
             gap = float(oracle.exact_value(x_final) - f_star)
             dist = float(np.linalg.norm(x_final - x_star))
             last = records[-1]
+            bound = total_budget(cfg.rounds)
             check = CheckLine("restart_total_budget", total, bound,
                               "pass" if total <= bound else "bug")
             bug |= has_bug([check])
@@ -250,7 +232,7 @@ def cmd_restart(cfg: RunConfig) -> int:
     return 1 if bug else 0
 
 
-def cmd_validate_good_event(cfg: RunConfig) -> int:
+def cmd_validate_good_event(cfg: argparse.Namespace) -> int:
     if cfg.union_grid and cfg.round_k > MAX_UNION_ROUND_K:
         raise ConfigError(f"--union-grid takes --round-k <= "
                           f"{MAX_UNION_ROUND_K}, got {cfg.round_k}")
@@ -258,7 +240,7 @@ def cmd_validate_good_event(cfg: RunConfig) -> int:
     x0 = default_x0(domain, x_star, cfg.x0_dist, cfg.seed)
     L = oracle.norm_bound_L
     damping = damping_for_round(cfg.round_k, cfg.budget, cfg.delta, L,
-                                _mode_object(cfg, L))
+                                MODES[cfg.mode](delta=cfg.delta, L=L))
     if cfg.union_grid:
         etas = [cfg.eta_eps * 2.0 ** j for j in range(2 ** cfg.round_k + 1)]
         freq = good_event_union_frequency(oracle, domain, x0, x_star, etas,
@@ -277,7 +259,7 @@ def cmd_validate_good_event(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_boundary_test(cfg: RunConfig) -> int:
+def cmd_boundary_test(cfg: argparse.Namespace) -> int:
     freq = boundary_crossing_test(cfg.kind, cfg.T, cfg.delta, cfg.n_paths,
                                   seed=cfg.seed, mean=cfg.mean)
     upper = binom_upper(round(freq * cfg.n_paths), cfg.n_paths)
@@ -292,7 +274,11 @@ def cmd_boundary_test(cfg: RunConfig) -> int:
 
 
 def fit_loglog_slope(budgets, medians):
-    """Least-squares slope of log2(median gap) vs log2(B) with a 95% CI."""
+    """Least-squares slope of log2(median gap) vs log2(B) with a 95% CI;
+    every median gap must be positive, as at an optimum it has no log."""
+    if not all(m > 0 for m in medians):
+        raise ValueError(f"a log-log slope needs positive median gaps, got "
+                         f"{list(medians)!r}")
     from scipy import stats  # loaded on first use
     x = np.log2(np.asarray(budgets, dtype=float))
     y = np.log2(np.asarray(medians, dtype=float))
@@ -302,7 +288,7 @@ def fit_loglog_slope(budgets, medians):
     return fit.slope, (fit.slope - half, fit.slope + half)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     bug = False
     medians, failures, zero_grads = [], [], []
     with Outputs(cfg) as out:
@@ -339,36 +325,67 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 1 if bug else 0
 
 
+def int_list(text: str) -> tuple:
+    """The ints of a comma-separated list, the type of --budgets."""
+    return tuple(int(b) for b in text.split(",") if b.strip())
+
+
+# the problem settings, a flag per ProblemSpec field, typed and defaulted by
+# its default; with no problem flag the problem is the one-dimensional l1
+PROBLEM = {"--" + f.name.replace("_", "-"): dict(type=type(default),
+                                                 default=default)
+           for f in fields(ProblemSpec)
+           for default in [{"family": "l1", "dimension": 1}.get(
+               f.name, f.default)]}
+
+# the settings that several commands take, by flag: the keywords of their
+# add_argument, which declare each one's default, type and choices once
+SHARED = {
+    "--config": dict(help="INI file with [problem]/[run]/[output] sections"),
+    **PROBLEM,
+    "--x0-dist": dict(type=float, default=1.0),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--delta": dict(type=float, default=0.1),
+    "--reps": dict(type=int, default=1),
+    "--csv": dict(help="per-run CSV output path"),
+    "--jsonl": dict(help="diagnostics JSONL output path"),
+    "--budget": dict(type=int, default=64),
+    "--eta-eps": dict(type=float),
+    "--r-eps": dict(type=float,
+                    help="relative mode: eta_eps = r_eps / (||g0|| B)"),
+    "--mode": dict(choices=list(MODES), default="deterministic"),
+    "--T": dict(type=int, default=512),
+    "--n-paths": dict(type=int, default=1000),
+}
+
+# each command: its function, its help and the flags of its own settings,
+# each a flag of SHARED or a (flag, keywords) pair that only it takes.
+# Every command also takes --config, --seed, --delta and --jsonl; all but
+# boundary-test build a problem, and the CSV_COMMANDS take --reps and --csv.
 COMMANDS = {
-    "tune": cmd_tune,
-    "restart": cmd_restart,
-    "validate-good-event": cmd_validate_good_event,
-    "boundary-test": cmd_boundary_test,
-    "sweep": cmd_sweep,
+    "tune": (cmd_tune, "run the step-size tuner",
+             ["--budget", "--eta-eps", "--r-eps", "--mode"]),
+    "restart": (cmd_restart, "doubling-budget restart chain", [
+        ("--rounds", dict(type=int, default=4, help="number of rounds M")),
+        ("--epsilon", dict(type=float, default=1.0))]),
+    "validate-good-event": (cmd_validate_good_event,
+                            "noise-event frequency check", [
+        "--budget", ("--eta", dict(type=float, default=0.25)), "--eta-eps",
+        "--T", "--n-paths", ("--round-k", dict(type=int, default=2)),
+        ("--union-grid", dict(
+            action="store_true",
+            help="check the event jointly over the round's dyadic grid")),
+        ("--mode", dict(choices=["stochastic", "nonadaptive"],
+                        default="stochastic"))]),
+    "boundary-test": (cmd_boundary_test, "stitched-boundary crossing check", [
+        ("--kind", dict(choices=["zero", "coin", "bernoulli"],
+                        default="coin")),
+        "--T", "--n-paths", ("--mean", dict(type=float, default=0.3))]),
+    "sweep": (cmd_sweep, "gap-vs-budget rate fit", [
+        ("--budgets", dict(type=int_list, default=(),
+                           help="comma-separated budget list (>= 4 points)")),
+        "--eta-eps", "--r-eps", "--mode"]),
 }
-
-# the conversion of a field's text (a flag or an INI value), by the field's
-# annotation, which is a string as annotations are not evaluated here
-_CONVERT = {
-    "int": int, "float": float, "Optional[float]": float,
-    "bool": lambda v: v.lower() in ("1", "true", "yes"),
-    "tuple": lambda v: tuple(int(b) for b in v.split(",") if b.strip()),
-}
-
-
-def _add_common(p: argparse.ArgumentParser, command: str):
-    p.add_argument("--config", help="INI file with [problem]/[run]/[output] sections")
-    if command != "boundary-test":  # every other command builds a problem
-        for f in fields(ProblemSpec):  # --family ... --reg
-            p.add_argument("--" + f.name.replace("_", "-"),
-                           type=_CONVERT.get(f.type, str), default=None)
-        p.add_argument("--x0-dist", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--delta", type=float, default=None)
-    if command in CSV_COMMANDS:
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--csv", default=None, help="per-run CSV output path")
-    p.add_argument("--jsonl", default=None, help="diagnostics JSONL output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,110 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stepfree-bench",
         description="Parameter-free SGD step-size tuning benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tune", help="run the step-size tuner")
-    _add_common(p, "tune")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--eta-eps", type=float, default=None)
-    p.add_argument("--r-eps", type=float, default=None,
-                   help="relative mode: eta_eps = r_eps / (||g0|| B)")
-    p.add_argument("--mode", choices=list(MODES), default=None)
-
-    p = sub.add_parser("restart", help="doubling-budget restart chain")
-    _add_common(p, "restart")
-    p.add_argument("--rounds", type=int, default=None, help="number of rounds M")
-    p.add_argument("--epsilon", type=float, default=None)
-
-    p = sub.add_parser("validate-good-event", help="noise-event frequency check")
-    _add_common(p, "validate-good-event")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta-eps", type=float, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--round-k", type=int, default=None)
-    p.add_argument("--union-grid", action="store_true", default=None,
-                   help="check the event jointly over the round's dyadic grid")
-    p.add_argument("--mode", choices=["stochastic", "nonadaptive"],
-                   default=None)
-
-    p = sub.add_parser("boundary-test", help="stitched-boundary crossing check")
-    _add_common(p, "boundary-test")
-    p.add_argument("--kind", choices=["zero", "coin", "bernoulli"], default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--n-paths", type=int, default=None)
-    p.add_argument("--mean", type=float, default=None)
-
-    p = sub.add_parser("sweep", help="gap-vs-budget rate fit")
-    _add_common(p, "sweep")
-    p.add_argument("--budgets", default=None,
-                   help="comma-separated budget list (>= 4 points)")
-    p.add_argument("--eta-eps", type=float, default=None)
-    p.add_argument("--r-eps", type=float, default=None)
-    p.add_argument("--mode", choices=list(MODES), default=None)
+    for command, (_, help_text, own) in COMMANDS.items():
+        problem = [] if command == "boundary-test" else [*PROBLEM, "--x0-dist"]
+        runs = ["--reps", "--csv"] if command in CSV_COMMANDS else []
+        p = sub.add_parser(command, help=help_text)
+        for flag in ["--config", *problem, "--seed", "--delta", *runs,
+                     "--jsonl", *own]:
+            flag, keywords = ((flag, SHARED[flag]) if isinstance(flag, str)
+                              else flag)
+            p.add_argument(flag, **keywords)
     return parser
-
-
-def _load_ini(path: str) -> dict:
-    ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    flat = {}
-    for section in ini.sections():
-        for key, value in ini.items(section):
-            flat[key] = value
-    return flat
-
-
-def _choices(command: str) -> dict:
-    """{dest: choices} of the command's settings, the options but --config;
-    choices is None where the option declares none."""
-    (sub,) = (a for a in _parser()._actions
-              if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.choices for a in sub.choices[command]._actions
-            if a.dest not in ("help", "config")}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Each field of ProblemSpec and RunConfig from its flag, else from the
-    INI key of its name in lower case, else from its default. An INI key
-    must name one of the command's flags, and its value must be one of the
-    choices that flag declares."""
-    ini = _load_ini(args.config) if getattr(args, "config", None) else {}
-    choices = _choices(args.command)
-    unknown = sorted(set(ini) - {dest.lower() for dest in choices})
-    if unknown:
-        raise ConfigError(f"{args.command} takes no setting "
-                          f"{', '.join(unknown)}")
-    defaults = {"family": "l1", "dimension": 1}
-    if args.command == "validate-good-event":
-        defaults["mode"] = "stochastic"
-
-    def merged(cls) -> dict:
-        values = {}
-        for f in fields(cls):
-            if f.name in ("command", "problem"):
-                continue
-            v = getattr(args, f.name, None)
-            if v is None:
-                v = ini.get(f.name.lower(), defaults.get(f.name, f.default))
-                if v not in (choices.get(f.name) or [v]):
-                    raise ConfigError(
-                        f"{f.name} = {v!r} is not one of "
-                        f"{', '.join(choices[f.name])} for {args.command}")
-            # flags arrive converted, except the string of --budgets
-            values[f.name] = (_CONVERT.get(f.type, str)(v)
-                              if isinstance(v, str) else v)
-        return values
-
-    cfg = RunConfig(command=args.command,
-                    problem=ProblemSpec(**merged(ProblemSpec)),
-                    **merged(RunConfig))
-    if cfg.command == "validate-good-event" and cfg.union_grid and cfg.eta_eps is None:
-        raise ConfigError("--union-grid needs --eta-eps for the grid base")
-    cfg.validate()
-    return cfg
 
 
 @functools.cache
@@ -488,19 +411,92 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _settings(command: str, parser=None) -> dict:
+    """{dest: action} of the command's settings in ``parser`` (by default
+    the shared one): the command's options but --config."""
+    (sub,) = (a for a in (parser or _parser())._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions
+            if a.dest not in ("help", "config")}
+
+
+def _load_ini(path: str) -> dict:
+    ini = configparser.ConfigParser()
     try:
-        cfg = config_from_args(args)
-    except (ConfigError, ValueError) as exc:
+        if not ini.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        return {key: value for section in ini.sections()
+                for key, value in ini.items(section)}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: "
+                          f"{str(exc).splitlines()[0]}") from None
+
+
+@dataclass(frozen=True)
+class _IniValue:
+    """An INI value in place of a setting's default: not a string, so the
+    parser leaves it as it is where no flag overrides it."""
+    text: str
+
+
+def _from_ini(action: argparse.Action, text: str, command: str):
+    """An INI value as its flag would give it: converted by the flag's type
+    (a switch is on for 1, true or yes), and one of the flag's choices."""
+    if action.nargs == 0:  # a switch, --union-grid
+        value = text.lower() in ("1", "true", "yes")
+    else:
+        value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{action.dest} = {text!r} is not one of "
+                          f"{', '.join(action.choices)} for {command}")
+    return value
+
+
+def parse_config(argv=None) -> argparse.Namespace:
+    """A command's settings: each from its flag, else from the INI key of
+    its name in lower case, else its default; and ``problem``, the
+    ProblemSpec of the problem settings, for every command but
+    boundary-test. An INI key must name one of the command's settings; its
+    value is converted and checked as the flag's would be, unless the flag
+    overrides it."""
+    args = _parser().parse_args(argv)
+    if args.config is not None:
+        ini = _load_ini(args.config)
+        parser = build_parser()  # one of its own, as its defaults change
+        settings = {dest.lower(): action for dest, action
+                    in _settings(args.command, parser).items()}
+        unknown = sorted(set(ini) - set(settings))
+        if unknown:
+            raise ConfigError(f"{args.command} takes no setting "
+                              f"{', '.join(unknown)}")
+        for key, text in ini.items():
+            settings[key].default = _IniValue(text)
+        args = parser.parse_args(argv)
+        for action in settings.values():
+            value = getattr(args, action.dest)
+            if isinstance(value, _IniValue):
+                setattr(args, action.dest,
+                        _from_ini(action, value.text, args.command))
+    if args.command != "boundary-test":
+        args.problem = ProblemSpec(**{f.name: getattr(args, f.name)
+                                      for f in fields(ProblemSpec)})
+    check_settings(args)
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        cfg = parse_config(argv)
+    except ValueError as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         # the engine reports every non-finite value as a per-run outcome,
         # so numpy's overflow and invalid-value warnings are noise here
         with np.errstate(over="ignore", invalid="ignore"):
-            return COMMANDS[cfg.command](cfg)
-    except (ValueError, NumericalFailure, OSError) as exc:
+            return COMMANDS[cfg.command][0](cfg)
+    except (ValueError, NumericalFailure, OSError, MemoryError) as exc:
+        # MemoryError: a run record too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ a noisy oracle; a noiseless oracle's rounds draw nothing and take None.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ProjectionDomain, StochasticOracle
@@ -26,7 +28,9 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
 
     Rounds are strictly sequential; nothing (traces, g0 measurements) carries
     over between them. Rounds too small for the tuner simply return their
-    input point, which is accepted behavior.
+    input point, which is accepted behavior. Raises ``ValueError`` before
+    the first round where some round's initial step size is not a positive
+    float.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -35,13 +39,25 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
     if not (epsilon > 0 and L > 0):  # nan fails too
         raise ValueError(f"epsilon and L must be positive, got {epsilon!r} "
                          f"and {L!r}")
+    # each round's initial step size, where it is a positive float: L^2
+    # may underflow to 0 or overflow, and so may the whole quotient
+    schedule = []
+    for m in range(1, M + 1):
+        try:
+            schedule.append(epsilon / (L ** 2 * 2 ** m))
+        except ArithmeticError:  # a division by 0, or an overflow
+            schedule.append(math.nan)
+        if not 0.0 < schedule[-1] < math.inf:
+            raise ValueError(f"round {m}'s initial step size epsilon / (L^2 "
+                             f"* 2^m) is not a positive float for epsilon "
+                             f"{epsilon!r} and L {L!r}")
     x = domain.project(np.asarray(x0, dtype=float))
     records: list[TunerResult] = []
     total_queries = 0
     for m in range(1, M + 1):
         try:
             result = tune(oracle, domain, x, budget=2 ** m,
-                          eta_eps=epsilon / (L ** 2 * 2 ** m),
+                          eta_eps=schedule[m - 1],
                           mode=Stochastic(delta=delta / (m * (m + 1)), L=L),
                           master_seed=oracle.run_stream(master_seed, "restart",
                                                         m))

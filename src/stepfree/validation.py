@@ -56,7 +56,8 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     margin_t = sum_{i<t} <Delta_i, x_i - x_star>
              + (1/4) max{dbar_t, eta*sqrt(beta)} * sqrt(alpha*G_t + beta),
     with Delta_i the gradient oracle error. The event holds iff every prefix
-    margin is nonnegative; in noiseless runs the first term vanishes.
+    margin is finite and nonnegative: a margin that overflowed to +inf
+    shows nothing; in noiseless runs the first term vanishes.
     """
     if oracle.exact_subgradient is None:
         raise ValueError("good_event_margin requires the exact-gradient side channel")
@@ -74,8 +75,8 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
         damping.alpha * g_sq + damping.beta)
     margins = prefix + threshold
     worst = int(np.argmin(margins)) + 1
-    return GoodEventReport(margins=margins, held=bool(margins.min() >= 0.0),
-                           worst_t=worst)
+    held = bool(np.isfinite(margins).all() and margins.min() >= 0.0)
+    return GoodEventReport(margins=margins, held=held, worst_t=worst)
 
 
 def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
@@ -218,6 +219,16 @@ def localization_check(trace: SgdTrace, x_star):
 # theorem-bound report
 # --------------------------------------------------------------------------
 
+def rounding_absorbed(trace: SgdTrace) -> bool:
+    """Whether rounding absorbed every step of a run: each x_i - eta g_i
+    rounded back to x_i, with some g_i nonzero. Such a run stands still in
+    floating point alone; the bounds, proven for exact steps, do not cover
+    it. A run projected back onto where it stood is not absorbed."""
+    xs = trace.xs[:trace.T]
+    return bool(trace.gs.any()
+                and np.array_equal(xs - trace.eta * trace.gs, xs))
+
+
 @dataclass
 class CheckLine:
     check_id: str
@@ -232,7 +243,9 @@ def check_theorem_bounds(result: TunerResult,
 
     The optimum comes from ``oracle.optimum_info`` (required), L from
     ``oracle.norm_bound_L``, the gaps from ``oracle.exact_value`` (without
-    it no gap is checked), and the mode from ``result.mode``.
+    it no gap is checked), and the mode from ``result.mode``. A check of
+    the final run that fails reads "inconclusive" where rounding absorbed
+    that run's every step (:func:`rounding_absorbed`).
     """
     if oracle.optimum_info is None:
         raise ValueError("check_theorem_bounds needs oracle.optimum_info")
@@ -252,9 +265,9 @@ def check_theorem_bounds(result: TunerResult,
     def within(realized, bound):
         return realized <= bound * (1 + tol) + tol
 
-    def check(check_id, realized, bound, ok, failed=fail) -> bool:
+    def check(check_id, realized, bound, ok, failed=None) -> bool:
         lines.append(CheckLine(check_id, realized, bound,
-                               "pass" if ok else failed))
+                               "pass" if ok else failed or fail))
         return ok
 
     # 1. budget (deterministic accounting, any mode)
@@ -279,6 +292,8 @@ def check_theorem_bounds(result: TunerResult,
     # the final round's runs at eta and at 2 eta (if it made one)
     tr = result.traces[(result.k_final, e)]
     tr_2x = result.traces.get((result.k_final, e + 1))
+    if rounding_absorbed(tr):
+        fail = "inconclusive"
 
     if result.case == "normal":
         # localization

@@ -401,9 +401,10 @@ class TestIniChecks:
 
     def test_ini_choices_are_the_commands_own(self):
         # tune takes mode = deterministic, validate-good-event does not
-        choices = cli._choices("tune")["mode"]
+        choices = cli._settings("tune")["mode"].choices
         assert "deterministic" in choices
-        assert "deterministic" not in cli._choices("validate-good-event")["mode"]
+        assert "deterministic" not in \
+            cli._settings("validate-good-event")["mode"].choices
 
     def test_ini_value_among_the_choices_runs(self, tmp_path, capsys):
         ini = self.ini(tmp_path, "[run]\nmode = nonadaptive\n")
@@ -478,7 +479,7 @@ class TestCommandInputs:
         self.assert_refused(TestIniChecks.GOOD_EVENT, "--reps", capsys)
 
     def test_boundary_test_settings(self):
-        assert set(cli._choices("boundary-test")) == {
+        assert set(cli._settings("boundary-test")) == {
             "seed", "delta", "jsonl", "kind", "T", "n_paths", "mean"}
 
     @pytest.mark.parametrize("args, message", [
@@ -536,9 +537,12 @@ class TestCommandInputs:
             "--jsonl", tmp_path / "out.jsonl"]) == 0
         assert "good-event frequency" in capsys.readouterr().out
 
-    # the grid's first step, 1e200 * g, leaves the float range
-    OVERFLOWING_GRID = UNION_GRID[:2] + ["--eta-eps", "1e200", "--round-k",
-                                         "9", "--T", "2", "--n-paths", "1"]
+    # the grid's step sizes 1e200 * 2^j overflow to inf before j = 2^9; on
+    # a ball, without the beta term, every margin before that stays finite
+    # and nonnegative, so the union reaches the step size that fails
+    OVERFLOWING_GRID = UNION_GRID[:2] + [
+        "--eta-eps", "1e200", "--round-k", "9", "--T", "2", "--n-paths", "1",
+        "--family", "quadratic", "--mode", "nonadaptive"]
 
     def test_numerical_failure_is_one_error_line(self, tmp_path, capsys):
         self.assert_one_error_line(self.OVERFLOWING_GRID,
@@ -582,13 +586,58 @@ class TestCommandInputs:
         assert len(err.splitlines()) == 1
         assert not csv_path.exists() and not jsonl_path.exists()
 
-    @pytest.mark.parametrize("flag", ["--csv", "--jsonl"])
-    def test_unwritable_path_is_one_error_line(self, flag, tmp_path, capsys):
-        path = tmp_path / "missing" / "o.out"
-        assert run_cli(["tune", "--eta-eps", "1e-3", flag, path]) == 2
+    @pytest.mark.parametrize("flag, writable", [
+        pytest.param("--csv", None, id="--csv"),
+        pytest.param("--jsonl", None, id="--jsonl"),
+        pytest.param("--jsonl", "--csv", id="--jsonl-with-a-writable-csv"),
+        pytest.param("--csv", "--jsonl", id="--csv-with-a-writable-jsonl")])
+    def test_unwritable_path_is_one_error_line(self, flag, writable, tmp_path,
+                                               capsys):
+        path, ok = tmp_path / "missing" / "o.out", tmp_path / "ok.out"
+        args = ["tune", "--eta-eps", "1e-3", flag, path]
+        assert run_cli(args + ([writable, ok] if writable else [])) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert len(err.splitlines()) == 1
+        assert not ok.exists()  # the file that could be opened is left out
+
+    @pytest.mark.parametrize("args, message", [
+        # L^2 underflows to 0, or overflows, in round 1's epsilon / (L^2 2)
+        (["restart", "--family", "sc_quadratic", "--L", "1e-200"],
+         "round 1's initial step size"),
+        (["restart", "--family", "sc_quadratic", "--L", "1e200"],
+         "round 1's initial step size"),
+        # the first run's record alone would take 182 TiB
+        (["tune", "--eta-eps", "1e-3", "--budget", "100000000000000"],
+         "Unable to allocate")])
+    def test_out_of_range_run_is_one_error_line(self, args, message,
+                                                tmp_path, capsys):
+        self.assert_one_error_line(args, message, tmp_path, capsys)
+
+    def test_overflowed_good_event_margins_do_not_hold(self, tmp_path,
+                                                      capsys):
+        # the iterates reach +-1e308, where every threshold overflows to inf
+        out = tmp_path / "g.jsonl"
+        assert run_cli(["validate-good-event", "--eta", "1e308", "--T", "64",
+                        "--n-paths", "2", "--jsonl", out]) == 0
+        (summary,) = read_jsonl(out)
+        assert summary["frequency"] < 1.0
+        assert summary["verdict"] == "inconclusive"
+
+
+class TestRoundingAbsorbedRuns:
+    def test_no_false_bug(self, tmp_path):
+        # each step x - 1e-300 * g rounds back to x, so r_bar = 0 and the
+        # edge case fires, which exact steps would never make it do
+        out = tmp_path / "t.jsonl"
+        assert run_cli(["tune", "--eta-eps", "1e-300", "--budget", "4096",
+                        "--jsonl", out]) == 0
+        (diag,) = read_jsonl(out)
+        verdicts = {c["check_id"]: c["verdict"] for c in diag["checks"]}
+        assert diag["case"] == "edge_low_step"
+        assert verdicts == {"budget": "pass", "T_lower_bound": "pass",
+                            "edge_displacement": "pass",
+                            "edge_gap_dichotomy": "inconclusive"}
 
 
 class TestTinyStepSizeBounds:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import query_oracle
 from stepfree import ProblemSpec, default_x0, make_problem, restart_tune
+import stepfree.restarts as restarts
 from stepfree.restarts import total_budget
 
 
@@ -104,3 +105,20 @@ class TestRestartTune:
             restart_tune(query_oracle(query=boom), domain, x0,
                          M=3, delta=0.1, epsilon=1.0, L=1.0)
         assert isinstance(err.value.__cause__, FloatingPointError)
+
+    @pytest.mark.parametrize("epsilon, L, M, m", [
+        (1.0, 1e-200, 3, 1),   # L^2 underflows to 0: epsilon / 0
+        (1.0, 1e200, 3, 1),    # L^2 overflows
+        (1e300, 1e-10, 3, 1),  # the quotient overflows to inf
+        (1e-300, 1.0, 80, 79),  # it underflows to 0 at round 79
+        (1.0, 1.0, 10 ** 9, 1024)])  # 2^m overflows a float at 1024
+    def test_schedule_must_be_positive_floats(self, epsilon, L, M, m,
+                                              monkeypatch):
+        def no_round(*_, **__):
+            raise AssertionError("a round ran")
+        monkeypatch.setattr(restarts, "tune", no_round)
+        oracle, domain, x0, _, _ = sc_problem()
+        with pytest.raises(ValueError, match=f"round {m}'s initial step "
+                                             "size"):
+            restart_tune(oracle, domain, x0, M=M, delta=0.1,
+                         epsilon=epsilon, L=L)

@@ -16,7 +16,7 @@ from stepfree.validation import (binom_upper, boundary_a_t,
                                  good_event_margin,
                                  good_event_union_frequency, has_bug,
                                  localization_check, log2_plus, loglog_plus,
-                                 stitched_boundary)
+                                 rounding_absorbed, stitched_boundary)
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -69,6 +69,16 @@ class TestGoodEvent:
             -2.0 + 0.25 * 2.0 * math.sqrt(0.02), abs=1e-12)
         assert not rep.held
         assert rep.worst_t == 1
+
+    def test_overflowed_margin_does_not_hold(self):
+        # from 1e308, dbar * sqrt(3 G) overflows: every margin is +inf
+        oracle = scripted_oracle([[1.0]])
+        with np.errstate(over="ignore"):
+            tr = sgd_run(oracle, WHOLE, np.array([1e308]), 1.0, 2, stream=0)
+            rep = good_event_margin(tr, oracle, np.zeros(1),
+                                    DampingParams(3.0, 0.0))
+        assert np.all(rep.margins == math.inf)
+        assert not rep.held
 
     def test_requires_side_channel(self):
         oracle = query_oracle(query=lambda x, rng: np.ones(1))
@@ -319,3 +329,46 @@ class TestTheoremChecks:
         by_id = {l.check_id: l for l in lines}
         assert by_id["T_lower_bound"].verdict == "inconclusive"
         assert not has_bug(lines)
+
+
+class TestRoundingAbsorbed:
+    """Checks of a run whose every step rounding absorbed, against one held
+    in place by the projection."""
+
+    def test_absorbed_run_is_inconclusive(self):
+        # x - 1e-300 * sign(x) rounds back to x = 1: r_bar = 0 and the edge
+        # case fires, with a gap far above 2 eta_eps G / T
+        oracle = abs_oracle()
+        res = tune(oracle, WHOLE, np.array([1.0]), budget=4096,
+                   eta_eps=1e-300)
+        assert res.case == "edge_low_step"
+        tr = res.traces[(res.k_final, 0)]
+        assert tr.r_bar == 0.0 and tr.G > 0 and rounding_absorbed(tr)
+        by_id = {l.check_id: l for l in check_theorem_bounds(res, oracle)}
+        assert by_id["edge_gap_dichotomy"].verdict == "inconclusive"
+        assert by_id["budget"].verdict == "pass"
+        assert not has_bug(by_id.values())
+
+    def test_run_stuck_on_a_ball_boundary_keeps_its_verdicts(self):
+        # f(x) = -x on [-1, 1]: each step from x0 = 1 leaves the ball and is
+        # projected back, so r_bar = 0 too; a false f_star = -5 makes the
+        # edge gap check fail, which no rounding excuses
+        grad = lambda x: -np.ones(1)
+        oracle = query_oracle(query=lambda x, rng: grad(x), noiseless=True,
+                              norm_bound_L=1.0, exact_subgradient=grad,
+                              exact_value=lambda x: -float(x[0]),
+                              optimum_info=(np.ones(1), -5.0))
+        ball = ProjectionDomain.ball(np.zeros(1), 1.0)
+        res = tune(oracle, ball, np.ones(1), budget=64, eta_eps=1 / 16)
+        assert res.case == "edge_low_step"
+        tr = res.traces[(res.k_final, 0)]
+        assert tr.r_bar == 0.0 and not rounding_absorbed(tr)
+        by_id = {l.check_id: l for l in check_theorem_bounds(res, oracle)}
+        assert by_id["edge_gap_dichotomy"].verdict == "bug"
+        assert by_id["edge_displacement"].verdict == "pass"
+
+    def test_zero_gradients_are_not_absorbed(self):
+        oracle = query_oracle(query=lambda x, rng: np.zeros(1),
+                              noiseless=True)
+        tr = sgd_run(oracle, WHOLE, np.array([1.0]), 0.5, 4, stream=None)
+        assert not rounding_absorbed(tr)
