@@ -5,8 +5,11 @@ Runs a fixed set of small ``stepfree-bench`` commands (tune on five
 family/noise pairs, tune --r-eps, tune in non-adaptive mode, tune from an INI
 file with a flag overriding it, tune with an invalid delta, a noiseless and a
 noisy restart chain, a 4-budget sweep, validate-good-event with and without
---union-grid and a boundary test) and writes, per command, its CSV and JSONL
-(those it writes) and its stdout followed by the exit status and any stderr.
+--union-grid and a boundary test; and the runs that end in a failure row:
+tune runs that overflow or meet a zero first gradient, a restart chain whose
+fourth round overflows, and a sweep whose first budget fails every run) and
+writes, per command, its CSV and JSONL (those it writes) and its stdout
+followed by the exit status and any stderr.
 Wall times are the one field that differs between runs, so the CSV's
 ``wall_ms`` column is masked as ``*``; everything else must match byte for
 byte.
@@ -111,6 +114,21 @@ CASES = {
         "sweep", "--family", "l1", "--noise", "sphere", "--noise-param", "0.5",
         "--dimension", "3", "--budgets", "16,32,64,128", "--eta-eps", "1e-3",
         "--reps", "20", "--seed", "7"],
+    # every run overflows at its first step: numerical_failure rows
+    "tune_numerical_failure": [
+        "tune", "--eta-eps", "1e307", "--budget", "64", "--reps", "2"],
+    # x0 = x_star = 0, where the first gradient is 0: no relative eta_eps
+    "tune_zero_first_gradient": [
+        "tune", "--r-eps", "1", "--center-scale", "0", "--x0-dist", "0",
+        "--budget", "64"],
+    # round 4 overflows; the failure row names the round and its cause
+    "restart_numerical_failure": [
+        "restart", "--family", "l1", "--epsilon", "1e307", "--rounds", "5",
+        "--reps", "2"],
+    # exits 2 once budget 16's runs have all failed, before budget 32 runs
+    "sweep_all_failed": [
+        "sweep", "--family", "l1", "--eta-eps", "1e307", "--budgets",
+        "16,32,64,128", "--reps", "20"],
 }
 
 
