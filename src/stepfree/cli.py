@@ -121,114 +121,112 @@ class Outputs(contextlib.ExitStack):
 # its top step, eta_eps * 2.0 ** 1024, overflows
 MAX_UNION_ROUND_K = 9
 
-# cases of runs that end with a reason instead of a result
-FAILED_CASES = ("numerical_failure", "zero_first_gradient")
+# the errors that end a run with a failure row instead of a result, by the
+# row's case
+FAILED_CASES = {"numerical_failure": NumericalFailure,
+                "zero_first_gradient": ZeroFirstGradient}
 
 
-def _row(run_id: int, seed: int, wall_ms: float, case: str, last=None,
-         total_queries="", gap: float = math.nan,
-         dist: float = math.nan) -> dict:
-    """The CSV row of one run; ``last`` is the TunerResult of its last tuner
-    call, None for a run that ended without a result."""
-    tuned = ("", "", "") if last is None else (last.k_final, last.T,
-                                                last.eta.exponent)
-    return dict(zip(CSV_COLUMNS, (run_id, seed, *tuned, total_queries,
-                                  repr(gap), repr(dist), case,
-                                  f"{wall_ms:.3f}")))
+def _unwrap(exc: Exception) -> tuple[Exception, str]:
+    """The error behind ``exc`` and its message: restart_tune wraps a
+    round's error in a RuntimeError naming the round, so there the cause,
+    with both messages."""
+    if type(exc) is RuntimeError and exc.__cause__ is not None:
+        return exc.__cause__, f"{exc}: {exc.__cause__}"
+    return exc, str(exc)
 
 
-def _failure_row(run_id: int, seed: int, t0: float, reason: str,
-                 case: str = "numerical_failure"):
-    """(csv row, jsonl record) of a run that ended without a result."""
-    wall = (time.perf_counter() - t0) * 1e3
-    return (_row(run_id, seed, wall, case),
-            {"run_id": run_id, "case": case, "error": reason})
+def _tune(cfg, oracle, domain, x0, seed: int, budget: int):
+    mode = MODES[cfg.mode](delta=cfg.delta, L=oracle.norm_bound_L)
+    result = tune(oracle, domain, x0, budget=budget, eta_eps=cfg.eta_eps,
+                  r_eps=cfg.r_eps, mode=mode, master_seed=seed)
+    return result.x_bar, [result], check_theorem_bounds(result, oracle), {
+        "case": result.case, "budget": budget, "eta_eps": result.eta_eps,
+        "eta_o_exponent": result.eta.exponent}
 
 
-def _tune_once(cfg: argparse.Namespace, run_id: int, budget: int):
-    """One tuner repetition; returns (csv row, jsonl record, bug flag)."""
-    seed = derive_stream(cfg.seed, "rep", run_id)
-    oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
-    x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
-    t0 = time.perf_counter()
-    try:
-        result = tune(oracle, domain, x0, budget=budget, eta_eps=cfg.eta_eps,
-                      r_eps=cfg.r_eps,
-                      mode=MODES[cfg.mode](delta=cfg.delta,
-                                          L=oracle.norm_bound_L),
-                      master_seed=seed)
-    except ZeroFirstGradient as exc:
-        return (*_failure_row(run_id, seed, t0, str(exc),
-                              "zero_first_gradient"), False)
-    except NumericalFailure as exc:
-        return (*_failure_row(run_id, seed, t0, str(exc)), False)
-    wall = (time.perf_counter() - t0) * 1e3
-    gap = float(oracle.exact_value(result.x_bar) - f_star)
-    dist = float(np.linalg.norm(result.x_bar - x_star))
-    checks = check_theorem_bounds(result, oracle)
-    row = _row(run_id, seed, wall, result.case, result, result.total_queries,
-               gap, dist)
-    diag = {"run_id": run_id, "seed": seed, "case": result.case,
-            "budget": budget, "eta_eps": result.eta_eps,
-            "eta_o_exponent": result.eta.exponent, "gap": gap,
-            "checks": [asdict(c) for c in checks]}
-    return row, diag, has_bug(checks)
+def _restart(cfg, oracle, domain, x0, seed: int, budget: int):
+    x, records = restart_tune(oracle, domain, x0, M=cfg.rounds,
+                              delta=cfg.delta, epsilon=cfg.epsilon,
+                              L=oracle.norm_bound_L, master_seed=seed)
+    total = sum(r.total_queries for r in records)
+    check = CheckLine("restart_total_budget", total, budget,
+                      "pass" if total <= budget else "bug")
+    f_star = oracle.optimum_info[1]
+    return x, records, [check], {
+        "rounds": cfg.rounds, "total_queries": total,
+        "per_round": [{"m": m + 1, "case": r.case, "queries": r.total_queries,
+                       "gap": float(oracle.exact_value(r.x_bar) - f_star)}
+                      for m, r in enumerate(records)]}
 
 
-def cmd_tune(cfg: argparse.Namespace) -> int:
-    bug = False
-    with Outputs(cfg) as out:
-        for run_id in range(cfg.reps):
-            row, diag, run_bug = _tune_once(cfg, run_id, cfg.budget)
-            bug |= run_bug
-            out.row(row, diag)
-            print(f"run {run_id}: case={row['case']} gap={row['gap']} "
-                  f"queries={row['total_queries']}")
-    return 1 if bug else 0
+# each rep command: its run, with its checks, which returns (final point,
+# the TunerResult of each tuner call, check lines, extra JSONL fields); and
+# its stdout line per run, a result's and a failure's, formatted from the
+# run's CSV row and JSONL record (sweep prints one per budget instead)
+REP_COMMANDS = {
+    "tune": (_tune, ("run {run_id}: case={case} gap={gap} "
+                     "queries={total_queries}",) * 2),
+    "restart": (_restart, ("run {run_id}: gap={gap:.6g} "
+                           "queries={total_queries}",
+                           "run {run_id}: case={case} ({error})")),
+    "sweep": (_tune, None)}
 
 
-def cmd_restart(cfg: argparse.Namespace) -> int:
-    bug = False
-    with Outputs(cfg) as out:
-        for run_id in range(cfg.reps):
+def _reps(cfg: argparse.Namespace, out: Outputs, budgets):
+    """The runs of tune, restart and sweep: cfg.reps per budget, run_id
+    counting on across budgets. Each run writes its CSV row and JSONL
+    record, a failure row where it raised one of FAILED_CASES. Yields, as
+    each budget's runs end, (their CSV rows, whether a check read bug)."""
+    run, lines = REP_COMMANDS[cfg.command]
+    run_id = 0
+    for budget in budgets:
+        rows, bug = [], False
+        for _ in range(cfg.reps):
             seed = derive_stream(cfg.seed, "rep", run_id)
             oracle, domain, x_star, f_star = make_problem(cfg.problem, seed)
             x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
             t0 = time.perf_counter()
             try:
-                x_final, records = restart_tune(
-                    oracle, domain, x0, M=cfg.rounds, delta=cfg.delta,
-                    epsilon=cfg.epsilon, L=oracle.norm_bound_L,
-                    master_seed=seed)
-            except RuntimeError as exc:
-                # restart_tune names the failing round and chains the cause
-                if not isinstance(exc.__cause__, NumericalFailure):
+                x, records, checks, fields = run(cfg, oracle, domain, x0,
+                                                 seed, budget)
+            except Exception as exc:
+                error, reason = _unwrap(exc)
+                case = next((case for case, kind in FAILED_CASES.items()
+                             if isinstance(error, kind)), None)
+                if case is None:
                     raise
-                row, diag = _failure_row(run_id, seed, t0,
-                                         f"{exc}: {exc.__cause__}")
-                out.row(row, diag)
-                print(f"run {run_id}: case=numerical_failure ({diag['error']})")
-                continue
-            wall = (time.perf_counter() - t0) * 1e3
-            total = sum(r.total_queries for r in records)
-            gap = float(oracle.exact_value(x_final) - f_star)
-            dist = float(np.linalg.norm(x_final - x_star))
-            last = records[-1]
-            bound = total_budget(cfg.rounds)
-            check = CheckLine("restart_total_budget", total, bound,
-                              "pass" if total <= bound else "bug")
-            bug |= has_bug([check])
-            row = _row(run_id, seed, wall, last.case, last, total, gap, dist)
-            diag = {"run_id": run_id, "seed": seed, "rounds": cfg.rounds,
-                    "gap": gap, "total_queries": total,
-                    "checks": [asdict(check)],
-                    "per_round": [{"m": m + 1, "case": r.case,
-                                   "queries": r.total_queries,
-                                   "gap": float(oracle.exact_value(r.x_bar)
-                                                - f_star)}
-                                  for m, r in enumerate(records)]}
+                wall = (time.perf_counter() - t0) * 1e3
+                tuned, gap, dist = ("",) * 4, math.nan, math.nan
+                diag = {"run_id": run_id, "case": case, "error": reason}
+            else:
+                wall = (time.perf_counter() - t0) * 1e3
+                last = records[-1]
+                case = last.case
+                tuned = (last.k_final, last.T, last.eta.exponent,
+                         sum(r.total_queries for r in records))
+                gap = float(oracle.exact_value(x) - f_star)
+                dist = float(np.linalg.norm(x - x_star))
+                bug |= has_bug(checks)
+                diag = {"run_id": run_id, "seed": seed, "gap": gap,
+                        "checks": [asdict(c) for c in checks], **fields}
+            row = dict(zip(CSV_COLUMNS, (run_id, seed, *tuned, repr(gap),
+                                         repr(dist), case, f"{wall:.3f}")))
             out.row(row, diag)
-            print(f"run {run_id}: gap={gap:.6g} queries={total}")
+            if lines:
+                print(lines["error" in diag].format_map({**row, **diag}))
+            rows.append(row)
+            run_id += 1
+        yield rows, bug
+
+
+def cmd_reps(cfg: argparse.Namespace) -> int:
+    """tune and restart: cfg.reps runs at one budget, restart's the total
+    of its rounds."""
+    budget = (total_budget(cfg.rounds) if cfg.command == "restart"
+              else cfg.budget)
+    with Outputs(cfg) as out:
+        ((_, bug),) = _reps(cfg, out, [budget])
     return 1 if bug else 0
 
 
@@ -292,21 +290,14 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     bug = False
     medians, failures, zero_grads = [], [], []
     with Outputs(cfg) as out:
-        run_id = 0
-        for budget in cfg.budgets:
-            gaps = []
-            failed = dict.fromkeys(FAILED_CASES, 0)
-            for _ in range(cfg.reps):
-                row, diag, run_bug = _tune_once(cfg, run_id, budget)
-                bug |= run_bug
-                out.row(row, diag)
-                if row["case"] in FAILED_CASES:
-                    failed[row["case"]] += 1
-                else:
-                    gaps.append(float(row["gap"]))
-                run_id += 1
-            failures.append(failed["numerical_failure"])
-            zero_grads.append(failed["zero_first_gradient"])
+        for budget, (rows, budget_bug) in zip(cfg.budgets,
+                                              _reps(cfg, out, cfg.budgets)):
+            bug |= budget_bug
+            cases = [row["case"] for row in rows]
+            gaps = [float(row["gap"]) for row in rows
+                    if row["case"] not in FAILED_CASES]
+            failures.append(cases.count("numerical_failure"))
+            zero_grads.append(cases.count("zero_first_gradient"))
             if not gaps:
                 raise ValueError(f"every run at budget {budget} ended in a "
                                  "numerical failure or a zero first "
@@ -363,9 +354,9 @@ SHARED = {
 # Every command also takes --config, --seed, --delta and --jsonl; all but
 # boundary-test build a problem, and the CSV_COMMANDS take --reps and --csv.
 COMMANDS = {
-    "tune": (cmd_tune, "run the step-size tuner",
+    "tune": (cmd_reps, "run the step-size tuner",
              ["--budget", "--eta-eps", "--r-eps", "--mode"]),
-    "restart": (cmd_restart, "doubling-budget restart chain", [
+    "restart": (cmd_reps, "doubling-budget restart chain", [
         ("--rounds", dict(type=int, default=4, help="number of rounds M")),
         ("--epsilon", dict(type=float, default=1.0))]),
     "validate-good-event": (cmd_validate_good_event,
@@ -495,9 +486,14 @@ def main(argv=None) -> int:
         # so numpy's overflow and invalid-value warnings are noise here
         with np.errstate(over="ignore", invalid="ignore"):
             return COMMANDS[cfg.command][0](cfg)
-    except (ValueError, NumericalFailure, OSError, MemoryError) as exc:
-        # MemoryError: a run record too large to allocate
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # MemoryError: a run record too large to allocate; a restart round's
+        # error is reported with the round it names
+        error, message = _unwrap(exc)
+        if not isinstance(error, (ValueError, NumericalFailure, OSError,
+                                  MemoryError)):
+            raise
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

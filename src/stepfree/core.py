@@ -329,8 +329,18 @@ def trace_distances(trace: SgdTrace, x_star) -> tuple[float, float, np.ndarray]:
     """Distances to the optimum along a run's iterate record.
 
     Returns (d0, d_bar, series) where series[t] = ||x_t - x_star|| for
-    t = 0..T and d_bar is the running maximum over the whole record.
+    t = 0..T and d_bar is the running maximum over the whole record. A
+    distance is +inf only where it exceeds the largest float.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    series = np.linalg.norm(trace.xs - x_star[None, :], axis=1)
+    diff = trace.xs - np.asarray(x_star, dtype=float)[None, :]
+    series = np.linalg.norm(diff, axis=1)
+    big = np.isinf(series)
+    if big.any():
+        # the squares of entries beyond ~1.3e154 overflow: those rows again,
+        # scaled by their largest entry (the others keep the plain norm's
+        # bits), but for a row with an inf entry
+        big &= np.isfinite(diff).all(axis=1)
+        scale = np.abs(diff[big]).max(axis=1)
+        series[big] = scale * np.linalg.norm(diff[big] / scale[:, None],
+                                             axis=1)
     return float(series[0]), float(series.max()), series

@@ -1,9 +1,13 @@
 """Synthetic convex problems with known optima and bounded-noise oracles.
 
-Every family exposes an exact-subgradient side channel, an analytic (or
-offline high-precision) optimum, and a declared norm bound L that holds for
-every possible oracle sample. Noise models are constructed so the sample is
-unbiased and never exceeds L.
+Every family exposes an exact-subgradient side channel, an optimum, and a
+declared norm bound L that holds for every possible oracle sample. Noise
+models are constructed so the sample is unbiased and never exceeds L.
+
+The optimum is analytic for every family but logistic, whose optimum is
+L-BFGS-B's, unchecked. Over 300 seeds at d = 5, n = 200 its gradient norm
+was at most 3.3e-9 (median 8.8e-12), ``x_star`` lay within 2.2e-8 of a
+Newton-polished optimum, and ``f_star`` within 2 ulps of its value there.
 """
 
 from __future__ import annotations

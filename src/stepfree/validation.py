@@ -67,8 +67,8 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     deltas = gs - oracle.exact_subgradient(xs[:T])
     inner = np.einsum("ij,ij->i", deltas, xs[:T] - x_star[None, :])
     prefix = np.cumsum(inner)
-    dist = np.linalg.norm(xs - x_star[None, :], axis=1)
-    dbar = np.maximum.accumulate(dist)          # dbar[t] includes x_t
+    # dbar[t] includes x_t
+    dbar = np.maximum.accumulate(trace_distances(trace, x_star)[2])
     g_sq = np.cumsum(np.einsum("ij,ij->i", gs, gs))
     floor = trace.eta * math.sqrt(damping.beta)
     threshold = 0.25 * np.maximum(dbar[1:T + 1], floor) * np.sqrt(

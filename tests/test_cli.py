@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stepfree.cli as cli
+import stepfree.tuner as tuner
 from oracles import per_sample
 from stepfree import ProblemSpec
 from stepfree.cli import build_parser, fit_loglog_slope, main
@@ -613,6 +614,35 @@ class TestCommandInputs:
     def test_out_of_range_run_is_one_error_line(self, args, message,
                                                 tmp_path, capsys):
         self.assert_one_error_line(args, message, tmp_path, capsys)
+
+    # rounds 1 and 2 of a restart chain are too small to run SGD; round 3,
+    # the first that does, is named in the error line
+    RUN_ERRORS = [
+        pytest.param(["tune", "--eta-eps", "1e-3"], "", id="tune"),
+        pytest.param(["restart", "--rounds", "4"], "restart round 3 failed: ",
+                     id="restart")]
+
+    @pytest.mark.parametrize("args, prefix", RUN_ERRORS)
+    def test_memory_error_in_a_run_is_one_error_line(self, args, prefix,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        def no_memory(*_, **__):
+            raise MemoryError("out of memory")
+        monkeypatch.setattr(tuner, "sgd_run", no_memory)
+        self.assert_one_error_line(args, prefix + "out of memory", tmp_path,
+                                   capsys)
+
+    @pytest.mark.parametrize("args, prefix", RUN_ERRORS)
+    def test_unhandled_run_error_stays_unhandled(self, args, prefix,
+                                                 monkeypatch):
+        def broken(*_, **__):
+            raise AssertionError("broken run")
+        monkeypatch.setattr(tuner, "sgd_run", broken)
+        with pytest.raises((AssertionError, RuntimeError)) as info:
+            run_cli(args)
+        error = info.value.__cause__ if prefix else info.value
+        assert isinstance(error, AssertionError)
+        assert str(info.value) == (prefix[:-2] if prefix else "broken run")
 
     def test_overflowed_good_event_margins_do_not_hold(self, tmp_path,
                                                       capsys):

@@ -171,6 +171,20 @@ class TestTraceDistances:
         assert d_bar == 1.0
         assert np.all(series == 1.0)
 
+    def test_beyond_the_square_overflow(self):
+        # the squares of entries beyond ~1.3e154 overflow; their distances
+        # do not
+        with np.errstate(over="ignore"):
+            tr = sgd_run(abs_oracle(), WHOLE, np.array([2e155]), 1e155, 2,
+                         stream=0)
+            d0, d_bar, series = trace_distances(tr, np.zeros(1))
+            assert (d0, d_bar) == (2e155, 2e155)
+            assert np.array_equal(series, [2e155, 1e155, 0.0])
+            tr = sgd_run(zero_oracle(2), WHOLE, np.array([3e155, -4e155]),
+                         1.0, 1, stream=0)
+            _, d_bar, series = trace_distances(tr, np.zeros(2))
+        assert series == pytest.approx([5e155, 5e155], rel=1e-15)
+
 
 class TestProjections:
     @given(x=st.lists(st.floats(-10, 10), min_size=3, max_size=3),

@@ -71,14 +71,26 @@ class TestGoodEvent:
         assert rep.worst_t == 1
 
     def test_overflowed_margin_does_not_hold(self):
-        # from 1e308, dbar * sqrt(3 G) overflows: every margin is +inf
+        # from 1e308, dbar * sqrt(300 G) overflows: every margin is +inf
         oracle = scripted_oracle([[1.0]])
         with np.errstate(over="ignore"):
             tr = sgd_run(oracle, WHOLE, np.array([1e308]), 1.0, 2, stream=0)
             rep = good_event_margin(tr, oracle, np.zeros(1),
-                                    DampingParams(3.0, 0.0))
+                                    DampingParams(300.0, 0.0))
         assert np.all(rep.margins == math.inf)
         assert not rep.held
+
+    def test_margins_beyond_the_square_overflow(self):
+        # from 2e155 the squared distances overflow, the distances do not:
+        # the margins are the finite thresholds, and the event holds
+        oracle = scripted_oracle([[1.0]])
+        with np.errstate(over="ignore"):
+            tr = sgd_run(oracle, WHOLE, np.array([2e155]), 1e155, 2, stream=0)
+            rep = good_event_margin(tr, oracle, np.zeros(1),
+                                    DampingParams(3.0, 0.0))
+        expected = 0.25 * 2e155 * np.sqrt(3 * np.array([1.0, 2.0]))
+        assert np.allclose(rep.margins, expected, rtol=1e-15, atol=0)
+        assert rep.held
 
     def test_requires_side_channel(self):
         oracle = query_oracle(query=lambda x, rng: np.ones(1))
