@@ -114,20 +114,23 @@ CASES = {
         "sweep", "--family", "l1", "--noise", "sphere", "--noise-param", "0.5",
         "--dimension", "3", "--budgets", "16,32,64,128", "--eta-eps", "1e-3",
         "--reps", "20", "--seed", "7"],
-    # every run overflows at its first step: numerical_failure rows
+    # every run's first candidate, 1e308 * 2^4, overflows to inf, so the
+    # run fails at its first step: numerical_failure rows
     "tune_numerical_failure": [
-        "tune", "--eta-eps", "1e307", "--budget", "64", "--reps", "2"],
+        "tune", "--eta-eps", "1e308", "--budget", "64", "--reps", "2"],
     # x0 = x_star = 0, where the first gradient is 0: no relative eta_eps
     "tune_zero_first_gradient": [
         "tune", "--r-eps", "1", "--center-scale", "0", "--x0-dist", "0",
         "--budget", "64"],
-    # round 4 overflows; the failure row names the round and its cause
+    # round 4 overflows: 1e308 from the optimum its first bisection's top
+    # step, 1e307, passes, and its second's, 4096 * 1e307, is inf; the
+    # failure row names the round and its cause
     "restart_numerical_failure": [
         "restart", "--family", "l1", "--epsilon", "1e307", "--rounds", "5",
-        "--reps", "2"],
+        "--x0-dist", "1e308", "--reps", "2"],
     # exits 2 once budget 16's runs have all failed, before budget 32 runs
     "sweep_all_failed": [
-        "sweep", "--family", "l1", "--eta-eps", "1e307", "--budgets",
+        "sweep", "--family", "l1", "--eta-eps", "1e308", "--budgets",
         "16,32,64,128", "--reps", "20"],
 }
 

@@ -23,11 +23,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import NumericalFailure, derive_stream
+from .core import NumericalFailure, derive_stream, norm
 from .problems import ProblemSpec, default_x0, make_problem
 from .restarts import restart_tune, total_budget
 from .tuner import (Deterministic, NonAdaptive, Stochastic, ZeroFirstGradient,
-                    damping_for_round, tune)
+                    damping_for_round, grid_step, tune)
 from .validation import (CheckLine, binom_upper, boundary_crossing_test,
                          check_theorem_bounds, good_event_frequency,
                          good_event_union_frequency, has_bug)
@@ -117,8 +117,7 @@ class Outputs(contextlib.ExitStack):
 
 
 # the largest --round-k of validate-good-event --union-grid: its grid of
-# 2^k + 1 step sizes is 2^k + 1 runs per path (513 at k = 9), and at k = 10
-# its top step, eta_eps * 2.0 ** 1024, overflows
+# 2^k + 1 step sizes is 2^k + 1 runs per path (513 at k = 9)
 MAX_UNION_ROUND_K = 9
 
 # the errors that end a run with a failure row instead of a result, by the
@@ -206,7 +205,7 @@ def _reps(cfg: argparse.Namespace, out: Outputs, budgets):
                 tuned = (last.k_final, last.T, last.eta.exponent,
                          sum(r.total_queries for r in records))
                 gap = float(oracle.exact_value(x) - f_star)
-                dist = float(np.linalg.norm(x - x_star))
+                dist = float(norm(x - x_star))
                 bug |= has_bug(checks)
                 diag = {"run_id": run_id, "seed": seed, "gap": gap,
                         "checks": [asdict(c) for c in checks], **fields}
@@ -240,7 +239,8 @@ def cmd_validate_good_event(cfg: argparse.Namespace) -> int:
     damping = damping_for_round(cfg.round_k, cfg.budget, cfg.delta, L,
                                 MODES[cfg.mode](delta=cfg.delta, L=L))
     if cfg.union_grid:
-        etas = [cfg.eta_eps * 2.0 ** j for j in range(2 ** cfg.round_k + 1)]
+        etas = [grid_step(cfg.eta_eps, j)
+                for j in range(2 ** cfg.round_k + 1)]
         freq = good_event_union_frequency(oracle, domain, x0, x_star, etas,
                                           cfg.T, damping, cfg.n_paths,
                                           cfg.seed)

@@ -97,6 +97,28 @@ class StochasticOracle:
         return derive_stream(master_seed, *parts)
 
 
+def norm(v, axis: Optional[int] = None):
+    """The Euclidean length of v, or of each of its slices along ``axis``.
+
+    Where ``np.linalg.norm`` is finite, this is its result, bit for bit.
+    Where it overflowed, the squares of entries beyond ~1.3e154 did: that
+    slice is scaled by 2^-e, e the ``frexp`` exponent of its largest entry,
+    and the norm of the scaled slice by 2^e; both scalings are exact, so a
+    length scales by exactly 2^s with its vector and is +inf only past the
+    float range, or where an entry is inf.
+    """
+    v = np.asarray(v, dtype=float)
+    length = np.linalg.norm(v, axis=axis)
+    big = np.isinf(length)
+    if not big.any():
+        return length
+    e = np.frexp(np.max(np.abs(v), axis=axis, keepdims=True))[1]
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=axis),
+                          np.squeeze(e, axis=axis))
+    return np.where(big, scaled, length)[()]
+
+
 @dataclass(frozen=True)
 class ProjectionDomain:
     """Euclidean projection onto the whole space, a ball, or a box.
@@ -106,7 +128,10 @@ class ProjectionDomain:
     box needs bounds without nan, lower <= upper, and a finite point in
     every coordinate (no lower bound +inf, no upper bound -inf). On such a
     domain the projection maps finite points to finite points, which the
-    one finiteness screen per step of :func:`sgd_run` relies on.
+    one finiteness screen per step of :func:`sgd_run` relies on. A ball
+    measures a point's distance to its center by :func:`norm`, so a finite
+    point leaves the ball, or stays where it is, by its true length also
+    where the square of that length overflows.
     """
 
     kind: str  # "whole" | "ball" | "box"
@@ -163,7 +188,8 @@ class ProjectionDomain:
         The screen is a finite squared norm: of x, or for a ball of x minus
         the center, the square its inside test takes anyway. A pass proves
         every entry of x finite, and with it the projection. A fail means an
-        entry may be non-finite, or the square overflowed.
+        entry may be non-finite, or the square overflowed; then a ball takes
+        the distance from :func:`norm` instead.
         """
         if self.kind == "whole":
             return math.isfinite(x.dot(x))
@@ -174,6 +200,10 @@ class ProjectionDomain:
             nrm = math.sqrt(dsq)  # what np.linalg.norm computes
             if nrm <= self.radius:  # then dsq is finite, as the radius is
                 return True
+            if dsq == math.inf:  # the square overflowed, the length maybe not
+                nrm = norm(diff)
+                if nrm <= self.radius:
+                    return False
             np.multiply(diff, self.radius / nrm, x)
             np.add(self.center, x, x)
             return math.isfinite(dsq)
@@ -183,9 +213,6 @@ class ProjectionDomain:
         np.minimum(x, self.upper, out=x)
         return passed
 
-    def contains(self, x: Vector, tol: float = 1e-12) -> bool:
-        return bool(np.linalg.norm(self.project(x) - x) <= tol)
-
 
 @dataclass
 class SgdTrace:
@@ -193,10 +220,11 @@ class SgdTrace:
     the summaries read off it.
 
     ``xs`` is the (T+1, d) iterate record x_0, ..., x_T and ``gs`` the (T, d)
-    record of the T queried gradients. ``r_bar`` is max_{i<=T} ||x0 - x_i||
-    and ``G`` is the running sum of squared gradient norms over ``gs``, +inf
-    once a square or the sum overflows; ``G`` and ``g0_norm`` are read off
-    ``gs`` after the run's last step. The steps themselves are screened for
+    record of the T queried gradients. ``r_bar`` is max_{i<=T} ||x0 - x_i||,
+    a length by :func:`norm`, +inf only past the float range; ``G`` is the
+    running sum of squared gradient norms over ``gs``, +inf once a square or
+    the sum overflows; ``G`` and ``g0_norm`` are read off ``gs`` after the
+    run's last step. The steps themselves are screened for
     finiteness once each, which :func:`sgd_run` shows is enough. ``x_avg``
     averages the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f``
     (lowest value over x_0, ..., x_T) and ``value_avg`` are set only by a
@@ -308,10 +336,12 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     x_avg = (np.add.accumulate(xs[:T], axis=0)[-1] + 0.0) / T
     # the largest displacement square found by argmax, whose call costs less
     # than ndarray.max's and, unlike a Python max over a list, ~nothing a row
+    r_bar = math.sqrt(dsq.item(dsq.argmax()))
+    if r_bar == math.inf:  # a square overflowed, the length maybe not
+        r_bar = float(norm(rows[T:], axis=1).max())
     trace = SgdTrace(
-        eta=float(eta), T=T, x0=x0, x_avg=x_avg,
-        r_bar=math.sqrt(dsq.item(dsq.argmax())), G=G, g0_norm=gsq[0] ** 0.5,
-        stream=stream, xs=xs, gs=gs)
+        eta=float(eta), T=T, x0=x0, x_avg=x_avg, r_bar=r_bar, G=G,
+        g0_norm=gsq[0] ** 0.5, stream=stream, xs=xs, gs=gs)
     if value_fn is not None:
         fs = [float(value_fn(row)) for row in xs]
         best = 0
@@ -329,18 +359,9 @@ def trace_distances(trace: SgdTrace, x_star) -> tuple[float, float, np.ndarray]:
     """Distances to the optimum along a run's iterate record.
 
     Returns (d0, d_bar, series) where series[t] = ||x_t - x_star|| for
-    t = 0..T and d_bar is the running maximum over the whole record. A
-    distance is +inf only where it exceeds the largest float.
+    t = 0..T and d_bar is the running maximum over the whole record. Each
+    distance is a length by :func:`norm`, +inf only where it exceeds the
+    largest float.
     """
-    diff = trace.xs - np.asarray(x_star, dtype=float)[None, :]
-    series = np.linalg.norm(diff, axis=1)
-    big = np.isinf(series)
-    if big.any():
-        # the squares of entries beyond ~1.3e154 overflow: those rows again,
-        # scaled by their largest entry (the others keep the plain norm's
-        # bits), but for a row with an inf entry
-        big &= np.isfinite(diff).all(axis=1)
-        scale = np.abs(diff[big]).max(axis=1)
-        series[big] = scale * np.linalg.norm(diff[big] / scale[:, None],
-                                             axis=1)
+    series = norm(trace.xs - np.asarray(x_star, dtype=float)[None, :], axis=1)
     return float(series[0]), float(series.max()), series

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionDomain, StochasticOracle, sgd_run
+from .core import ProjectionDomain, StochasticOracle, norm, sgd_run
 
 FAMILIES = ("l1", "quadratic", "huber", "sc_quadratic", "logistic")
 
@@ -239,10 +239,10 @@ def make_problem(spec: ProblemSpec, seed: int):
                        options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 5000})
         x_star = sol.x
         f_star = float(sol.fun)
-        if np.linalg.norm(x_star) >= spec.radius:
+        if norm(x_star) >= spec.radius:
             raise ValueError("logistic optimum falls outside the domain ball")
         domain = ProjectionDomain.ball(np.zeros(d), spec.radius)
-        sup_grad = float(np.linalg.norm(A, axis=1).max()) + reg * spec.radius
+        sup_grad = float(norm(A, axis=1).max()) + reg * spec.radius
         tape, L = _noise_sampler(spec, grad_into, sup_grad)
 
     oracle = StochasticOracle(
@@ -256,7 +256,7 @@ def default_x0(domain: ProjectionDomain, x_star, dist: float, seed: int) -> np.n
     """A starting point at the requested distance from the optimum."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD1CE]))
     v = rng.standard_normal(len(x_star))
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     return domain.project(np.asarray(x_star) + dist * v)
 
 

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ProjectionDomain, SgdTrace, StochasticOracle, run_step,
-                   sgd_run)
+from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
+                   run_step, sgd_run)
 
 
 # --------------------------------------------------------------------------
@@ -102,6 +102,16 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
 # candidate step sizes and the certificate
 # --------------------------------------------------------------------------
 
+def grid_step(eta_eps: float, j: int) -> float:
+    """The step size eta_eps * 2^j of the dyadic grid, +inf past the float
+    range: bit for bit ``eta_eps * 2.0 ** j`` wherever 2.0 ** j is a float
+    (j < 1024), and total in j."""
+    try:
+        return math.ldexp(eta_eps, j)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class StepSizeExp:
     """A step size base * 2^exponent on the dyadic grid: the type of
@@ -112,7 +122,7 @@ class StepSizeExp:
 
     @property
     def value(self) -> float:
-        return self.base * (2.0 ** self.exponent)
+        return grid_step(self.base, self.exponent)
 
 
 def phi(trace: SgdTrace, damping: DampingParams) -> float:
@@ -198,8 +208,9 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
 
     Bisects the exponents j of the dyadic grid eta_eps * 2^j over 0..2^k
     (k >= 1), so every midpoint is an integer. Each candidate j is run once,
-    on the stream ``(master_seed, "trace", k, j)``, without value tracking;
-    the runs go in the order 2^k, 0, then the midpoints.
+    at ``grid_step(eta_eps, j)`` (+inf past the float range), on the stream
+    ``(master_seed, "trace", k, j)``, without value tracking; the runs go
+    in the order 2^k, 0, then the midpoints.
     """
     if k < 1:
         raise ValueError(f"round k must be >= 1, got {k}")
@@ -207,7 +218,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
 
     def run_passes(j: int) -> bool:
         stream = oracle.run_stream(master_seed, "trace", k, j)
-        runs[j] = sgd_run(oracle, domain, x0, eta_eps * (2.0 ** j), T, stream)
+        runs[j] = sgd_run(oracle, domain, x0, grid_step(eta_eps, j), T, stream)
         return passes(runs[j], damping)
 
     lo, hi = 0, 2 ** k
@@ -224,9 +235,18 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
         else:
             hi = mid
 
-    # selection rule: return eta_hi iff r_bar(hi) <= r_bar(lo) * phi(hi) / hi
+    # selection rule: return eta_hi iff r_bar(hi) <= r_bar(lo) * phi(hi) / hi;
+    # where the product of lengths overflows, both r_bar are taken 2^-e
+    # times, e the exponent of r_bar(lo): exact, so the comparison is the
+    # one an unbounded exponent range would make
     tr_lo, tr_hi = runs[lo], runs[hi]
-    choose_hi = tr_hi.r_bar <= tr_lo.r_bar * phi(tr_hi, damping) / tr_hi.eta
+    r_lo, r_hi, phi_hi = tr_lo.r_bar, tr_hi.r_bar, phi(tr_hi, damping)
+    product = r_lo * phi_hi
+    if product == math.inf:
+        e = math.frexp(r_lo)[1]
+        r_lo, r_hi = math.ldexp(r_lo, -e), math.ldexp(r_hi, -e)
+        product = r_lo * phi_hi
+    choose_hi = r_hi <= product / tr_hi.eta
     outcome = BisectionOutcome("selected", runs, hi if choose_hi else lo,
                                lo, hi)
     if not verify_output_property(outcome, damping):
@@ -255,11 +275,6 @@ class TunerResult:
     final_outcome: Optional[BisectionOutcome] = None
     damping_final: Optional[DampingParams] = None
 
-    @property
-    def z(self) -> np.ndarray:
-        """The output point: x_bar, or x0 by :func:`select_output_z`."""
-        return select_output_z(self)
-
 
 def select_output_z(result: TunerResult):
     """Post-processing rule: fall back to x0 when the edge step size fired
@@ -278,7 +293,10 @@ def first_gradient_norm(oracle: StochasticOracle, x0,
     "g0") (none if noiseless), a side query not charged to the budget."""
     g0 = np.empty(len(x0))
     run_step(oracle, oracle.run_stream(master_seed, "g0"), 1)(x0, 0, g0)
-    return math.sqrt(g0.dot(g0))  # what np.linalg.norm computes
+    g0_norm = math.sqrt(g0.dot(g0))  # what np.linalg.norm computes
+    if g0_norm == math.inf:  # the square overflowed, the length maybe not
+        return float(norm(g0))
+    return g0_norm
 
 
 class ZeroFirstGradient(ValueError):

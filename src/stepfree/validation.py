@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProjectionDomain, SgdTrace, StochasticOracle, sgd_run,
-                   trace_distances)
+from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
+                   sgd_run, trace_distances)
 from .tuner import DampingParams, Deterministic, TunerResult, passes
 
 
@@ -46,7 +46,6 @@ def loglog_plus(x: float, *den: float) -> float:
 class GoodEventReport:
     margins: np.ndarray  # margins[t-1] for t = 1..T
     held: bool
-    worst_t: int
 
 
 def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
@@ -74,9 +73,8 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     threshold = 0.25 * np.maximum(dbar[1:T + 1], floor) * np.sqrt(
         damping.alpha * g_sq + damping.beta)
     margins = prefix + threshold
-    worst = int(np.argmin(margins)) + 1
     held = bool(np.isfinite(margins).all() and margins.min() >= 0.0)
-    return GoodEventReport(margins=margins, held=held, worst_t=worst)
+    return GoodEventReport(margins=margins, held=held)
 
 
 def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
@@ -257,7 +255,7 @@ def check_theorem_bounds(result: TunerResult,
     # deterministic-mode statements are proven per-run; stochastic ones hold
     # only with high probability, so a violation is not by itself a bug
     fail = "bug" if deterministic else "inconclusive"
-    d0 = float(np.linalg.norm(result.x0 - x_star))
+    d0 = float(norm(result.x0 - x_star))
     gap = float(value_fn(result.x_bar) - f_star) if value_fn else math.nan
     T, B = result.T, result.budget
     tol = 1e-9
@@ -298,7 +296,7 @@ def check_theorem_bounds(result: TunerResult,
     if result.case == "normal":
         # localization
         loc_bound = (4.0 if deterministic else 6.0) * d0
-        dist = float(np.linalg.norm(result.x_bar - x_star))
+        dist = float(norm(result.x_bar - x_star))
         check("localization", dist, loc_bound, within(dist, loc_bound))
         if math.isnan(gap):
             return lines
@@ -321,8 +319,8 @@ def check_theorem_bounds(result: TunerResult,
             check("gap_vs_L_surrogate", gap, l_bound, within(gap, l_bound))
     else:  # edge_low_step: the low endpoint fired; either the normal-style
         # bound or the small-step bound must hold
-        dist_x0 = float(np.linalg.norm(result.x_bar - result.x0))
-        dist_star = float(np.linalg.norm(result.x_bar - x_star))
+        dist_x0 = float(norm(result.x_bar - result.x0))
+        dist_star = float(norm(result.x_bar - x_star))
         den = damping.denominator(tr)
         check("edge_displacement", dist_x0, result.eta_eps * den,
               within(dist_x0, result.eta_eps * den))

@@ -231,10 +231,13 @@ def _sweep_medians(spec, budgets, eta_eps, reps):
             x0 = default_x0(domain, x_star, 1.0, seed)
             result = tune(oracle, domain, x0, budget=budget, eta_eps=eta_eps,
                           master_seed=seed)
+            # the mean of f over the selected run's x_0, ..., x_{T-1}, read
+            # off its record in the order sgd_run's value_fn sums it
             trace = result.traces[(result.k_final, result.eta.exponent)]
-            values = sgd_run(oracle, domain, result.x0, trace.eta, trace.T,
-                             trace.stream, value_fn=oracle.exact_value)
-            mean_vals.append(values.value_avg - f_star)
+            value_sum = 0.0
+            for row in trace.xs[:trace.T]:
+                value_sum += oracle.exact_value(row)
+            mean_vals.append(value_sum / trace.T - f_star)
             out_vals.append(oracle.exact_value(result.x_bar) - f_star)
         mean_meds.append(float(np.median(mean_vals)))
         out_meds.append(float(np.median(out_vals)))

@@ -538,16 +538,18 @@ class TestCommandInputs:
             "--jsonl", tmp_path / "out.jsonl"]) == 0
         assert "good-event frequency" in capsys.readouterr().out
 
-    # the grid's step sizes 1e200 * 2^j overflow to inf before j = 2^9; on
-    # a ball, without the beta term, every margin before that stays finite
-    # and nonnegative, so the union reaches the step size that fails
+    # the grid's step sizes 1e200 * 2^j pass 1.8e306 before j = 2^9; a
+    # first step that far lands on the ball's sphere (radius 100), where the
+    # second step's eta * g overflows. Without the beta term every margin
+    # before that stays finite and nonnegative, so the union reaches the
+    # step size that fails
     OVERFLOWING_GRID = UNION_GRID[:2] + [
         "--eta-eps", "1e200", "--round-k", "9", "--T", "2", "--n-paths", "1",
         "--family", "quadratic", "--mode", "nonadaptive"]
 
     def test_numerical_failure_is_one_error_line(self, tmp_path, capsys):
         self.assert_one_error_line(self.OVERFLOWING_GRID,
-                                   "non-finite iterate at step 0", tmp_path,
+                                   "non-finite iterate at step 1", tmp_path,
                                    capsys)
 
     @pytest.mark.parametrize("args, code", [
@@ -653,6 +655,53 @@ class TestCommandInputs:
         (summary,) = read_jsonl(out)
         assert summary["frequency"] < 1.0
         assert summary["verdict"] == "inconclusive"
+
+
+class TestLengthsBeyondTheSquareOverflow:
+    """Runs whose lengths pass ~1.3e154, where their squares overflow."""
+
+    @staticmethod
+    def tune(args, tmp_path):
+        csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "t.jsonl"
+        assert run_cli(["tune"] + args + ["--csv", csv_path,
+                                          "--jsonl", jsonl_path]) == 0
+        (row,), (diag,) = read_csv(csv_path), read_jsonl(jsonl_path)
+        return row, diag
+
+    def test_ball_keeps_a_far_start(self, tmp_path):
+        # x0 lies 1e160 inside a ball of radius 1e200: the run starts there,
+        # not at the center, which is the optimum
+        row, _ = self.tune(["--family", "quadratic", "--radius", "1e200",
+                            "--x0-dist", "1e160", "--eta-eps", "1e-3"],
+                           tmp_path)
+        assert float(row["dist_to_opt"]) == pytest.approx(1e160, rel=0.05)
+
+    @pytest.mark.parametrize("eta_eps, case", [
+        ("1e-3", "edge_low_step"),
+        # round 8 selects a step size beyond 1e154, where r_bar(lo) *
+        # phi(hi) of the selection rule overflows
+        ("1e140", "normal")])
+    def test_distances_and_bounds_are_finite(self, eta_eps, case, tmp_path):
+        row, diag = self.tune(["--family", "l1", "--x0-dist", "1e155",
+                               "--eta-eps", eta_eps, "--budget", "64"],
+                              tmp_path)
+        assert row["case"] == case
+        dist = float(row["dist_to_opt"])
+        assert 1e154 < dist < 2e155
+        assert all(math.isfinite(c["bound"]) for c in diag["checks"])
+
+    def test_candidate_past_the_float_range_is_a_failure_row(
+            self, tmp_path, monkeypatch):
+        # from x0 = 0 toward a center ~1e300 away every top candidate up to
+        # eta_eps * 2^256 walks straight and passes, so round 16 runs
+        # j = 2^16, past the float range
+        monkeypatch.setattr(cli, "default_x0",
+                            lambda domain, x_star, dist, seed:
+                            np.zeros(len(x_star)))
+        row, diag = self.tune(["--family", "l1", "--center-scale", "1e300",
+                               "--eta-eps", "1", "--budget", "64"], tmp_path)
+        assert row["case"] == "numerical_failure"
+        assert diag["error"] == "non-finite iterate at step 0"
 
 
 class TestRoundingAbsorbedRuns:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import query_oracle
 from stepfree import NumericalFailure, ProjectionDomain, derive_stream, sgd_run
-from stepfree.core import trace_distances
+from stepfree.core import norm, trace_distances
 
 
 def abs_oracle():
@@ -186,6 +186,39 @@ class TestTraceDistances:
         assert series == pytest.approx([5e155, 5e155], rel=1e-15)
 
 
+class TestNorm:
+    @given(v=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_linalg_bits_where_finite(self, v):
+        v = np.array(v)
+        assert norm(v).tobytes() == np.linalg.norm(v).tobytes()
+        rows = np.stack([v, -v, 0.5 * v])
+        assert (norm(rows, axis=1).tobytes()
+                == np.linalg.norm(rows, axis=1).tobytes())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("s", [0, 200, 520, 1000])
+    def test_scales_by_the_power_of_two(self, s):
+        v = np.array([0.3, -0.7, 1.1])
+        assert norm(np.ldexp(v, s)) == np.ldexp(norm(v), s)
+        rows = np.ldexp(np.array([v, [3.0, 4.0, 0.0]]), s)
+        assert np.array_equal(norm(rows, axis=1),
+                              np.ldexp(norm(rows / 2.0 ** s, axis=1), s))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_beyond_the_square_overflow(self):
+        assert norm(np.array([3e200, -4e200])) == pytest.approx(5e200,
+                                                               rel=1e-15)
+        # +inf only past the float range or at an inf entry, nan at a nan
+        rows = np.array([[1.5e308, 1.5e308], [np.inf, 1.0], [np.nan, 1e300],
+                         [3.0, 4.0], [1e308, 0.0]])
+        assert np.array_equal(norm(rows, axis=1),
+                              [np.inf, np.inf, np.nan, 5.0, 1e308],
+                              equal_nan=True)
+        assert np.array_equal(norm(rows.T, axis=0), norm(rows, axis=1),
+                              equal_nan=True)
+
+
 class TestProjections:
     @given(x=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
            y=st.lists(st.floats(-10, 10), min_size=3, max_size=3))
@@ -203,7 +236,7 @@ class TestProjections:
             assert np.allclose(dom.project(px), px, atol=1e-12)
             assert (np.linalg.norm(px - py)
                     <= np.linalg.norm(x - y) + 1e-12)
-            assert dom.contains(px, tol=1e-9)
+            assert np.linalg.norm(dom.project(px) - px) <= 1e-9
 
     def test_ball_projection_exact(self):
         dom = ProjectionDomain.ball(np.zeros(2), 1.0)
@@ -235,6 +268,27 @@ class TestProjections:
         ProjectionDomain.ball(np.array([4e307, -4e307]), 4e307)
         ProjectionDomain.box(np.full(2, -np.inf), np.full(2, np.inf))
         ProjectionDomain.box(np.ones(2), np.ones(2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ball_beyond_the_square_overflow(self):
+        # finite points whose squared distance to the center overflows:
+        # inside the ball they stay where they are, outside they land on
+        # the sphere
+        for center in (np.zeros(2), np.array([1e199, -3e199])):
+            dom = ProjectionDomain.ball(center, 1e200)
+            for offset in ([1e190, 0.0], [6e199, -7e199], [-2e185, 3e185]):
+                x = center + np.array(offset)
+                assert np.array_equal(dom.project(x), x)
+                assert not dom.project_in_place(x.copy())  # a failed screen
+            for offset in ([3e200, 4e200], [1e300, -1e250], [-1e201, 0.0]):
+                x = center + np.array(offset)
+                p = dom.project(x)
+                assert norm(p - center) == pytest.approx(1e200, rel=1e-15)
+                assert np.allclose((p - center) / 1e200,
+                                   (x - center) / norm(x - center),
+                                   rtol=1e-12, atol=1e-15)
+        dom = ProjectionDomain.ball(np.zeros(2), 1e200)
+        assert np.array_equal(dom.project([1e160, 0.0]), [1e160, 0.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dom", [

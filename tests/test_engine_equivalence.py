@@ -1,8 +1,9 @@
 """The engine against a reference copy of its straightforward per-step loop.
 
-``reference_sgd_run`` checks finiteness elementwise, takes a norm and calls
-the projection on every step. ``sgd_run`` must give the same realization bit
-for bit: the same trace, or the same ``NumericalFailure`` at the same step.
+``reference_sgd_run`` checks finiteness elementwise, takes a length (by
+``core.norm``) and calls the projection on every step. ``sgd_run`` must
+give the same realization bit for bit: the same trace, or the same
+``NumericalFailure`` at the same step.
 """
 
 import os
@@ -21,6 +22,7 @@ from oracles import per_sample, query_oracle
 from stepfree import (NumericalFailure, ProblemSpec, ProjectionDomain,
                       SgdTrace, default_x0, derive_stream, make_problem,
                       sgd_run, stream_rng, tune)
+from stepfree.core import norm
 from stepfree.tuner import Deterministic, Stochastic
 
 
@@ -65,7 +67,7 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, value_fn=None):
         x = domain.project(x - eta * g)
         if not np.all(np.isfinite(x)):
             raise NumericalFailure(i, "iterate")
-        r_bar = max(r_bar, float(np.linalg.norm(x - x0)))
+        r_bar = max(r_bar, float(norm(x - x0)))
         gs.append(g)
         xs.append(x.copy())
         if value_fn is not None:

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 import stepfree.tuner as tuner
 from oracles import per_sample, query_oracle
 from stepfree import (DampingParams, Deterministic, NonAdaptive,
-                      ProblemSpec, ProjectionDomain, SgdTrace, StepSizeExp,
-                      Stochastic, ZeroFirstGradient, default_x0, make_problem,
-                      sgd_run, tune)
-from stepfree.tuner import (damping_for_round, eta_max_diagnostic, passes,
-                            phi, relative_eta_eps, root_finding_bisection,
-                            round_constant, select_output_z,
-                            verify_output_property)
+                      NumericalFailure, ProblemSpec, ProjectionDomain,
+                      SgdTrace, StepSizeExp, Stochastic, ZeroFirstGradient,
+                      default_x0, make_problem, sgd_run, tune)
+from stepfree.tuner import (damping_for_round, eta_max_diagnostic,
+                            grid_step, passes, phi, relative_eta_eps,
+                            root_finding_bisection, round_constant,
+                            select_output_z, verify_output_property)
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -145,6 +145,29 @@ class TestDamping:
 class TestStepSizeExp:
     def test_value(self):
         assert StepSizeExp(1 / 16, 4).value == 1.0
+
+    @pytest.mark.parametrize("eta_eps", [1e-3, 1 / 16, 0.3, 1e140, 5e-324,
+                                         1e308])
+    def test_grid_step_is_the_product_where_2_to_j_is_a_float(self, eta_eps):
+        for j in range(1024):
+            assert (np.float64(grid_step(eta_eps, j)).tobytes()
+                    == np.float64(eta_eps * 2.0 ** j).tobytes())
+
+    def test_grid_step_is_total(self):
+        # 2.0 ** j raises OverflowError from j = 1024 on
+        assert grid_step(1e-300, 1024) == math.ldexp(1e-300, 1024) < math.inf
+        for j in (1024, 1100, 2 ** 16, 2 ** 40):
+            assert grid_step(1.0, j) == math.inf
+        assert StepSizeExp(1e-3, 2 ** 16).value == math.inf
+
+    def test_candidate_past_the_float_range_is_a_numerical_failure(self):
+        # from x0 = 0 toward c = 1e300 every top candidate up to 2^256 walks
+        # straight and passes, so round 16 runs j = 2^16, at +inf
+        c = np.array([1e300])
+        oracle = query_oracle(query=lambda x, rng: np.sign(x - c))
+        with pytest.raises(NumericalFailure) as info:
+            tune(oracle, WHOLE, np.zeros(1), budget=64, eta_eps=1.0)
+        assert (info.value.step, info.value.what) == (0, "iterate")
 
 
 class TestBisection:
@@ -370,7 +393,7 @@ class TestPostProcessing:
         res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
                    eta_eps=1 / 16)
         assert res.eta.exponent > 0
-        assert np.array_equal(res.z, res.x_bar)
+        assert np.array_equal(select_output_z(res), res.x_bar)
 
     def test_z_falls_back_to_x0_through_tune(self):
         # started at the optimum of |x|, every step size fails its check
@@ -379,7 +402,7 @@ class TestPostProcessing:
                    eta_eps=1 / 16)
         assert res.case == "edge_low_step" and res.eta.exponent == 0
         assert res.g0_norm == 0.0
-        assert np.array_equal(res.z, res.x0)
+        assert np.array_equal(select_output_z(res), res.x0)
 
     def test_z_differs_from_x_bar_through_tune(self):
         # the g0 side query sees a zero gradient, every later query sign(x);
@@ -394,12 +417,12 @@ class TestPostProcessing:
         assert res.case == "edge_low_step" and res.eta.exponent == 0
         assert res.g0_norm == 0.0
         assert not np.array_equal(res.x_bar, res.x0)
-        assert np.array_equal(res.z, res.x0)
+        assert np.array_equal(select_output_z(res), res.x0)
 
     def test_z_of_a_budget_too_small_run(self):
         res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=4, eta_eps=1.0)
         assert res.case == "budget_too_small"
-        assert np.array_equal(res.z, [1.0])
+        assert np.array_equal(select_output_z(res), [1.0])
 
     def test_z_rule_thresholds(self):
         result = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
@@ -479,8 +502,9 @@ def overflow_oracle(lo, hi):
     """l1 toward c = (1, 0) from x0 = 0, except that an iterate with first
     coordinate in (lo, hi) gets a gradient whose square overflows and whose
     step throws the next iterate ~eta * 1e200 away, so the run ends with
-    r_bar = G = inf. Each candidate's first step lands on (eta, 0), so the
-    window picks the step sizes whose runs overflow."""
+    G = inf and a finite r_bar ~ eta * 1e200. Each candidate's first step
+    lands on (eta, 0), so the window picks the step sizes whose runs
+    overflow."""
     c = np.array([1.0, 0.0])
 
     def query(x, rng):
@@ -498,8 +522,9 @@ OVERFLOW_AT_HI = (10.0, 1e100)
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflowedCandidates:
-    """A run whose r_bar and G both overflow has phi = nan, and its candidate
-    fails the check wherever the check is made."""
+    """A run whose G overflows has phi = r_bar / inf = 0 (nan where r_bar
+    overflows too), and its candidate fails the check wherever the check is
+    made."""
 
     def bisect(self, window):
         return root_finding_bisection(
@@ -508,7 +533,8 @@ class TestOverflowedCandidates:
 
     def overflowed(self, outcome):
         return [j for j, tr in outcome.evaluations.items()
-                if math.isnan(phi(tr, DampingParams(3.0, 0.0)))]
+                if math.isinf(tr.G) and math.isfinite(tr.r_bar)
+                and phi(tr, DampingParams(3.0, 0.0)) == 0.0]
 
     def test_at_lo_in_bisection(self):
         out = self.bisect(OVERFLOW_AT_LO)
@@ -526,9 +552,9 @@ class TestOverflowedCandidates:
         res = tune(overflow_oracle(*OVERFLOW_AT_LO), WHOLE, np.zeros(2),
                    budget=48, eta_eps=1e-3)
         assert res.k_final == 4 and res.case == "edge_low_step"
-        assert math.isinf(res.traces[(4, res.eta.exponent)].r_bar)
+        assert math.isinf(res.traces[(4, res.eta.exponent)].G)
         res = tune(overflow_oracle(*OVERFLOW_AT_HI), WHOLE, np.zeros(2),
                    budget=48, eta_eps=1e-3)
         assert res.k_final == 4 and res.case == "normal"
-        assert math.isinf(res.traces[(4, 16)].r_bar)
+        assert math.isinf(res.traces[(4, 16)].G)
         assert res.eta.exponent == 7

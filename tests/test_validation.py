@@ -68,7 +68,6 @@ class TestGoodEvent:
         assert rep.margins[0] == pytest.approx(
             -2.0 + 0.25 * 2.0 * math.sqrt(0.02), abs=1e-12)
         assert not rep.held
-        assert rep.worst_t == 1
 
     def test_overflowed_margin_does_not_hold(self):
         # from 1e308, dbar * sqrt(300 G) overflows: every margin is +inf
