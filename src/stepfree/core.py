@@ -121,24 +121,20 @@ def norm(v, axis: Optional[int] = None):
 
 @dataclass(frozen=True)
 class ProjectionDomain:
-    """Euclidean projection onto the whole space, a ball, or a box.
+    """Euclidean projection onto the whole space or a ball.
 
     A ball needs a finite center and a radius >= 0, and must lie within
-    half the float range (max |center_i| + radius finite when doubled); a
-    box needs bounds without nan, lower <= upper, and a finite point in
-    every coordinate (no lower bound +inf, no upper bound -inf). On such a
-    domain the projection maps finite points to finite points, which the
-    one finiteness screen per step of :func:`sgd_run` relies on. A ball
+    half the float range (max |center_i| + radius finite when doubled). On
+    such a domain the projection maps finite points to finite points, which
+    the one finiteness screen per step of :func:`sgd_run` relies on. A ball
     measures a point's distance to its center by :func:`norm`, so a finite
     point leaves the ball, or stays where it is, by its true length also
     where the square of that length overflows.
     """
 
-    kind: str  # "whole" | "ball" | "box"
+    kind: str  # "whole" | "ball"
     center: Optional[Vector] = None
     radius: Optional[float] = None
-    lower: Optional[Vector] = None
-    upper: Optional[Vector] = None
 
     def __post_init__(self):
         if self.kind == "ball":
@@ -151,13 +147,6 @@ class ProjectionDomain:
                                  "within half the float range")
             object.__setattr__(self, "_at_origin", not (
                 self.center.any() or np.signbit(self.center).any()))
-        elif self.kind == "box":
-            lower, upper = self.lower, self.upper
-            if not (np.all(lower <= upper) and np.all(lower < math.inf)
-                    and np.all(upper > -math.inf)):
-                raise ValueError("a box needs bounds without nan, "
-                                 "lower <= upper, no lower bound +inf and "
-                                 "no upper bound -inf")
         elif self.kind != "whole":
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
@@ -169,11 +158,6 @@ class ProjectionDomain:
     def ball(center, radius: float) -> "ProjectionDomain":
         return ProjectionDomain(kind="ball", center=np.asarray(center, dtype=float),
                                 radius=float(radius))
-
-    @staticmethod
-    def box(lower, upper) -> "ProjectionDomain":
-        return ProjectionDomain(kind="box", lower=np.asarray(lower, dtype=float),
-                                upper=np.asarray(upper, dtype=float))
 
     def project(self, x: Vector) -> Vector:
         """The projection of x, as a new float array."""
@@ -193,25 +177,19 @@ class ProjectionDomain:
         """
         if self.kind == "whole":
             return math.isfinite(x.dot(x))
-        if self.kind == "ball":
-            # x - (+0.0) is x; outside, adding the center makes -0.0 +0.0
-            diff = x if self._at_origin else x - self.center
-            dsq = diff.dot(diff)
-            nrm = math.sqrt(dsq)  # what np.linalg.norm computes
-            if nrm <= self.radius:  # then dsq is finite, as the radius is
-                return True
-            if dsq == math.inf:  # the square overflowed, the length maybe not
-                nrm = norm(diff)
-                if nrm <= self.radius:
-                    return False
-            np.multiply(diff, self.radius / nrm, x)
-            np.add(self.center, x, x)
-            return math.isfinite(dsq)
-        passed = math.isfinite(x.dot(x))
-        # np.clip's result at a fraction of its call cost
-        np.maximum(x, self.lower, out=x)
-        np.minimum(x, self.upper, out=x)
-        return passed
+        # x - (+0.0) is x; outside, adding the center makes -0.0 +0.0
+        diff = x if self._at_origin else x - self.center
+        dsq = diff.dot(diff)
+        nrm = math.sqrt(dsq)  # what np.linalg.norm computes
+        if nrm <= self.radius:  # then dsq is finite, as the radius is
+            return True
+        if dsq == math.inf:  # the square overflowed, the length maybe not
+            nrm = norm(diff)
+            if nrm <= self.radius:
+                return False
+        np.multiply(diff, self.radius / nrm, x)
+        np.add(self.center, x, x)
+        return math.isfinite(dsq)
 
 
 @dataclass
@@ -223,14 +201,13 @@ class SgdTrace:
     record of the T queried gradients. ``r_bar`` is max_{i<=T} ||x0 - x_i||,
     a length by :func:`norm`, +inf only past the float range; ``G`` is the
     running sum of squared gradient norms over ``gs``, +inf once a square or
-    the sum overflows; ``G`` and ``g0_norm`` are read off ``gs`` after the
-    run's last step. The steps themselves are screened for
-    finiteness once each, which :func:`sgd_run` shows is enough. ``x_avg``
-    averages the first T iterates x_0, ..., x_{T-1}. ``best_x``/``best_f``
-    (lowest value over x_0, ..., x_T) and ``value_avg`` are set only by a
-    run given a ``value_fn``, and are None otherwise; any value statistic
-    can also be read off ``xs``. ``stream`` is None for the runs of a
-    noiseless oracle, which depend on no stream.
+    the sum overflows, read off ``gs`` after the run's last step. The steps
+    themselves are screened for finiteness once each, which :func:`sgd_run`
+    shows is enough. ``x_avg`` averages the first T iterates x_0, ...,
+    x_{T-1}. ``best_x``/``best_f`` (lowest value over x_0, ..., x_T) and
+    ``value_avg`` are set only by a run given a ``value_fn``, and are None
+    otherwise; any value statistic can also be read off ``xs``. ``stream``
+    is None for the runs of a noiseless oracle, which depend on no stream.
     """
 
     eta: float
@@ -239,7 +216,6 @@ class SgdTrace:
     x_avg: Vector
     r_bar: float
     G: float
-    g0_norm: float
     stream: Optional[int]
     xs: np.ndarray  # (T+1, d)
     gs: np.ndarray  # (T, d)
@@ -278,7 +254,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     statistics are read off the iterate record after the loop. The gradient
     record is the first T rows of a (2T, d) buffer whose last T rows then
     take the displacements x_i - x_0, so one matmul gives the squares that
-    ``G``, ``g0_norm`` and ``r_bar`` are made of. The trace's ``gs`` is a
+    ``G`` and ``r_bar`` are made of. The trace's ``gs`` is a
     view of those first T rows, not a copy: the gradients as the steps
     wrote them.
     """
@@ -341,7 +317,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         r_bar = float(norm(rows[T:], axis=1).max())
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg, r_bar=r_bar, G=G,
-        g0_norm=gsq[0] ** 0.5, stream=stream, xs=xs, gs=gs)
+        stream=stream, xs=xs, gs=gs)
     if value_fn is not None:
         fs = [float(value_fn(row)) for row in xs]
         best = 0

@@ -235,38 +235,58 @@ class CheckLine:
     verdict: str  # "pass" | "inconclusive" | "bug"
 
 
+def _all(*oks):
+    """Kleene AND over True, False and None (unknown)."""
+    return False if False in oks else None if None in oks else True
+
+
+def _any(*oks):
+    """Kleene OR over True, False and None (unknown)."""
+    return True if True in oks else None if None in oks else False
+
+
 def check_theorem_bounds(result: TunerResult,
                          oracle: StochasticOracle) -> list:
     """One line per inequality of the main guarantee for a finished run.
 
-    The optimum comes from ``oracle.optimum_info`` (required), L from
-    ``oracle.norm_bound_L``, the gaps from ``oracle.exact_value`` (without
-    it no gap is checked), and the mode from ``result.mode``. A check of
-    the final run that fails reads "inconclusive" where rounding absorbed
-    that run's every step (:func:`rounding_absorbed`).
+    The optimum comes from ``oracle.optimum_info``, L from
+    ``oracle.norm_bound_L`` and the gaps from ``oracle.exact_value``, all
+    three required, and the mode from ``result.mode``. A check whose
+    deciding bound is +inf or nan certifies nothing and reads
+    "inconclusive", never "pass" or "bug". A check of the final run that
+    fails reads "inconclusive" where rounding absorbed that run's every
+    step (:func:`rounding_absorbed`).
     """
-    if oracle.optimum_info is None:
-        raise ValueError("check_theorem_bounds needs oracle.optimum_info")
+    missing = [name for name in ("optimum_info", "exact_value",
+                                 "norm_bound_L")
+               if getattr(oracle, name) is None]
+    if missing:
+        raise ValueError("check_theorem_bounds needs oracle."
+                         + ", oracle.".join(missing))
     lines: list[CheckLine] = []
     x_star = np.asarray(oracle.optimum_info[0], dtype=float)
     f_star, L = oracle.optimum_info[1], oracle.norm_bound_L
-    value_fn = oracle.exact_value
     deterministic = isinstance(result.mode, Deterministic)
     # deterministic-mode statements are proven per-run; stochastic ones hold
     # only with high probability, so a violation is not by itself a bug
     fail = "bug" if deterministic else "inconclusive"
     d0 = float(norm(result.x0 - x_star))
-    gap = float(value_fn(result.x_bar) - f_star) if value_fn else math.nan
+    gap = float(oracle.exact_value(result.x_bar) - f_star)
     T, B = result.T, result.budget
     tol = 1e-9
 
     def within(realized, bound):
+        """Whether realized <= bound, up to tol; None (unknown) where the
+        bound is +inf or nan."""
+        if not bound < math.inf:
+            return None
         return realized <= bound * (1 + tol) + tol
 
     def check(check_id, realized, bound, ok, failed=None) -> bool:
-        lines.append(CheckLine(check_id, realized, bound,
-                               "pass" if ok else failed or fail))
-        return ok
+        verdict = ("pass" if ok else "inconclusive" if ok is None
+                   else failed or fail)
+        lines.append(CheckLine(check_id, realized, bound, verdict))
+        return ok is True
 
     # 1. budget (deterministic accounting, any mode)
     check("budget", result.total_queries, B, result.total_queries <= B, "bug")
@@ -274,14 +294,13 @@ def check_theorem_bounds(result: TunerResult,
     # 2. T lower bound
     if deterministic:
         denom = 12.0 * loglog_plus(d0, result.eta_eps, result.g0_norm)
-    else:  # without L the bound is 1
-        denom = B if L is None else 8.0 * loglog_plus(d0, result.eta_eps, L)
+    else:
+        denom = 8.0 * loglog_plus(d0, result.eta_eps, L)
     t_bound = max(B / denom, 1.0)
     check("T_lower_bound", T, t_bound, T + tol >= t_bound)
 
     if result.case == "budget_too_small":
-        if L is not None and not math.isnan(gap):
-            check("gap_tiny_budget", gap, d0 * L, within(gap, d0 * L))
+        check("gap_tiny_budget", gap, d0 * L, within(gap, d0 * L))
         return lines
 
     damping = result.damping_final
@@ -298,8 +317,6 @@ def check_theorem_bounds(result: TunerResult,
         loc_bound = (4.0 if deterministic else 6.0) * d0
         dist = float(norm(result.x_bar - x_star))
         check("localization", dist, loc_bound, within(dist, loc_bound))
-        if math.isnan(gap):
-            return lines
         if deterministic:
             const = 2.0 * alpha / (alpha - 1.0)
         else:
@@ -312,7 +329,7 @@ def check_theorem_bounds(result: TunerResult,
                                          damping.denominator(tr_2x)) / T
             endpoint_ok = check("gap_vs_endpoint_max", gap, surrogate,
                                 within(gap, surrogate), "inconclusive")
-        if not endpoint_ok and L is not None:
+        if not endpoint_ok:
             # the theorem's G(eta') is always <= L^2 T, so this one is implied
             l_denom = math.sqrt(alpha * L ** 2 * T + damping.beta)
             l_bound = const * d0 * l_denom / T
@@ -324,20 +341,18 @@ def check_theorem_bounds(result: TunerResult,
         den = damping.denominator(tr)
         check("edge_displacement", dist_x0, result.eta_eps * den,
               within(dist_x0, result.eta_eps * den))
-        if math.isnan(gap):
-            return lines
         if deterministic:
-            normal_ok = (within(dist_star, 4.0 * d0)
-                         and within(gap, math.sqrt(27.0) * d0 * math.sqrt(tr.G)
-                                    / T))
+            normal_ok = _all(within(dist_star, 4.0 * d0),
+                             within(gap, math.sqrt(27.0) * d0
+                                    * math.sqrt(tr.G) / T))
             edge_gap_bound = 2.0 * result.eta_eps * tr.G / T
         else:
-            normal_ok = (within(dist_star, 6.0 * d0)
-                         and within(gap, (9 * alpha - 2) / (2 * (alpha - 2))
+            normal_ok = _all(within(dist_star, 6.0 * d0),
+                             within(gap, (9 * alpha - 2) / (2 * (alpha - 2))
                                     * d0 * den / T))
             edge_gap_bound = 1.25 * (d0 * den + result.eta_eps * den ** 2) / T
         check("edge_gap_dichotomy", gap, edge_gap_bound,
-              normal_ok or within(gap, edge_gap_bound))
+              _any(normal_ok, within(gap, edge_gap_bound)))
     return lines
 
 

@@ -676,6 +676,21 @@ class TestLengthsBeyondTheSquareOverflow:
                            tmp_path)
         assert float(row["dist_to_opt"]) == pytest.approx(1e160, rel=0.05)
 
+    def test_infinite_bounds_are_inconclusive(self, tmp_path):
+        # G, a sum of squared gradient norms near 1e160, overflows to inf,
+        # and so does every bound scaled by sqrt(alpha G): such a bound
+        # certifies nothing
+        _, diag = self.tune(["--family", "quadratic", "--radius", "1e200",
+                             "--x0-dist", "1e160", "--eta-eps", "1e-3"],
+                            tmp_path)
+        assert diag["case"] == "edge_low_step"
+        by_id = {c["check_id"]: c for c in diag["checks"]}
+        for check_id in ("edge_displacement", "edge_gap_dichotomy"):
+            assert by_id[check_id]["bound"] == math.inf
+            assert by_id[check_id]["verdict"] == "inconclusive"
+        assert by_id["budget"]["verdict"] == "pass"
+        assert by_id["T_lower_bound"]["verdict"] == "pass"
+
     @pytest.mark.parametrize("eta_eps, case", [
         ("1e-3", "edge_low_step"),
         # round 8 selects a step size beyond 1e154, where r_bar(lo) *

@@ -46,10 +46,10 @@ class TestSgdRun:
         assert tr.r_bar == 2.0
         assert tr.x_avg[0] == 0.0
 
-    def test_projection_halfline(self):
-        # f(x) = x on [0, inf): one step reaches the boundary and stays
+    def test_projection_interval(self):
+        # f(x) = x on [0, 2]: one step reaches the boundary and stays
         oracle = query_oracle(query=lambda x, rng: np.ones(1))
-        dom = ProjectionDomain.box(np.zeros(1), np.full(1, np.inf))
+        dom = ProjectionDomain.ball(np.ones(1), 1.0)
         tr = sgd_run(oracle, dom, np.array([0.5]), 1.0, 2, stream=0)
         assert np.array_equal(tr.xs.ravel(), [0.5, 0.0, 0.0])
         assert tr.G == 2.0
@@ -101,7 +101,7 @@ class TestTraceInvariants:
                      stream=seed)
         assert len(tr.gs) == T  # one recorded gradient per query
         assert tr.r_bar <= eta * np.sqrt(T * tr.G) + 1e-9
-        assert tr.G >= tr.g0_norm ** 2 - 1e-12
+        assert tr.G >= tr.gs[0] @ tr.gs[0] - 1e-12
         if tr.r_bar > 0:
             assert tr.G > 0
         # summaries recompute exactly from the record
@@ -228,8 +228,6 @@ class TestProjections:
         domains = [
             ProjectionDomain.whole_space(),
             ProjectionDomain.ball(np.array([1.0, 0.0, -1.0]), 2.0),
-            ProjectionDomain.box(np.array([-1.0, -2.0, 0.0]),
-                                 np.array([1.0, 0.0, 3.0])),
         ]
         for dom in domains:
             px, py = dom.project(x), dom.project(y)
@@ -251,13 +249,8 @@ class TestProjections:
         lambda: ProjectionDomain.ball(np.array([np.inf, 0.0]), 1.0),
         # doubling the extent overflows: a projection could round to inf
         lambda: ProjectionDomain.ball(np.array([1e308, 0.0]), 1e307),
-        lambda: ProjectionDomain.box(np.array([0.0, np.nan]), np.ones(2)),
-        lambda: ProjectionDomain.box(np.zeros(2), np.array([1.0, np.nan])),
-        lambda: ProjectionDomain.box(np.array([0.0, 2.0]), np.ones(2)),
-        lambda: ProjectionDomain.box(np.full(2, np.inf), np.full(2, np.inf)),
-        lambda: ProjectionDomain.box(np.full(2, -np.inf),
-                                     np.full(2, -np.inf)),
         lambda: ProjectionDomain(kind="sphere"),
+        lambda: ProjectionDomain(kind="box"),
     ])
     def test_degenerate_domains_rejected(self, build):
         with pytest.raises(ValueError):
@@ -266,8 +259,6 @@ class TestProjections:
     def test_edge_domains_accepted(self):
         ProjectionDomain.ball(np.zeros(2), 0.0)
         ProjectionDomain.ball(np.array([4e307, -4e307]), 4e307)
-        ProjectionDomain.box(np.full(2, -np.inf), np.full(2, np.inf))
-        ProjectionDomain.box(np.ones(2), np.ones(2))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ball_beyond_the_square_overflow(self):
@@ -292,8 +283,7 @@ class TestProjections:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dom", [
-        WHOLE, ProjectionDomain.ball(np.array([1.0, -1.0]), 2.0),
-        ProjectionDomain.box(np.array([-1.0, -np.inf]), np.array([1.0, 3.0]))])
+        WHOLE, ProjectionDomain.ball(np.array([1.0, -1.0]), 2.0)])
     def test_screen(self, dom):
         # the projection is project's, and a pass proves both points finite
         for x in ([0.5, 7.0], [-0.0, 1e-300], [3e200, 1.0], [1e154, 1e154],

@@ -30,8 +30,8 @@ def abs_oracle():
 
 def fake_trace(r_bar, G, T=4, eta=0.1):
     return SgdTrace(eta=eta, T=T, x0=np.zeros(1), x_avg=np.zeros(1),
-                    r_bar=r_bar, G=G, g0_norm=math.sqrt(G / T) if G else 0.0,
-                    stream=0, xs=np.zeros((T + 1, 1)), gs=np.zeros((T, 1)))
+                    r_bar=r_bar, G=G, stream=0, xs=np.zeros((T + 1, 1)),
+                    gs=np.zeros((T, 1)))
 
 
 class TestPhi:

@@ -17,6 +17,7 @@ from stepfree.validation import (binom_upper, boundary_a_t,
                                  good_event_union_frequency, has_bug,
                                  localization_check, log2_plus, loglog_plus,
                                  rounding_absorbed, stitched_boundary)
+from stepfree.validation import _all, _any
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -117,6 +118,38 @@ class TestGoodEvent:
                                     damping=DampingParams(0.01, 0.01),
                                     n_paths=50)
         assert freq < 1.0
+
+    def test_union_frequency_stops_a_path_at_its_first_failing_eta(
+            self, monkeypatch):
+        # under sphere noise and damping (3, 0) the event breaks on about
+        # one path in five at each eta of the grid
+        spec = ProblemSpec(family="l1", dimension=3, noise="sphere",
+                           noise_param=1.0)
+        oracle, domain, x_star, _ = make_problem(spec, seed=0)
+        x0 = default_x0(domain, x_star, 1.0, 0)
+        damping = DampingParams(3.0, 0.0)
+        etas, T, n_paths = [0.01 * 2.0 ** j for j in range(5)], 8, 12
+        held = [[good_event_margin(
+                     sgd_run(oracle, domain, x0, eta, T,
+                             oracle.run_stream(0, "goodevent", j, p)),
+                     oracle, x_star, damping).held
+                 for j, eta in enumerate(etas)] for p in range(n_paths)]
+        runs = [row.index(False) + 1 if False in row else len(etas)
+                for row in held]
+        assert 0 < sum(map(all, held)) < n_paths
+        assert sum(runs) < n_paths * len(etas)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return sgd_run(*args)
+
+        monkeypatch.setattr("stepfree.validation.sgd_run", counted)
+        freq = good_event_union_frequency(oracle, domain, x0, x_star, etas,
+                                          T, damping, n_paths)
+        assert freq == sum(map(all, held)) / n_paths
+        assert calls == [eta for n in runs for eta in etas[:n]]
 
 
 class TestStitchedBoundary:
@@ -231,6 +264,17 @@ class TestBinomialBounds:
 
 
 
+@pytest.mark.parametrize("a, b, both, either", [
+    (True, True, True, True), (True, None, None, True),
+    (True, False, False, True), (None, None, None, None),
+    (None, False, False, None), (False, False, False, False)])
+def test_unknown_verdict_logic(a, b, both, either):
+    # None, a side whose bound is +inf or nan, neither holds nor fails: a
+    # dichotomy whose other side fails is then unknown, not failed
+    assert _all(a, b) is _all(b, a) is both
+    assert _any(a, b) is _any(b, a) is either
+
+
 class TestLog2Plus:
     def test_clipping(self):
         assert log2_plus(0.5) == 2.0
@@ -291,6 +335,7 @@ class TestTheoremChecks:
         assert by_id["gap_vs_endpoint_max"].realized == pytest.approx(0.15625)
         assert by_id["gap_vs_endpoint_max"].bound == \
             pytest.approx(math.sqrt(27) * 2 / 16, rel=1e-9)
+        assert "gap_vs_L_surrogate" not in by_id  # the endpoint check held
         assert not has_bug(lines)
 
     @pytest.mark.parametrize("x0, eta_eps", [(1.0, 1 / 16), (1.0, 4.0)])
@@ -306,13 +351,6 @@ class TestTheoremChecks:
         res = tune(oracle, WHOLE, np.array([0.0]), budget=64, eta_eps=1 / 16)
         lines = check_theorem_bounds(res, oracle)
         assert not has_bug(lines)
-
-    def test_needs_a_known_optimum(self):
-        oracle = abs_oracle()
-        res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
-        oracle.optimum_info = None
-        with pytest.raises(ValueError, match="optimum_info"):
-            check_theorem_bounds(res, oracle)
 
     def test_budget_violation_is_bug(self):
         oracle = abs_oracle()
@@ -340,6 +378,43 @@ class TestTheoremChecks:
         by_id = {l.check_id: l for l in lines}
         assert by_id["T_lower_bound"].verdict == "inconclusive"
         assert not has_bug(lines)
+
+    @pytest.mark.parametrize("mode, f_star, verdict", [
+        (Deterministic(), -1.0, "pass"),
+        (Deterministic(), -3.0, "bug"),
+        (Stochastic(delta=0.1, L=1.0), -3.0, "pass"),
+        (Stochastic(delta=0.1, L=1.0), -6.0, "inconclusive")])
+    def test_L_surrogate_decides_after_a_failed_endpoint_check(
+            self, mode, f_star, verdict):
+        # a false f_star below the true 0 lifts the gap past the endpoint
+        # surrogate; then the bound with G(eta') <= L^2 T is checked
+        oracle = abs_oracle()
+        res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
+        assert res.case == "normal"
+        res.mode = mode  # the same run, read by the mode's constants
+        oracle.optimum_info = (np.zeros(1), f_star)
+        by_id = {l.check_id: l for l in check_theorem_bounds(res, oracle)}
+        assert by_id["gap_vs_endpoint_max"].verdict == "inconclusive"
+        alpha, beta = res.damping_final.alpha, res.damping_final.beta
+        if isinstance(mode, Deterministic):
+            const = 2.0 * alpha / (alpha - 1.0)
+        else:
+            const = (9.0 * alpha - 2.0) / (2.0 * (alpha - 2.0))
+        d0, L, T = 1.0, 1.0, res.T
+        line = by_id["gap_vs_L_surrogate"]
+        assert line.realized == 0.15625 - f_star
+        assert line.bound == pytest.approx(
+            const * d0 * math.sqrt(alpha * L ** 2 * T + beta) / T, rel=1e-15)
+        assert line.verdict == verdict
+
+    @pytest.mark.parametrize("field", ["optimum_info", "exact_value",
+                                       "norm_bound_L"])
+    def test_needs_a_known_optimum_values_and_L(self, field):
+        oracle = abs_oracle()
+        res = tune(oracle, WHOLE, np.array([1.0]), budget=64, eta_eps=1 / 16)
+        setattr(oracle, field, None)
+        with pytest.raises(ValueError, match=f"needs oracle.{field}$"):
+            check_theorem_bounds(res, oracle)
 
 
 class TestRoundingAbsorbed:
