@@ -209,13 +209,18 @@ SCRIPTS = {
 NUMERIC_DOMAINS = {
     "whole": ProjectionDomain.whole_space(),
     "ball": ProjectionDomain.ball(np.array([0.5, -0.5]), 4.0),
+    # centred at +0.0, where the projection skips subtracting the center
+    "origin_ball": ProjectionDomain.ball(np.zeros(2), 4.0),
+    # the squared distance of a point on its boundary overflows, so a
+    # failed screen there is a projected finite point, not a failure
+    "wide_ball": ProjectionDomain.ball(np.array([0.5, -0.5]), 1e200),
 }
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNumericalFailure:
     @pytest.mark.parametrize("name", sorted(SCRIPTS))
-    @pytest.mark.parametrize("kind", ["whole", "ball"])
+    @pytest.mark.parametrize("kind", sorted(NUMERIC_DOMAINS))
     # at eta = 10 the big entries overflow the step, at 0.5 they do not
     @pytest.mark.parametrize("eta", [10.0, 0.5])
     @pytest.mark.parametrize("track_values", [False, True])
@@ -241,9 +246,15 @@ class TestNumericalFailure:
         assert run("iterate_overflows") == ("fail", 1, "iterate")
         # finite entries whose squares overflow are not a failure
         assert run("square_overflows")[0] == "trace"
-        # a step that overflows to inf is a failure
-        assert run("step_overflows") == ("fail", 0, "iterate")
-        assert run("step_overflows", "ball") == ("fail", 0, "iterate")
+        # a step that overflows to inf is a failure on every domain
+        for kind in NUMERIC_DOMAINS:
+            assert run("step_overflows", kind) == ("fail", 0, "iterate")
+        # a step whose square overflows lands on the wide ball's boundary
+        tr = sgd_run(query_oracle(query=scripted(SCRIPTS["square_overflows"])),
+                     NUMERIC_DOMAINS["wide_ball"], np.zeros(2), 10.0, 4, 0)
+        assert np.all(np.isfinite(tr.xs))
+        assert norm(tr.xs[1] - NUMERIC_DOMAINS["wide_ball"].center) == \
+            pytest.approx(1e200)
 
 
 def test_bisection_check_survives_optimize_flag():
