@@ -126,13 +126,10 @@ FAILED_CASES = {"numerical_failure": NumericalFailure,
                 "zero_first_gradient": ZeroFirstGradient}
 
 
-def _unwrap(exc: Exception) -> tuple[Exception, str]:
-    """The error behind ``exc`` and its message: restart_tune wraps a
-    round's error in a RuntimeError naming the round, so there the cause,
-    with both messages."""
-    if type(exc) is RuntimeError and exc.__cause__ is not None:
-        return exc.__cause__, f"{exc}: {exc.__cause__}"
-    return exc, str(exc)
+def _message(exc: Exception) -> str:
+    """An error's message after its notes, such as the one restart_tune
+    adds to name the round that raised it."""
+    return ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
 
 
 def _tune(cfg, oracle, domain, x0, seed: int, budget: int):
@@ -190,14 +187,14 @@ def _reps(cfg: argparse.Namespace, out: Outputs, budgets):
                 x, records, checks, fields = run(cfg, oracle, domain, x0,
                                                  seed, budget)
             except Exception as exc:
-                error, reason = _unwrap(exc)
                 case = next((case for case, kind in FAILED_CASES.items()
-                             if isinstance(error, kind)), None)
+                             if isinstance(exc, kind)), None)
                 if case is None:
                     raise
                 wall = (time.perf_counter() - t0) * 1e3
                 tuned, gap, dist = ("",) * 4, math.nan, math.nan
-                diag = {"run_id": run_id, "case": case, "error": reason}
+                diag = {"run_id": run_id, "case": case,
+                        "error": _message(exc)}
             else:
                 wall = (time.perf_counter() - t0) * 1e3
                 last = records[-1]
@@ -488,12 +485,11 @@ def main(argv=None) -> int:
             return COMMANDS[cfg.command][0](cfg)
     except Exception as exc:
         # MemoryError: a run record too large to allocate; a restart round's
-        # error is reported with the round it names
-        error, message = _unwrap(exc)
-        if not isinstance(error, (ValueError, NumericalFailure, OSError,
-                                  MemoryError)):
+        # error is reported with the round its note names
+        if not isinstance(exc, (ValueError, NumericalFailure, OSError,
+                                MemoryError)):
             raise
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

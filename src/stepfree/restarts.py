@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import ProjectionDomain, StochasticOracle
 from .tuner import Stochastic, TunerResult, tune
 
@@ -30,7 +28,8 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
     over between them. Rounds too small for the tuner simply return their
     input point, which is accepted behavior. Raises ``ValueError`` before
     the first round where some round's initial step size is not a positive
-    float.
+    float. A failing round's own error propagates, with the note
+    ``restart round m failed``.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -51,7 +50,7 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
             raise ValueError(f"round {m}'s initial step size epsilon / (L^2 "
                              f"* 2^m) is not a positive float for epsilon "
                              f"{epsilon!r} and L {L!r}")
-    x = domain.project(np.asarray(x0, dtype=float))
+    x = x0  # round 1's tune projects it
     records: list[TunerResult] = []
     total_queries = 0
     for m in range(1, M + 1):
@@ -62,7 +61,10 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
                           master_seed=oracle.run_stream(master_seed, "restart",
                                                         m))
         except Exception as exc:
-            raise RuntimeError(f"restart round {m} failed") from exc
+            # exc.add_note, which Python 3.10 lacks
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             f"restart round {m} failed"]
+            raise
         total_queries += result.total_queries
         records.append(result)
         x = result.x_bar

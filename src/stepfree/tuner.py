@@ -68,6 +68,10 @@ class DampingParams:
         return math.sqrt(self.denominator_sq(trace))
 
 
+# the Deterministic mode's damping, the same in every round
+DETERMINISTIC_DAMPING = DampingParams(alpha=3.0, beta=0.0)
+
+
 def round_constant(k: int, B: int, delta: float) -> float:
     """C_k = 2k + log2(60 * log2(6B)^2 / delta), strictly increasing in k."""
     return 2.0 * k + math.log2(60.0 * math.log2(6.0 * B) ** 2 / delta)
@@ -77,7 +81,8 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
                       mode) -> DampingParams:
     """Per-round damping constants.
 
-    Deterministic mode ignores all inputs and returns (3, 0). The stochastic
+    Deterministic mode ignores all inputs and returns
+    ``DETERMINISTIC_DAMPING``, (3, 0). The stochastic
     constants are alpha_k = 32^2 * C_k and beta_k = (32 * C_k * L)^2. The
     non-adaptive variant reuses alpha_k but measures gradient mass by L^2 * T.
     ``delta`` and ``L`` must equal the mode's own, the round k is >= 1 and
@@ -88,7 +93,7 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
     if B < 1:
         raise ValueError(f"budget must be >= 1, got {B}")
     if isinstance(mode, Deterministic):
-        return DampingParams(alpha=3.0, beta=0.0)
+        return DETERMINISTIC_DAMPING
     if not isinstance(mode, Stochastic):  # NonAdaptive included
         raise ValueError(f"unknown mode {mode!r}")
     if (delta, L) != (mode.delta, mode.L):

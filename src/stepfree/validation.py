@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
                    sgd_run, trace_distances)
-from .tuner import DampingParams, Deterministic, TunerResult, passes
+from .tuner import (DETERMINISTIC_DAMPING, DampingParams, Deterministic,
+                    TunerResult, passes)
 
 
 def log2_plus(x: float) -> float:
@@ -118,21 +119,24 @@ def good_event_union_frequency(oracle: StochasticOracle,
 # stitched martingale boundary
 # --------------------------------------------------------------------------
 
-def boundary_a_t(t: int, delta: float) -> float:
-    """A_t = log2(60 log2(6t) / delta), the log term of the boundary."""
-    return math.log2(60.0 * math.log2(6.0 * t) / delta)
+def boundary_a_t(t, delta: float):
+    """A_t = log2(60 log2(6t) / delta), the log term of the boundary, of
+    each entry of ``t``."""
+    return np.log2(60.0 * np.log2(6.0 * t) / delta)
 
 
-def stitched_boundary(t: int, delta: float, sum_sq: float) -> float:
-    """Time-uniform radius 4*sqrt(A_t * V + A_t^2), A_t = log2(60 log2(6t)/delta)."""
-    if t < 1:
+def stitched_boundary(t, delta: float, sum_sq):
+    """Time-uniform radius 4*sqrt(A_t * V + A_t^2), A_t from
+    :func:`boundary_a_t`, of each entry of ``t`` and of ``sum_sq`` = V
+    (numpy broadcasting)."""
+    if np.any(np.less(t, 1)):
         raise ValueError("t must be >= 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    if sum_sq < 0:
+    if np.any(np.less(sum_sq, 0)):
         raise ValueError("sum_sq must be nonnegative")
     a = boundary_a_t(t, delta)
-    return 4.0 * math.sqrt(a * sum_sq + a * a)
+    return 4.0 * np.sqrt(a * sum_sq + a * a)
 
 
 BOUNDARY_BLOCK = 500  # paths drawn per batch of the crossing test
@@ -157,7 +161,6 @@ def boundary_crossing_test(kind: str, T: int, delta: float, n_paths: int,
     if kind == "zero":
         return 0.0
     ts = np.arange(1, T + 1, dtype=float)
-    a_t = np.log2(60.0 * np.log2(6.0 * ts) / delta)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0B]))
     crossings = 0
     done = 0
@@ -173,7 +176,7 @@ def boundary_crossing_test(kind: str, T: int, delta: float, n_paths: int,
             v = np.cumsum(x * x, axis=1)
         else:
             raise ValueError(f"unknown martingale kind {kind!r}")
-        bound = 4.0 * np.sqrt(a_t[None, :] * v + a_t[None, :] ** 2)
+        bound = stitched_boundary(ts[None, :], delta, v)
         crossings += int(np.any(np.abs(s) >= bound, axis=1).sum())
         done += b
     return crossings / n_paths
@@ -191,19 +194,15 @@ def binom_upper(successes: int, n: int, conf: float = 0.99) -> float:
 # localization of certified traces
 # --------------------------------------------------------------------------
 
-LOCALIZATION_ALPHA = 3.0  # the deterministic mode's damping alpha
-
-
 def localization_check(trace: SgdTrace, x_star):
     """Localization of a noiseless trace passing its certificate.
 
-    Returns (applies, ok): applies iff eta <= phi(eta) at (alpha, 0) with
-    alpha = LOCALIZATION_ALPHA; when it applies, ok asserts
+    Returns (applies, ok): applies iff eta <= phi(eta) at the deterministic
+    damping (alpha, 0); when it applies, ok asserts
     dbar <= (alpha+1)/(alpha-1) * d0 and r_bar <= 2*alpha/(alpha-1) * d0.
     """
-    alpha = LOCALIZATION_ALPHA
-    damping = DampingParams(alpha=alpha, beta=0.0)
-    applies = passes(trace, damping)
+    alpha = DETERMINISTIC_DAMPING.alpha
+    applies = passes(trace, DETERMINISTIC_DAMPING)
     if not applies:
         return False, True
     d0, d_bar, _ = trace_distances(trace, x_star)
@@ -311,22 +310,23 @@ def check_theorem_bounds(result: TunerResult,
     tr_2x = result.traces.get((result.k_final, e + 1))
     if rounding_absorbed(tr):
         fail = "inconclusive"
+    # the normal case's localization bound and gap constant, which the edge
+    # case's normal-style side shares
+    dist = float(norm(result.x_bar - x_star))
+    loc_bound = (4.0 if deterministic else 6.0) * d0
+    if deterministic:
+        const = 2.0 * alpha / (alpha - 1.0)
+    else:
+        const = (9.0 * alpha - 2.0) / (2.0 * (alpha - 2.0))
+    den = damping.denominator(tr)
 
     if result.case == "normal":
-        # localization
-        loc_bound = (4.0 if deterministic else 6.0) * d0
-        dist = float(norm(result.x_bar - x_star))
         check("localization", dist, loc_bound, within(dist, loc_bound))
-        if deterministic:
-            const = 2.0 * alpha / (alpha - 1.0)
-        else:
-            const = (9.0 * alpha - 2.0) / (2.0 * (alpha - 2.0))
         endpoint_ok = False
         if tr_2x is not None:
             # the final round ran both ends of [eta, 2 eta]; their max is a
             # heuristic surrogate for the unidentified eta' in that interval
-            surrogate = const * d0 * max(damping.denominator(tr),
-                                         damping.denominator(tr_2x)) / T
+            surrogate = const * d0 * max(den, damping.denominator(tr_2x)) / T
             endpoint_ok = check("gap_vs_endpoint_max", gap, surrogate,
                                 within(gap, surrogate), "inconclusive")
         if not endpoint_ok:
@@ -337,19 +337,13 @@ def check_theorem_bounds(result: TunerResult,
     else:  # edge_low_step: the low endpoint fired; either the normal-style
         # bound or the small-step bound must hold
         dist_x0 = float(norm(result.x_bar - result.x0))
-        dist_star = float(norm(result.x_bar - x_star))
-        den = damping.denominator(tr)
         check("edge_displacement", dist_x0, result.eta_eps * den,
               within(dist_x0, result.eta_eps * den))
+        normal_ok = _all(within(dist, loc_bound),
+                         within(gap, const * d0 * den / T))
         if deterministic:
-            normal_ok = _all(within(dist_star, 4.0 * d0),
-                             within(gap, math.sqrt(27.0) * d0
-                                    * math.sqrt(tr.G) / T))
             edge_gap_bound = 2.0 * result.eta_eps * tr.G / T
         else:
-            normal_ok = _all(within(dist_star, 6.0 * d0),
-                             within(gap, (9 * alpha - 2) / (2 * (alpha - 2))
-                                    * d0 * den / T))
             edge_gap_bound = 1.25 * (d0 * den + result.eta_eps * den ** 2) / T
         check("edge_gap_dichotomy", gap, edge_gap_bound,
               _any(normal_ok, within(gap, edge_gap_bound)))

@@ -25,3 +25,12 @@ def query_oracle(query, **fields):
     fields given; unless ``noiseless=True`` is among them, its runs need a
     stream id."""
     return StochasticOracle(sampler=per_sample(query), **fields)
+
+
+def abs_oracle():
+    """f(x) = |x| in one dimension; subgradient 0 at the kink."""
+    grad = lambda x: np.sign(x)
+    return query_oracle(query=lambda x, rng: grad(x),
+                        norm_bound_L=1.0, exact_subgradient=grad,
+                        exact_value=lambda x: float(np.abs(x).sum()),
+                        optimum_info=(np.zeros(1), 0.0))

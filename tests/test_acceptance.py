@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import linregress
 
-from oracles import query_oracle
+from oracles import abs_oracle
 from stepfree import (DampingParams, Deterministic, NonAdaptive, ProblemSpec,
                       ProjectionDomain, Stochastic, check_theorem_bounds,
                       default_x0, derive_stream, make_problem, restart_tune,
@@ -23,14 +23,6 @@ from stepfree.validation import (binom_upper, boundary_crossing_test,
                                  localization_check)
 
 WHOLE = ProjectionDomain.whole_space()
-
-
-def abs_oracle():
-    grad = lambda x: np.sign(x)
-    return query_oracle(query=lambda x, rng: grad(x),
-                        norm_bound_L=1.0, exact_subgradient=grad,
-                        exact_value=lambda x: float(np.abs(x).sum()),
-                        optimum_info=(np.zeros(1), 0.0))
 
 
 def random_config(rng):

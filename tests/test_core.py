@@ -3,18 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import query_oracle
+from oracles import abs_oracle, query_oracle
 from stepfree import NumericalFailure, ProjectionDomain, derive_stream, sgd_run
 from stepfree.core import norm, trace_distances
-
-
-def abs_oracle():
-    """f(x) = |x| in one dimension; subgradient 0 at the kink."""
-    grad = lambda x: np.sign(x)
-    return query_oracle(query=lambda x, rng: grad(x),
-                        norm_bound_L=1.0, exact_subgradient=grad,
-                        exact_value=lambda x: float(np.abs(x).sum()),
-                        optimum_info=(np.zeros(1), 0.0))
 
 
 def zero_oracle(d=3):
@@ -25,6 +16,11 @@ WHOLE = ProjectionDomain.whole_space()
 
 
 class TestSgdRun:
+    @pytest.mark.parametrize("eta", [0.0, -0.25])
+    def test_nonpositive_step_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            sgd_run(abs_oracle(), WHOLE, np.array([1.0]), eta, 4, stream=0)
+
     def test_zero_gradient(self):
         x0 = np.array([1.0, -2.0, 0.5])
         tr = sgd_run(zero_oracle(), WHOLE, x0, 0.7, 5, stream=0)

@@ -257,13 +257,28 @@ class TestNumericalFailure:
             pytest.approx(1e200)
 
 
+def run_optimized(script: str) -> list:
+    """The stdout lines of ``script`` run under ``python -O``, after a
+    first line that shows asserts are stripped there."""
+    src = os.path.dirname(os.path.dirname(stepfree.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           'print("debug", __debug__)\n'
+                           + textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    return lines[1:]
+
+
 def test_bisection_check_survives_optimize_flag():
     # the output-property check must raise even where asserts are stripped
-    script = textwrap.dedent("""
+    script = """
         import numpy as np
         import stepfree.tuner as tuner
         from stepfree import DampingParams, ProjectionDomain, StochasticOracle
-        print("debug", __debug__)
         tuner.verify_output_property = lambda outcome, damping: False
         step = lambda x, i, out: np.sign(x, out)
         oracle = StochasticOracle(sampler=lambda rng, T: step)
@@ -275,15 +290,51 @@ def test_bisection_check_survives_optimize_flag():
             print("raised", exc)
         else:
             print("returned", out.kind)
-    """)
-    src = os.path.dirname(os.path.dirname(stepfree.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "debug False"
-    assert lines[1] == "raised bisection output property violated"
+    """
+    assert run_optimized(script) == [
+        "raised bisection output property violated"]
+
+
+# each budget guard, and the call whose queries are over-reported to it
+BUDGET_GUARDS = {
+    "tune": ("""
+        tuner.sgd_run = lambda *a, **k: replace(sgd_run(*a, **k), T=10 ** 6)
+        call = lambda: tuner.tune(oracle, domain, np.array([1.0]), budget=64,
+                                  eta_eps=1 / 16)
+        """, "query budget exceeded"),
+    "restart_tune": ("""
+        tune = restarts.tune
+        restarts.tune = lambda *a, **k: replace(
+            tune(*a, **k), total_queries=k["budget"] + 1)
+        call = lambda: restarts.restart_tune(oracle, domain, np.array([1.0]),
+                                             M=4, delta=0.1, epsilon=1.0,
+                                             L=1.0)
+        """, "restart chain exceeded its total budget")}
+
+
+@pytest.mark.parametrize("guarded", list(BUDGET_GUARDS))
+def test_budget_guards_survive_optimize_flag(guarded):
+    # the budget is a proven bound: its checks must raise where asserts
+    # are stripped
+    patch, message = BUDGET_GUARDS[guarded]
+    script = """
+        from dataclasses import replace
+        import numpy as np
+        import stepfree.restarts as restarts
+        import stepfree.tuner as tuner
+        from stepfree import ProjectionDomain, StochasticOracle, sgd_run
+        step = lambda x, i, out: np.sign(x, out)
+        oracle = StochasticOracle(sampler=lambda rng, T: step)
+        domain = ProjectionDomain.whole_space()
+    """ + patch + """
+        try:
+            call()
+        except AssertionError as exc:
+            print("raised", exc)
+        else:
+            print("returned")
+    """
+    assert run_optimized(script) == [f"raised {message}"]
 
 
 def test_overflowed_G_saturates_at_inf():

@@ -66,6 +66,9 @@ class TestConstruction:
             make_problem(ProblemSpec(family="l1", dimension=2,
                                      noise="signflip", noise_param=0.5),
                          seed=0)
+        with pytest.raises(ValueError, match="outside the domain ball"):
+            make_problem(ProblemSpec(family="logistic", dimension=5,
+                                     radius=1e-3), seed=0)
 
     @pytest.mark.parametrize("field,value", [
         ("dimension", 0), ("n_samples", 0), ("mu", 0.0), ("mu", -1.0),
@@ -178,6 +181,19 @@ class TestHelpers:
                                     grid=grid, master_seed=0)
         assert len(gaps) == 5  # each candidate ran floor(64/5) = 12 steps
         assert min(gaps.values()) >= 0.0
+
+    def test_grid_needs_values_and_an_optimum(self):
+        oracle, domain, _, _ = make_problem(ProblemSpec("l1", 1), seed=0)
+        oracle.exact_value = None
+        with pytest.raises(ValueError, match="exact values and a known"):
+            grid_search_baseline(oracle, domain, np.zeros(1), B=64,
+                                 grid=[0.25])
+
+    def test_grid_rejects_a_budget_below_its_size(self):
+        oracle, domain, _, _ = make_problem(ProblemSpec("l1", 1), seed=0)
+        with pytest.raises(ValueError, match="budget too small"):
+            grid_search_baseline(oracle, domain, np.zeros(1), B=2,
+                                 grid=[0.25, 0.5, 1.0])
 
     def test_grid_rejects_empty(self):
         spec = ProblemSpec(family="l1", dimension=1)

@@ -101,10 +101,11 @@ class TestRestartTune:
             raise FloatingPointError("synthetic oracle fault")
 
         _, domain, x0, _, _ = sc_problem()
-        with pytest.raises(RuntimeError, match="round 1") as err:
+        with pytest.raises(FloatingPointError,
+                           match="synthetic oracle fault") as err:
             restart_tune(query_oracle(query=boom), domain, x0,
                          M=3, delta=0.1, epsilon=1.0, L=1.0)
-        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert err.value.__notes__ == ["restart round 1 failed"]
 
     @pytest.mark.parametrize("epsilon, L, M, m", [
         (1.0, 1e-200, 3, 1),   # L^2 underflows to 0: epsilon / 0

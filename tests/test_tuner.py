@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepfree.tuner as tuner
-from oracles import per_sample, query_oracle
+from oracles import abs_oracle, per_sample, query_oracle
 from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       NumericalFailure, ProblemSpec, ProjectionDomain,
                       SgdTrace, StepSizeExp, Stochastic, ZeroFirstGradient,
@@ -18,14 +18,6 @@ from stepfree.tuner import (damping_for_round, eta_max_diagnostic,
                             select_output_z, verify_output_property)
 
 WHOLE = ProjectionDomain.whole_space()
-
-
-def abs_oracle():
-    grad = lambda x: np.sign(x)
-    return query_oracle(query=lambda x, rng: grad(x),
-                        norm_bound_L=1.0, exact_subgradient=grad,
-                        exact_value=lambda x: float(np.abs(x).sum()),
-                        optimum_info=(np.zeros(1), 0.0))
 
 
 def fake_trace(r_bar, G, T=4, eta=0.1):
@@ -198,6 +190,14 @@ class TestBisection:
         assert out.kind == "edge_low"
         assert out.o == 0 and out.evaluations[0].eta == 0.5
         assert len(out.evaluations) == 2
+
+    def test_output_property_needs_a_selected_outcome(self):
+        out = root_finding_bisection(
+            abs_oracle(), WHOLE, np.array([1.0]), eta_eps=1 / 256, k=2, T=4,
+            damping=DampingParams(3.0, 0.0))
+        assert out.kind == "infeasible"
+        with pytest.raises(ValueError, match="selected outcomes only"):
+            verify_output_property(out, DampingParams(3.0, 0.0))
 
     def test_round_below_one_rejected(self):
         for k in (0, -1):
@@ -485,8 +485,14 @@ class TestEtaMaxDiagnostic:
 
     def test_alpha_too_small_rejected(self):
         d = DampingParams(2.0, 0.0, mode=Stochastic(delta=0.1, L=1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stochastic form needs alpha"):
             eta_max_diagnostic(1.0, 1.0, d)
+        with pytest.raises(ValueError, match="deterministic form needs alpha"):
+            eta_max_diagnostic(1.0, 1.0, DampingParams(1.0, 0.0))
+
+    def test_zero_gradient_has_no_largest_step(self):
+        assert eta_max_diagnostic(1.0, 0.0, DampingParams(3.0, 0.0)) == \
+            math.inf
 
     def test_bounds_terminal_round(self):
         # the doubling loop never needs k beyond 2 log2 log2+(eta_max/eta_eps)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import query_oracle
+from oracles import abs_oracle, query_oracle
 from stepfree import (DampingParams, ProblemSpec, ProjectionDomain,
                       Stochastic, check_theorem_bounds, default_x0,
                       make_problem, sgd_run, tune)
@@ -299,14 +299,6 @@ class TestLog2Plus:
         assert loglog_plus(1e-300, 1e300, 1e10) == 1.0
 
 
-def abs_oracle():
-    grad = lambda x: np.sign(x)
-    return query_oracle(query=lambda x, rng: grad(x),
-                        norm_bound_L=1.0, exact_subgradient=grad,
-                        exact_value=lambda x: float(np.abs(x).sum()),
-                        optimum_info=(np.zeros(1), 0.0))
-
-
 class TestLocalization:
     def test_certified_trace(self):
         oracle = abs_oracle()
@@ -406,6 +398,34 @@ class TestTheoremChecks:
         assert line.bound == pytest.approx(
             const * d0 * math.sqrt(alpha * L ** 2 * T + beta) / T, rel=1e-15)
         assert line.verdict == verdict
+
+    @pytest.mark.parametrize("noise, noise_param, mode", [
+        ("none", 0.0, NonAdaptive), ("sphere", 0.5, Stochastic)])
+    def test_stochastic_run_reaching_normal(self, noise, noise_param, mode):
+        # the stochastic rounds' alpha (~2e4) makes most runs end
+        # edge_low_step; from B ~ 2^17 on, l1 runs select a step size
+        spec = ProblemSpec(family="l1", dimension=5, noise=noise,
+                           noise_param=noise_param)
+        oracle, domain, x_star, _ = make_problem(spec, seed=0)
+        x0 = default_x0(domain, x_star, dist=1.0, seed=0)
+        res = tune(oracle, domain, x0, budget=2 ** 17, eta_eps=1e-6,
+                   mode=mode(delta=0.1, L=oracle.norm_bound_L))
+        assert (res.case, res.k_final, res.eta.exponent) == ("normal", 2, 3)
+        lines = check_theorem_bounds(res, oracle)
+        assert [(l.check_id, l.verdict) for l in lines] == [
+            ("budget", "pass"), ("T_lower_bound", "pass"),
+            ("localization", "pass"), ("gap_vs_endpoint_max", "pass")]
+        by_id = {l.check_id: l for l in lines}
+        d0 = 1.0
+        assert by_id["localization"].bound == pytest.approx(6.0 * d0)
+        assert by_id["localization"].realized == pytest.approx(0.733,
+                                                               abs=1e-3)
+        damping = res.damping_final
+        alpha = damping.alpha
+        den = max(damping.denominator(res.traces[(2, 3)]),
+                  damping.denominator(res.traces[(2, 4)]))
+        assert by_id["gap_vs_endpoint_max"].bound == pytest.approx(
+            (9 * alpha - 2) / (2 * (alpha - 2)) * d0 * den / res.T)
 
     @pytest.mark.parametrize("field", ["optimum_info", "exact_value",
                                        "norm_bound_L"])
