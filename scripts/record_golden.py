@@ -6,10 +6,11 @@ family/noise pairs, tune --r-eps, tune in non-adaptive mode, tune from an INI
 file with a flag overriding it, tune with an invalid delta, a noiseless and a
 noisy restart chain, a 4-budget sweep, validate-good-event with and without
 --union-grid and a boundary test; and the runs that end in a failure row:
-tune runs that overflow or meet a zero first gradient, a restart chain whose
-fourth round overflows, and a sweep whose first budget fails every run) and
-writes, per command, its CSV and JSONL (those it writes) and its stdout
-followed by the exit status and any stderr.
+tune runs that overflow, with --eta-eps and with --r-eps, or meet a zero
+first gradient, a restart chain whose fourth round overflows, and a sweep
+whose first budget fails every run) and writes, per command, its CSV and
+JSONL (those it writes) and its stdout followed by the exit status and any
+stderr.
 Wall times are the one field that differs between runs, so the CSV's
 ``wall_ms`` column is masked as ``*``; everything else must match byte for
 byte.
@@ -122,6 +123,12 @@ CASES = {
     "tune_zero_first_gradient": [
         "tune", "--r-eps", "1", "--center-scale", "0", "--x0-dist", "0",
         "--budget", "64"],
+    # relative mode where ||g0|| = 1e10 * 1e300 overflows: each run's
+    # failure row, as with --eta-eps
+    "tune_r_eps_numerical_failure": [
+        "tune", "--r-eps", "1", "--x0-dist", "1e300", "--family",
+        "quadratic", "--smoothness", "1e10", "--radius", "1e300",
+        "--budget", "64", "--reps", "3", "--seed", "16"],
     # round 4 overflows: 1e308 from the optimum its first bisection's top
     # step, 1e307, passes, and its second's, 4096 * 1e307, is inf; the
     # failure row names the round and its cause

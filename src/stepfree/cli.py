@@ -230,6 +230,10 @@ def cmd_validate_good_event(cfg: argparse.Namespace) -> int:
     if cfg.union_grid and cfg.round_k > MAX_UNION_ROUND_K:
         raise ConfigError(f"--union-grid takes --round-k <= "
                           f"{MAX_UNION_ROUND_K}, got {cfg.round_k}")
+    name, step = (("eta_eps", cfg.eta_eps) if cfg.union_grid
+                  else ("eta", cfg.eta))
+    if not step > 0:  # written so that nan fails too
+        raise ValueError(f"{name} must be positive, got {step!r}")
     oracle, domain, x_star, _ = make_problem(cfg.problem, cfg.seed)
     x0 = default_x0(domain, x_star, cfg.x0_dist, cfg.seed)
     L = oracle.norm_bound_L

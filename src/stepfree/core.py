@@ -119,6 +119,16 @@ def norm(v, axis: Optional[int] = None):
     return np.where(big, scaled, length)[()]
 
 
+def square(x: float) -> float:
+    """x ** 2 of a float, +inf where it overflows (past ~1.3e154), where
+    ``**`` raises ``OverflowError``. Not ``x * x``, which rounds otherwise
+    on a few inputs."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ProjectionDomain:
     """Euclidean projection onto the whole space or a ball.
@@ -330,14 +340,3 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
         trace.value_avg = value_sum / T
     return trace
 
-
-def trace_distances(trace: SgdTrace, x_star) -> tuple[float, float, np.ndarray]:
-    """Distances to the optimum along a run's iterate record.
-
-    Returns (d0, d_bar, series) where series[t] = ||x_t - x_star|| for
-    t = 0..T and d_bar is the running maximum over the whole record. Each
-    distance is a length by :func:`norm`, +inf only where it exceeds the
-    largest float.
-    """
-    series = norm(trace.xs - np.asarray(x_star, dtype=float)[None, :], axis=1)
-    return float(series[0]), float(series.max()), series

@@ -132,9 +132,12 @@ def make_problem(spec: ProblemSpec, seed: int):
             grad_into(x, out)
         return out
 
-    if spec.family == "l1":
+    if spec.family in ("l1", "quadratic", "huber"):
+        # the optimum is the drawn centre c, at value 0
         c = spec.center_scale * rng.standard_normal(d)
+        x_star, f_star = c, 0.0
 
+    if spec.family == "l1":
         def grad_into(x, out):
             # subgradient of |.| fixed to 0 at the kink, making it absorbing
             np.subtract(x, c, out)
@@ -144,11 +147,9 @@ def make_problem(spec: ProblemSpec, seed: int):
             return float(np.abs(x - c).sum())
 
         domain = ProjectionDomain.whole_space()
-        x_star, f_star = c, 0.0
-        tape, L = _noise_sampler(spec, grad_into, math.sqrt(d))
+        sup_grad = math.sqrt(d)
 
     elif spec.family == "quadratic":
-        c = spec.center_scale * rng.standard_normal(d)
         S = spec.smoothness
         S_vec = np.full(d, S)
 
@@ -160,11 +161,9 @@ def make_problem(spec: ProblemSpec, seed: int):
             return 0.5 * S * float(np.dot(x - c, x - c))
 
         domain = ProjectionDomain.ball(c, spec.radius)
-        x_star, f_star = c, 0.0
-        tape, L = _noise_sampler(spec, grad_into, S * spec.radius)
+        sup_grad = S * spec.radius
 
     elif spec.family == "huber":
-        c = spec.center_scale * rng.standard_normal(d)
         lo, hi = np.full(d, -1.0), np.full(d, 1.0)
 
         def grad_into(x, out):
@@ -177,8 +176,7 @@ def make_problem(spec: ProblemSpec, seed: int):
             return float(np.where(u <= 1.0, 0.5 * u * u, u - 0.5).sum())
 
         domain = ProjectionDomain.whole_space()
-        x_star, f_star = c, 0.0
-        tape, L = _noise_sampler(spec, grad_into, math.sqrt(d))
+        sup_grad = math.sqrt(d)
 
     elif spec.family == "sc_quadratic":
         # mu-strongly-convex quadratic on the ball of radius L/mu around the
@@ -187,8 +185,7 @@ def make_problem(spec: ProblemSpec, seed: int):
         if spec.noise != "none":
             raise ValueError("sc_quadratic admits only the noiseless oracle "
                              "(declared L leaves no noise headroom)")
-        mu, L = spec.mu, spec.L
-        radius = L / mu
+        mu, sup_grad = spec.mu, spec.L
         mu_vec = np.full(d, mu)
 
         def grad_into(x, out):
@@ -197,9 +194,8 @@ def make_problem(spec: ProblemSpec, seed: int):
         def value(x):
             return 0.5 * mu * float(np.dot(x, x))
 
-        domain = ProjectionDomain.ball(np.zeros(d), radius)
+        domain = ProjectionDomain.ball(np.zeros(d), sup_grad / mu)
         x_star, f_star = np.zeros(d), 0.0
-        tape, L = _noise_sampler(spec, grad_into, L)
 
     else:  # logistic
         n = spec.n_samples
@@ -237,19 +233,19 @@ def make_problem(spec: ProblemSpec, seed: int):
         from scipy.optimize import minimize
         sol = minimize(value, np.zeros(d), jac=exact_grad, method="L-BFGS-B",
                        options={"gtol": 1e-14, "ftol": 0.0, "maxiter": 5000})
-        x_star = sol.x
-        f_star = float(sol.fun)
+        x_star, f_star = sol.x, sol.fun
         if norm(x_star) >= spec.radius:
             raise ValueError("logistic optimum falls outside the domain ball")
         domain = ProjectionDomain.ball(np.zeros(d), spec.radius)
         sup_grad = float(norm(A, axis=1).max()) + reg * spec.radius
-        tape, L = _noise_sampler(spec, grad_into, sup_grad)
 
+    tape, L = _noise_sampler(spec, grad_into, sup_grad)
+    x_star, f_star = np.asarray(x_star, dtype=float), float(f_star)
     oracle = StochasticOracle(
         sampler=tape, norm_bound_L=L, noiseless=spec.noise == "none",
         exact_subgradient=exact_grad, exact_value=value,
-        optimum_info=(np.asarray(x_star, dtype=float), float(f_star)))
-    return oracle, domain, np.asarray(x_star, dtype=float), float(f_star)
+        optimum_info=(x_star, f_star))
+    return oracle, domain, x_star, f_star
 
 
 def default_x0(domain: ProjectionDomain, x_star, dist: float, seed: int) -> np.ndarray:

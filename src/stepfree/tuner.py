@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
-                   run_step, sgd_run)
+from .core import (NumericalFailure, ProjectionDomain, SgdTrace,
+                   StochasticOracle, norm, run_step, sgd_run, square)
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +61,7 @@ class DampingParams:
 
     def denominator_sq(self, trace: SgdTrace) -> float:
         if isinstance(self.mode, NonAdaptive):
-            return self.alpha * self.mode.L ** 2 * trace.T
+            return self.alpha * square(self.mode.L) * trace.T
         return self.alpha * trace.G + self.beta
 
     def denominator(self, trace: SgdTrace) -> float:
@@ -99,7 +99,7 @@ def damping_for_round(k: int, B: int, delta: Optional[float], L: Optional[float]
     if (delta, L) != (mode.delta, mode.L):
         raise ValueError(f"delta and L differ from the mode's: {mode!r}")
     c_k = round_constant(k, B, delta)
-    beta = 0.0 if isinstance(mode, NonAdaptive) else (32.0 * c_k * L) ** 2
+    beta = 0.0 if isinstance(mode, NonAdaptive) else square(32.0 * c_k * L)
     return DampingParams(alpha=32.0 ** 2 * c_k, beta=beta, mode=mode)
 
 
@@ -309,11 +309,21 @@ class ZeroFirstGradient(ValueError):
 
 
 def relative_eta_eps(r_eps: float, g0_norm: float, B: int) -> float:
-    """Initial step size from a putative lower bound r_eps on d0."""
+    """Initial step size r_eps / (||g0|| B) from a putative lower bound
+    r_eps on d0. A zero ||g0|| raises :class:`ZeroFirstGradient`, a
+    non-finite one the run's ``NumericalFailure(0, "gradient")``, and a
+    quotient that underflows to 0 a ``ValueError``."""
     if g0_norm <= 0:
         raise ZeroFirstGradient("relative eta_eps undefined with a zero "
                                  "first gradient")
-    return r_eps / (g0_norm * B)
+    if not g0_norm < math.inf:  # nan too
+        raise NumericalFailure(0, "gradient")
+    eta_eps = r_eps / (g0_norm * B)
+    if not eta_eps > 0:
+        raise ValueError(f"r_eps {r_eps!r} gives eta_eps = r_eps / (||g0|| B)"
+                         f" = {eta_eps!r} for ||g0|| = {g0_norm!r} and "
+                         f"B = {B}, not a positive float")
+    return eta_eps
 
 
 def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> float:
@@ -325,7 +335,7 @@ def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> flo
     if d0 == 0:
         return 0.0
     a, b = damping.alpha, damping.beta
-    denom_sq = a * g0_norm ** 2 + b
+    denom_sq = a * square(g0_norm) + b
     if isinstance(damping.mode, Deterministic):
         if a <= 1:
             raise ValueError("deterministic form needs alpha > 1")
@@ -353,7 +363,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
     separately and not charged against it.
 
     Takes exactly one of ``eta_eps`` and ``r_eps`` (relative mode: eta_eps =
-    :func:`relative_eta_eps` of ||g0||, or :class:`ZeroFirstGradient`).
+    :func:`relative_eta_eps` of ||g0||, or the error it raises).
     ``master_seed`` keys the run streams and reaches only
     ``oracle.run_stream``; ``master_seed=None`` is allowed only for a
     noiseless oracle, whose runs read no stream (a noisy one raises

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
-                   sgd_run, trace_distances)
+                   sgd_run, square)
 from .tuner import (DETERMINISTIC_DAMPING, DampingParams, Deterministic,
                     TunerResult, passes)
 
@@ -68,7 +68,7 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     inner = np.einsum("ij,ij->i", deltas, xs[:T] - x_star[None, :])
     prefix = np.cumsum(inner)
     # dbar[t] includes x_t
-    dbar = np.maximum.accumulate(trace_distances(trace, x_star)[2])
+    dbar = np.maximum.accumulate(norm(xs - x_star, axis=1))
     g_sq = np.cumsum(np.einsum("ij,ij->i", gs, gs))
     floor = trace.eta * math.sqrt(damping.beta)
     threshold = 0.25 * np.maximum(dbar[1:T + 1], floor) * np.sqrt(
@@ -205,7 +205,8 @@ def localization_check(trace: SgdTrace, x_star):
     applies = passes(trace, DETERMINISTIC_DAMPING)
     if not applies:
         return False, True
-    d0, d_bar, _ = trace_distances(trace, x_star)
+    dists = norm(trace.xs - x_star, axis=1)
+    d0, d_bar = float(dists[0]), float(dists.max())
     tol = 1e-12 * max(1.0, d0)
     ok = (d_bar <= (alpha + 1.0) / (alpha - 1.0) * d0 + tol
           and trace.r_bar <= 2.0 * alpha / (alpha - 1.0) * d0 + tol)
@@ -331,7 +332,7 @@ def check_theorem_bounds(result: TunerResult,
                                 within(gap, surrogate), "inconclusive")
         if not endpoint_ok:
             # the theorem's G(eta') is always <= L^2 T, so this one is implied
-            l_denom = math.sqrt(alpha * L ** 2 * T + damping.beta)
+            l_denom = math.sqrt(alpha * square(L) * T + damping.beta)
             l_bound = const * d0 * l_denom / T
             check("gap_vs_L_surrogate", gap, l_bound, within(gap, l_bound))
     else:  # edge_low_step: the low endpoint fired; either the normal-style
@@ -344,7 +345,8 @@ def check_theorem_bounds(result: TunerResult,
         if deterministic:
             edge_gap_bound = 2.0 * result.eta_eps * tr.G / T
         else:
-            edge_gap_bound = 1.25 * (d0 * den + result.eta_eps * den ** 2) / T
+            edge_gap_bound = 1.25 * (d0 * den
+                                     + result.eta_eps * square(den)) / T
         check("edge_gap_dichotomy", gap, edge_gap_bound,
               _any(normal_ok, within(gap, edge_gap_bound)))
     return lines

@@ -368,6 +368,28 @@ class TestZeroFirstGradient:
         assert np.isfinite(summary["slope"])
 
 
+class TestRelativeModeFailures:
+    def test_infinite_first_gradient_is_a_row_per_run(self, tmp_path):
+        # ||g0|| = 1e10 * 1e300 overflows: each run fails as its first
+        # step would with --eta-eps, not the whole batch
+        csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "t.jsonl"
+        code = run_cli(["tune", "--r-eps", "1", "--x0-dist", "1e300",
+                        "--family", "quadratic", "--smoothness", "1e10",
+                        "--radius", "1e300", "--budget", "64", "--reps", "3",
+                        "--csv", csv_path, "--jsonl", jsonl_path])
+        assert code == 0
+        rows, diags = read_csv(csv_path), read_jsonl(jsonl_path)
+        assert [r["case"] for r in rows] == ["numerical_failure"] * 3
+        assert [d["error"] for d in diags] == \
+            ["non-finite gradient at step 0"] * 3
+
+    def test_underflowed_eta_eps_names_r_eps(self, tmp_path, capsys):
+        # 5e-324 / (||g0|| * 64) rounds to 0
+        TestCommandInputs.assert_one_error_line(
+            ["tune", "--r-eps", "5e-324", "--family", "l1", "--budget", "64",
+             "--reps", "3"], "r_eps 5e-324 gives eta_eps", tmp_path, capsys)
+
+
 class TestIniChecks:
     GOOD_EVENT = ["validate-good-event", "--family", "l1", "--noise", "sphere",
                   "--noise-param", "1.0", "--dimension", "3", "--eta", "0.5",
@@ -574,7 +596,11 @@ class TestCommandInputs:
         (["tune", "--eta-eps", "nan"], "eta_eps"),
         (["tune", "--r-eps", "nan"], "r_eps"),
         (["restart", "--family", "sc_quadratic", "--epsilon", "nan"],
-         "epsilon")])
+         "epsilon"),
+        (["validate-good-event", "--eta", "nan", "--T", "8", "--n-paths",
+          "2"], "eta"),
+        (["validate-good-event", "--union-grid", "--eta-eps", "nan", "--T",
+          "8", "--n-paths", "2"], "eta_eps")])
     def test_nan_step_size_is_one_error_line(self, args, setting, capsys):
         assert run_cli(args) == 2
         err = capsys.readouterr().err
@@ -712,6 +738,45 @@ class TestLengthsBeyondTheSquareOverflow:
         dist = float(row["dist_to_opt"])
         assert 1e154 < dist < 2e155
         assert all(math.isfinite(c["bound"]) for c in diag["checks"])
+
+    SC_1E160 = ["--family", "sc_quadratic", "--dimension", "2", "--L",
+                "1e160"]
+
+    # the squares of these declared bounds overflow: beta_k, or L^2 T in
+    # non-adaptive mode, is +inf, every candidate fails its certificate and
+    # every bound scaled by it certifies nothing
+    @pytest.mark.parametrize("args", [
+        ["tune", *SC_1E160, "--mode", "stochastic", "--eta-eps", "1e-3",
+         "--budget", "64"],
+        ["tune", *SC_1E160, "--mode", "nonadaptive", "--eta-eps", "1e-3",
+         "--budget", "64"],
+        ["validate-good-event", *SC_1E160, "--eta", "1e-3", "--T", "8",
+         "--n-paths", "2"],
+        ["tune", "--family", "quadratic", "--smoothness", "1e200",
+         "--radius", "1e100", "--noise", "sphere", "--noise-param", "1",
+         "--mode", "stochastic", "--eta-eps", "1e-3", "--budget", "64"],
+        ["sweep", "--family", "sc_quadratic", "--L", "1e160", "--mode",
+         "stochastic", "--eta-eps", "1e-3", "--budgets", "8,16,32,64",
+         "--reps", "20"]],
+        ids=["tune-stochastic", "tune-nonadaptive", "validate-good-event",
+             "tune-quadratic", "sweep"])
+    def test_squared_bounds_past_the_float_range(self, args, tmp_path,
+                                                   capsys):
+        out = tmp_path / "o.jsonl"
+        assert run_cli(args + ["--jsonl", out]) == 0
+        assert capsys.readouterr().err == ""
+        diags = read_jsonl(out)
+        if args[0] == "validate-good-event":
+            (summary,) = diags
+            assert (summary["frequency"], summary["verdict"]) == \
+                (0.0, "inconclusive")
+            return
+        runs = [d for d in diags if "checks" in d]
+        assert runs and all(d["case"] == "edge_low_step" for d in runs)
+        for d in runs:
+            verdicts = {c["check_id"]: c["verdict"] for c in d["checks"]}
+            assert verdicts["edge_displacement"] == "inconclusive"
+            assert verdicts["edge_gap_dichotomy"] == "inconclusive"
 
     def test_candidate_past_the_float_range_is_a_failure_row(
             self, tmp_path, monkeypatch):

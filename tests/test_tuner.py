@@ -452,6 +452,18 @@ class TestPostProcessing:
         assert result.eta_eps == relative_eta_eps(0.5, result.g0_norm, 256)
         assert calls[0] == result.total_queries + 1
 
+    @pytest.mark.parametrize("g0_norm", [math.inf, math.nan])
+    def test_relative_mode_non_finite_first_gradient(self, g0_norm):
+        with pytest.raises(NumericalFailure,
+                           match="non-finite gradient at step 0"):
+            relative_eta_eps(1.0, g0_norm, 64)
+
+    @pytest.mark.parametrize("r_eps, g0_norm", [(5e-324, 1.0),
+                                                (1.0, 1e308)])
+    def test_relative_mode_eta_eps_underflow(self, r_eps, g0_norm):
+        with pytest.raises(ValueError, match="r_eps .* not a positive float"):
+            relative_eta_eps(r_eps, g0_norm, 64)
+
     def test_relative_mode_zero_first_gradient(self):
         oracle = query_oracle(query=lambda x, rng: np.zeros(1))
         with pytest.raises(ZeroFirstGradient):
