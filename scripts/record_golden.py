@@ -5,12 +5,13 @@ Runs a fixed set of small ``stepfree-bench`` commands (tune on five
 family/noise pairs, tune --r-eps, tune in non-adaptive mode, tune from an INI
 file with a flag overriding it, tune with an invalid delta, a noiseless and a
 noisy restart chain, a 4-budget sweep, validate-good-event with and without
---union-grid and a boundary test; and the runs that end in a failure row:
-tune runs that overflow, with --eta-eps and with --r-eps, or meet a zero
-first gradient, a restart chain whose fourth round overflows, and a sweep
-whose first budget fails every run) and writes, per command, its CSV and
-JSONL (those it writes) and its stdout followed by the exit status and any
-stderr.
+--union-grid and a boundary test; the runs that end in a failure row: tune
+runs that overflow, with --eta-eps and with --r-eps, or meet a zero first
+gradient, a restart chain whose fourth round overflows, and a sweep whose
+first budget fails every run; and restart_rounds_past_schedule, a chain of
+10^9 rounds that exits 2 as its schedule fails at round 1024) and writes,
+per command, its CSV and JSONL (those it writes) and its stdout followed by
+the exit status and any stderr.
 Wall times are the one field that differs between runs, so the CSV's
 ``wall_ms`` column is masked as ``*``; everything else must match byte for
 byte.
@@ -28,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from stepfree.cli import CSV_COMMANDS, main as cli_main
+from stepfree.cli import REP_COMMANDS, main as cli_main
 
 # stands for the path of CONFIG_INI, written next to the outputs
 CONFIG = "@config.ini"
@@ -139,6 +140,10 @@ CASES = {
     "sweep_all_failed": [
         "sweep", "--family", "l1", "--eta-eps", "1e308", "--budgets",
         "16,32,64,128", "--reps", "20"],
+    # exits 2 before any run: round 1024's initial step size, 1 / 2^1024,
+    # is not a positive float, and no output file is opened
+    "restart_rounds_past_schedule": [
+        "restart", "--family", "sc_quadratic", "--rounds", "1000000000"],
 }
 
 
@@ -163,7 +168,7 @@ def run_case(argv: list) -> dict:
         config.write_text(CONFIG_INI)
         argv = [str(config) if a == CONFIG else a for a in argv]
         argv += ["--jsonl", str(jsonl_path)]
-        if argv[0] in CSV_COMMANDS:
+        if argv[0] in REP_COMMANDS:
             argv += ["--csv", str(csv_path)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \

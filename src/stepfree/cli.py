@@ -36,8 +36,6 @@ CSV_HEADER_COMMENT = "# stepfree-bench csv schema v1"
 JSONL_HEADER = {"schema": "stepfree-bench jsonl v1"}
 CSV_COLUMNS = ["run_id", "seed", "k_final", "T", "eta_o_exponent",
                "total_queries", "gap", "dist_to_opt", "case", "wall_ms"]
-# the commands that write a per-run CSV; the others take no --csv or --reps
-CSV_COMMANDS = ("tune", "restart", "sweep")
 
 
 class ConfigError(ValueError):
@@ -50,7 +48,9 @@ def check_settings(cfg: argparse.Namespace):
     if (cfg.command == "validate-good-event" and cfg.union_grid
             and cfg.eta_eps is None):
         raise ConfigError("--union-grid needs --eta-eps for the grid base")
-    if cfg.command in CSV_COMMANDS and cfg.reps < 1:
+    if cfg.seed < 0:  # where runs mask it to 64 bits, the others fail
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.command in REP_COMMANDS and cfg.reps < 1:
         raise ConfigError("repetitions must be >= 1")
     if cfg.command in ("tune", "sweep"):
         if (cfg.eta_eps is None) == (cfg.r_eps is None):
@@ -141,13 +141,14 @@ def _tune(cfg, oracle, domain, x0, seed: int, budget: int):
         "eta_o_exponent": result.eta.exponent}
 
 
-def _restart(cfg, oracle, domain, x0, seed: int, budget: int):
+def _restart(cfg, oracle, domain, x0, seed: int, _):
     x, records = restart_tune(oracle, domain, x0, M=cfg.rounds,
                               delta=cfg.delta, epsilon=cfg.epsilon,
                               L=oracle.norm_bound_L, master_seed=seed)
     total = sum(r.total_queries for r in records)
-    check = CheckLine("restart_total_budget", total, budget,
-                      "pass" if total <= budget else "bug")
+    bound = total_budget(cfg.rounds)  # (M + 1) bits, once the schedule held
+    check = CheckLine("restart_total_budget", total, bound,
+                      "pass" if total <= bound else "bug")
     f_star = oracle.optimum_info[1]
     return x, records, [check], {
         "rounds": cfg.rounds, "total_queries": total,
@@ -156,10 +157,11 @@ def _restart(cfg, oracle, domain, x0, seed: int, budget: int):
                       for m, r in enumerate(records)]}
 
 
-# each rep command: its run, with its checks, which returns (final point,
-# the TunerResult of each tuner call, check lines, extra JSONL fields); and
-# its stdout line per run, a result's and a failure's, formatted from the
-# run's CSV row and JSONL record (sweep prints one per budget instead)
+# the commands that run reps and write a per-run CSV (the others take no
+# --csv or --reps), each with its run, which returns (final point, the
+# TunerResult of each tuner call, check lines, extra JSONL fields), and its
+# stdout line per run, a result's and a failure's, formatted from the run's
+# CSV row and JSONL record (sweep prints one per budget instead)
 REP_COMMANDS = {
     "tune": (_tune, ("run {run_id}: case={case} gap={gap} "
                      "queries={total_queries}",) * 2),
@@ -184,19 +186,18 @@ def _reps(cfg: argparse.Namespace, out: Outputs, budgets):
             x0 = default_x0(domain, x_star, cfg.x0_dist, seed)
             t0 = time.perf_counter()
             try:
-                x, records, checks, fields = run(cfg, oracle, domain, x0,
-                                                 seed, budget)
-            except Exception as exc:
-                case = next((case for case, kind in FAILED_CASES.items()
-                             if isinstance(exc, kind)), None)
-                if case is None:
-                    raise
-                wall = (time.perf_counter() - t0) * 1e3
+                outcome = run(cfg, oracle, domain, x0, seed, budget)
+            except tuple(FAILED_CASES.values()) as exc:
+                outcome = exc
+            wall = (time.perf_counter() - t0) * 1e3
+            if isinstance(outcome, Exception):
+                case = next(case for case, kind in FAILED_CASES.items()
+                            if isinstance(outcome, kind))
                 tuned, gap, dist = ("",) * 4, math.nan, math.nan
                 diag = {"run_id": run_id, "case": case,
-                        "error": _message(exc)}
+                        "error": _message(outcome)}
             else:
-                wall = (time.perf_counter() - t0) * 1e3
+                x, records, checks, fields = outcome
                 last = records[-1]
                 case = last.case
                 tuned = (last.k_final, last.T, last.eta.exponent,
@@ -217,12 +218,9 @@ def _reps(cfg: argparse.Namespace, out: Outputs, budgets):
 
 
 def cmd_reps(cfg: argparse.Namespace) -> int:
-    """tune and restart: cfg.reps runs at one budget, restart's the total
-    of its rounds."""
-    budget = (total_budget(cfg.rounds) if cfg.command == "restart"
-              else cfg.budget)
+    """tune and restart: cfg.reps runs, at tune's one budget."""
     with Outputs(cfg) as out:
-        ((_, bug),) = _reps(cfg, out, [budget])
+        ((_, bug),) = _reps(cfg, out, [getattr(cfg, "budget", None)])
     return 1 if bug else 0
 
 
@@ -353,7 +351,7 @@ SHARED = {
 # each command: its function, its help and the flags of its own settings,
 # each a flag of SHARED or a (flag, keywords) pair that only it takes.
 # Every command also takes --config, --seed, --delta and --jsonl; all but
-# boundary-test build a problem, and the CSV_COMMANDS take --reps and --csv.
+# boundary-test build a problem, and the REP_COMMANDS take --reps and --csv.
 COMMANDS = {
     "tune": (cmd_reps, "run the step-size tuner",
              ["--budget", "--eta-eps", "--r-eps", "--mode"]),
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, own) in COMMANDS.items():
         problem = [] if command == "boundary-test" else [*PROBLEM, "--x0-dist"]
-        runs = ["--reps", "--csv"] if command in CSV_COMMANDS else []
+        runs = ["--reps", "--csv"] if command in REP_COMMANDS else []
         p = sub.add_parser(command, help=help_text)
         for flag in ["--config", *problem, "--seed", "--delta", *runs,
                      "--jsonl", *own]:

@@ -47,14 +47,13 @@ def random_config(rng):
     return spec, budget, eta_eps, x0_dist, mode_name
 
 
-# shared between criteria 1 and 5: every Selected outcome with its damping
-_SELECTED_OUTCOMES = []
-
-
-def test_criterion_01_budget_and_structure():
+@pytest.fixture(scope="module")
+def random_tune_runs():
+    """Criterion 1's 500 tune runs on random configurations, shared with
+    criterion 5: ([(budget, result)] per run, the seconds they took)."""
     rng = np.random.default_rng(20260823)
     start = time.perf_counter()
-    n_runs, n_selected = 0, 0
+    runs = []
     for i in range(500):
         spec, budget, eta_eps, x0_dist, mode_name = random_config(rng)
         oracle, domain, x_star, _ = make_problem(spec, seed=i)
@@ -63,24 +62,27 @@ def test_criterion_01_budget_and_structure():
                 "stochastic": Stochastic(delta=0.1, L=oracle.norm_bound_L),
                 "nonadaptive": NonAdaptive(delta=0.1, L=oracle.norm_bound_L),
                 }[mode_name]
-        result = tune(oracle, domain, x0, budget=budget, eta_eps=eta_eps,
-                      mode=mode, master_seed=i)
-        n_runs += 1
+        runs.append((budget, tune(oracle, domain, x0, budget=budget,
+                                  eta_eps=eta_eps, mode=mode, master_seed=i)))
+    return runs, time.perf_counter() - start
+
+
+def test_criterion_01_budget_and_structure(random_tune_runs):
+    runs, elapsed = random_tune_runs
+    n_selected = 0
+    for budget, result in runs:
         assert result.total_queries <= budget
         assert 16 <= budget <= 2 ** 14
         if result.case == "normal":
             n_selected += 1
             assert result.T == budget // (2 * result.k_final)
             assert len(result.final_outcome.evaluations) - 2 == result.k_final
-            _SELECTED_OUTCOMES.append((result.final_outcome,
-                                       result.damping_final))
         elif result.case == "budget_too_small":
             assert result.T == 1
             assert np.array_equal(result.x_bar, result.x0)
-    elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert n_selected >= 50
-    print(f"\ncriterion 1: pass - {n_runs} runs within budget, "
+    print(f"\ncriterion 1: pass - {len(runs)} runs within budget, "
           f"{n_selected} selected rounds with exact midpoint counts, "
           f"{elapsed:.1f}s")
 
@@ -166,13 +168,15 @@ def test_criterion_04_localization():
           f"{n_traces} localized within (2 d0, 3 d0)")
 
 
-def test_criterion_05_output_property():
-    assert len(_SELECTED_OUTCOMES) >= 50, \
-        "criterion 1 must run first to populate the outcome matrix"
-    for outcome, damping in _SELECTED_OUTCOMES:
-        assert verify_output_property(outcome, damping)
+def test_criterion_05_output_property(random_tune_runs):
+    selected = [result for _, result in random_tune_runs[0]
+                if result.case == "normal"]
+    assert len(selected) >= 50
+    for result in selected:
+        assert verify_output_property(result.final_outcome,
+                                      result.damping_final)
     print(f"\ncriterion 5: pass - output property verified on "
-          f"{len(_SELECTED_OUTCOMES)} selected outcomes across all modes")
+          f"{len(selected)} selected outcomes across all modes")
 
 
 def test_criterion_06_good_event():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -175,6 +176,40 @@ class TestConfigValidation:
             f"config error: delta must be in (0, 1), got {float(delta)!r}\n")
         assert not csv_path.exists() and not jsonl_path.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["tune", "--eta-eps", "1e-3"],
+        ["restart"],
+        ["validate-good-event", "--T", "8", "--n-paths", "2"],
+        ["boundary-test", "--T", "8", "--n-paths", "2"],
+        ["sweep", "--budgets", "16,32,64,128", "--reps", "20",
+         "--eta-eps", "1e-3"],
+    ])
+    def test_negative_seed_rejected(self, args, tmp_path, capsys):
+        jsonl_path = tmp_path / "x.jsonl"
+        assert run_cli(args + ["--seed", "-1", "--jsonl", jsonl_path]) == 2
+        assert capsys.readouterr().err == \
+            "config error: seed must be >= 0, got -1\n"
+        assert not jsonl_path.exists()
+
+    def test_negative_ini_seed_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[run]\nseed = -3\n")
+        assert run_cli(["boundary-test", "--config", ini]) == 2
+        assert capsys.readouterr().err == \
+            "config error: seed must be >= 0, got -3\n"
+
+    def test_seed_reads_modulo_2_to_the_64(self, tmp_path):
+        args = ["tune", "--eta-eps", "1e-3", "--noise", "sphere",
+                "--noise-param", "0.5", "--dimension", "3",
+                "--mode", "stochastic"]
+        runs = []
+        for seed in (0, 2 ** 64):
+            out = tmp_path / f"{seed}.csv"
+            assert run_cli(args + ["--seed", seed, "--csv", out]) == 0
+            runs.append([{k: v for k, v in row.items() if k != "wall_ms"}
+                         for row in read_csv(out)])
+        assert runs[0] == runs[1]
+
     def test_deterministic_tune_reads_no_delta(self):
         assert run_cli(["tune", "--eta-eps", "1e-3", "--delta", "1.5"]) == 0
 
@@ -263,6 +298,21 @@ class TestRunFailures:
         check = diag["checks"][0]
         assert check["bound"] == 2 ** 6 - 2  # sum of 2^m, m = 1..5
         assert check["realized"] <= check["bound"]
+
+    def test_rounds_past_the_schedule_build_no_bound(self, capsys):
+        # 2^(10^9 + 1) - 2 is a ~125 MB integer; the schedule fails at
+        # round 1024, so no chain of that length may reach its bound
+        tracemalloc.start()
+        try:
+            code = main(["restart", "--family", "sc_quadratic",
+                         "--rounds", "1000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: round 1024's initial step size")
+        assert peak < 10 * 2 ** 20
 
     def test_restart_numerical_failure_is_a_row(self, tmp_path,
                                                  monkeypatch):

@@ -4,7 +4,8 @@ Scaling the center, x0 and eta_eps by 2^s scales every iterate, length, gap
 and step size by exactly 2^s and leaves every gradient as it is, so the
 tuner must take the same decisions and each check must report the same
 verdict, its realized value and bound scaled by 2^s. At s = 520 and 1000
-the squares of the lengths overflow while the lengths do not.
+the squares of the lengths overflow while the lengths do not; at s = -200
+and -400 the values fall far below the checks' absolute tolerance of 1e-9.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from stepfree import (ProblemSpec, check_theorem_bounds, default_x0,
                       make_problem, tune)
 
-SCALES = [0, 200, 520, 1000]
+SCALES = [0, 200, 520, 1000, -200, -400]
 COUNT_CHECKS = ("budget", "T_lower_bound")
 # (seed, budget, eta_eps): a normal run in round 4 and one in round 2, an
 # edge_low_step run and a budget_too_small run
