@@ -103,12 +103,12 @@ CASES = {
     "validate_good_event_l1_sphere": [
         "validate-good-event", "--family", "l1", "--noise", "sphere",
         "--noise-param", "1.0", "--dimension", "3", "--eta", "0.05",
-        "--T", "32", "--n-paths", "20", "--budget", "256", "--seed", "10"],
+        "--T", "32", "--n-paths", "20", "--seed", "10"],
     "validate_good_event_union_nonadaptive": [
         "validate-good-event", "--family", "huber", "--noise", "signflip",
         "--noise-param", "0.2", "--dimension", "3", "--mode", "nonadaptive",
         "--eta-eps", "0.00390625", "--union-grid", "--T", "32",
-        "--n-paths", "10", "--budget", "256", "--seed", "11"],
+        "--n-paths", "10", "--seed", "11"],
     "boundary_test_bernoulli": [
         "boundary-test", "--kind", "bernoulli", "--mean", "0.4", "--T", "200",
         "--n-paths", "300", "--delta", "0.1", "--seed", "12"],

@@ -232,14 +232,16 @@ def cmd_validate_good_event(cfg: argparse.Namespace) -> int:
                   else ("eta", cfg.eta))
     if not step > 0:  # written so that nan fails too
         raise ValueError(f"{name} must be positive, got {step!r}")
+    if cfg.T < 1:  # checked before B = 2kT, which it makes nonpositive
+        raise ValueError("T must be >= 1")
     oracle, domain, x_star, _ = make_problem(cfg.problem, cfg.seed)
     x0 = default_x0(domain, x_star, cfg.x0_dist, cfg.seed)
     L = oracle.norm_bound_L
-    damping = damping_for_round(cfg.round_k, cfg.budget, cfg.delta, L,
+    k = cfg.round_k  # the damping of the round that runs T steps: B = 2kT
+    damping = damping_for_round(k, 2 * k * cfg.T, cfg.delta, L,
                                 MODES[cfg.mode](delta=cfg.delta, L=L))
     if cfg.union_grid:
-        etas = [grid_step(cfg.eta_eps, j)
-                for j in range(2 ** cfg.round_k + 1)]
+        etas = [grid_step(cfg.eta_eps, j) for j in range(2 ** k + 1)]
         freq = good_event_union_frequency(oracle, domain, x0, x_star, etas,
                                           cfg.T, damping, cfg.n_paths,
                                           cfg.seed)
@@ -360,7 +362,7 @@ COMMANDS = {
         ("--epsilon", dict(type=float, default=1.0))]),
     "validate-good-event": (cmd_validate_good_event,
                             "noise-event frequency check", [
-        "--budget", ("--eta", dict(type=float, default=0.25)), "--eta-eps",
+        ("--eta", dict(type=float, default=0.25)), "--eta-eps",
         "--T", "--n-paths", ("--round-k", dict(type=int, default=2)),
         ("--union-grid", dict(
             action="store_true",

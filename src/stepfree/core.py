@@ -210,8 +210,8 @@ class SgdTrace:
     ``xs`` is the (T+1, d) iterate record x_0, ..., x_T and ``gs`` the (T, d)
     record of the T queried gradients. ``r_bar`` is max_{i<=T} ||x0 - x_i||,
     a length by :func:`norm`, +inf only past the float range; ``G`` is the
-    running sum of squared gradient norms over ``gs``, +inf once a square or
-    the sum overflows, read off ``gs`` after the run's last step. The steps
+    correctly rounded sum (``math.fsum``) of the squared gradient norms over
+    ``gs``, +inf once a square or the sum passes the float range. The steps
     themselves are screened for finiteness once each, which :func:`sgd_run`
     shows is enough. ``x_avg`` averages the first T iterates x_0, ...,
     x_{T-1}. ``best_x``/``best_f`` (lowest value over x_0, ..., x_T) and
@@ -304,17 +304,10 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     # when g is finite, and the square np.linalg.norm takes the root of for
     # a displacement
     squares = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
-    gsq, dsq = squares[:T].tolist(), squares[T:]
-    G = 0.0
-    G_comp = 0.0  # Kahan compensation, keeps G independent of rounding order
-    for sq in gsq:
-        y = sq - G_comp
-        t = G + y
-        G_comp = (t - G) - y
-        G = t
-    if G != G:
-        # once G overflows, the compensation takes inf - inf and G turns
-        # nan; the sum of the (finite or overflowed) squares is +inf
+    # G correctly rounded; fsum raises once finite squares pass the float range
+    try:
+        G = math.fsum(squares[:T].tolist())
+    except OverflowError:
         G = math.inf
 
     # the sequential sum x_0 + ... + x_{T-1} (a plain sum is pairwise);
@@ -322,6 +315,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     x_avg = (np.add.accumulate(xs[:T], axis=0)[-1] + 0.0) / T
     # the largest displacement square found by argmax, whose call costs less
     # than ndarray.max's and, unlike a Python max over a list, ~nothing a row
+    dsq = squares[T:]
     r_bar = math.sqrt(dsq.item(dsq.argmax()))
     if r_bar == math.inf:  # a square overflowed, the length maybe not
         r_bar = float(norm(rows[T:], axis=1).max())

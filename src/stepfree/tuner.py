@@ -162,11 +162,11 @@ class BisectionOutcome:
     """Result of one RootFindingBisection call over the exponents 0..2^k.
 
     ``kind`` is "infeasible" (the upper limit failed its check and should be
-    increased), "edge_low" (the lower limit failed its check and is returned
-    as-is, ``o`` = 0) or "selected". ``evaluations`` maps each exponent run
-    to its trace, in run order. ``lo`` and ``hi`` are the final interval; for
-    a selected outcome hi = lo + 1 and the output exponent ``o`` is one of
-    them.
+    increased), "edge_low_step" (the lower limit failed its check and is
+    returned as-is, ``o`` = 0) or "normal", the tuner's names of the case.
+    ``evaluations`` maps each exponent run to its trace, in run order. ``lo``
+    and ``hi`` are the final interval; for a normal outcome hi = lo + 1 and
+    the output exponent ``o`` is one of them.
     """
 
     kind: str
@@ -187,22 +187,20 @@ def verify_output_property(outcome: BisectionOutcome,
     denom(eta_o), together with r_bar(eta_o) <= r_bar(eta_lo*) and
     denom(eta_o) <= 2 * denom(eta_hi*). Valid in every mode, noisy or not.
     """
-    if outcome.kind != "selected":
+    if outcome.kind != "normal":
         raise ValueError("output property applies to selected outcomes only")
     runs = outcome.evaluations
     tr_o, tr_lo, tr_hi = runs[outcome.o], runs[outcome.lo], runs[outcome.hi]
     eta_o = tr_o.eta
     den_o = damping.denominator(tr_o)
     den_hi = damping.denominator(tr_hi)
-    tol = OUTPUT_RTOL * max(1.0, eta_o)
-    ok = True
-    # lower half of the sandwich: r_bar(eta_o) <= 2 * eta_o * denom(eta_hi*)
-    ok &= tr_o.r_bar <= 2.0 * eta_o * den_hi * (1.0 + OUTPUT_RTOL) + tol
-    # upper half: eta_o * denom(eta_o) <= r_bar(eta_lo*)
-    ok &= eta_o * den_o <= tr_lo.r_bar * (1.0 + OUTPUT_RTOL) + tol
-    ok &= tr_o.r_bar <= tr_lo.r_bar * (1.0 + OUTPUT_RTOL) + tol
-    ok &= den_o <= 2.0 * den_hi * (1.0 + OUTPUT_RTOL) + tol
-    return bool(ok)
+    slack = 1.0 + OUTPUT_RTOL  # relative, so it guards at every scale
+    # lower half of the sandwich, r_bar(eta_o) <= 2 * eta_o * denom(eta_hi*),
+    # then the upper half, eta_o * denom(eta_o) <= r_bar(eta_lo*)
+    return bool(tr_o.r_bar <= 2.0 * eta_o * den_hi * slack
+                and eta_o * den_o <= tr_lo.r_bar * slack
+                and tr_o.r_bar <= tr_lo.r_bar * slack
+                and den_o <= 2.0 * den_hi * slack)
 
 
 def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
@@ -230,7 +228,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
     if run_passes(hi):
         return BisectionOutcome("infeasible", runs, None, lo, hi)
     if not run_passes(lo):
-        return BisectionOutcome("edge_low", runs, lo, lo, hi)
+        return BisectionOutcome("edge_low_step", runs, lo, lo, hi)
 
     # invariant: lo <= phi(lo) and hi > phi(hi)
     while hi - lo > 1:
@@ -252,8 +250,7 @@ def root_finding_bisection(oracle: StochasticOracle, domain: ProjectionDomain,
         r_lo, r_hi = math.ldexp(r_lo, -e), math.ldexp(r_hi, -e)
         product = r_lo * phi_hi
     choose_hi = r_hi <= product / tr_hi.eta
-    outcome = BisectionOutcome("selected", runs, hi if choose_hi else lo,
-                               lo, hi)
+    outcome = BisectionOutcome("normal", runs, hi if choose_hi else lo, lo, hi)
     if not verify_output_property(outcome, damping):
         raise AssertionError("bisection output property violated")
     return outcome
@@ -399,7 +396,7 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
             traces[(k, j)] = trace
             total_queries += trace.T
         if outcome.kind != "infeasible":
-            case = "normal" if outcome.kind == "selected" else "edge_low_step"
+            case = outcome.kind
             x_bar = outcome.evaluations[outcome.o].x_avg.copy()
             eta = StepSizeExp(eta_eps, outcome.o)
             break

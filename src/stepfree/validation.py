@@ -207,9 +207,9 @@ def localization_check(trace: SgdTrace, x_star):
         return False, True
     dists = norm(trace.xs - x_star, axis=1)
     d0, d_bar = float(dists[0]), float(dists.max())
-    tol = 1e-12 * max(1.0, d0)
-    ok = (d_bar <= (alpha + 1.0) / (alpha - 1.0) * d0 + tol
-          and trace.r_bar <= 2.0 * alpha / (alpha - 1.0) * d0 + tol)
+    slack = 1.0 + 1e-12  # relative, so it guards at every scale
+    ok = (d_bar <= (alpha + 1.0) / (alpha - 1.0) * d0 * slack
+          and trace.r_bar <= 2.0 * alpha / (alpha - 1.0) * d0 * slack)
     return True, bool(ok)
 
 

@@ -229,7 +229,7 @@ class TestOtherCommands:
         code = run_cli(["validate-good-event", "--family", "l1",
                         "--dimension", "2", "--eta", "0.1", "--T", "32",
                         "--n-paths", "10", "--delta", "0.1",
-                        "--budget", "256", "--jsonl", out])
+                        "--jsonl", out])
         assert code == 0
         (summary,) = read_jsonl(out)
         assert summary["frequency"] == 1.0
@@ -523,6 +523,8 @@ class TestIniChecks:
          "boundary-test takes no setting family, mu"),
         (GOOD_EVENT, "[run]\nreps = 0\n",
          "validate-good-event takes no setting reps"),
+        (GOOD_EVENT, "[run]\nbudget = 64\n",
+         "validate-good-event takes no setting budget"),
     ])
     def test_ini_key_naming_no_flag_is_a_config_error(self, base, text,
                                                       start, tmp_path,
@@ -559,6 +561,26 @@ class TestCommandInputs:
     def test_validate_good_event_refuses_reps(self, capsys):
         self.assert_refused(TestIniChecks.GOOD_EVENT, "--reps", capsys)
 
+    def test_validate_good_event_refuses_budget(self, capsys):
+        # the round it checks fixes its budget, B = 2kT
+        with pytest.raises(SystemExit) as exc:
+            run_cli(TestIniChecks.GOOD_EVENT + ["--budget", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 64" in capsys.readouterr().err
+
+    def test_validate_good_event_damps_the_round_of_T_steps(self, monkeypatch,
+                                                            capsys):
+        budgets = []
+        damping_for_round = cli.damping_for_round
+
+        def record(k, B, *args):
+            budgets.append(B)
+            return damping_for_round(k, B, *args)
+        monkeypatch.setattr(cli, "damping_for_round", record)
+        assert run_cli(["validate-good-event", "--T", "32", "--round-k", "3",
+                        "--n-paths", "2"]) == 0
+        assert budgets == [2 * 3 * 32]
+
     def test_boundary_test_settings(self):
         assert set(cli._settings("boundary-test")) == {
             "seed", "delta", "jsonl", "kind", "T", "n_paths", "mean"}
@@ -567,7 +589,7 @@ class TestCommandInputs:
         (["validate-good-event", "--n-paths", "0"], "n_paths must be >= 1"),
         (["validate-good-event", "--union-grid", "--eta-eps", "1e-3",
           "--n-paths", "0"], "n_paths must be >= 1"),
-        (["validate-good-event", "--budget", "0"], "budget must be >= 1"),
+        (["validate-good-event", "--T", "0"], "T must be >= 1"),
         (["boundary-test", "--n-paths", "0"], "n_paths and T must be >= 1"),
         (["boundary-test", "--kind", "zero", "--n-paths", "0"],
          "n_paths and T must be >= 1"),
@@ -614,7 +636,7 @@ class TestCommandInputs:
     def test_largest_union_round_runs(self, tmp_path, capsys):
         k = cli.MAX_UNION_ROUND_K
         assert run_cli(self.UNION_GRID + [
-            "--round-k", k, "--budget", 4 * k, "--T", "1", "--n-paths", "1",
+            "--round-k", k, "--T", "1", "--n-paths", "1",
             "--jsonl", tmp_path / "out.jsonl"]) == 0
         assert "good-event frequency" in capsys.readouterr().out
 

@@ -37,6 +37,24 @@ class TestSgdRun:
         assert tr.r_bar == 1.0
         assert tr.x_avg[0] == 0.625
 
+    def test_G_is_the_correctly_rounded_sum(self):
+        # four squares whose Kahan (compensated) sum is one ulp above the
+        # correctly rounded 4.677252341560799
+        rows = iter([[-0.12853466, 1.36646347], [-0.66519467, 0.35151007],
+                     [0.90347018, 0.0940123], [-0.74349925, -0.92172538]])
+        oracle = query_oracle(query=lambda x, rng: next(rows), noiseless=True)
+        tr = sgd_run(oracle, WHOLE, np.zeros(2), 1e-3, 4, stream=None)
+        assert tr.G == math.fsum(g.dot(g) for g in tr.gs)
+        assert tr.G == 4.677252341560799
+
+    def test_G_past_the_float_range(self):
+        # each square 1e308 is finite; their sum is not
+        oracle = query_oracle(query=lambda x, rng: np.array([1e154, 0.0]),
+                              noiseless=True)
+        tr = sgd_run(oracle, WHOLE, np.zeros(2), 1e-3, 2, stream=None)
+        assert all(math.isfinite(g.dot(g)) for g in tr.gs)
+        assert tr.G == math.inf
+
     def test_abs_oscillating(self):
         tr = sgd_run(abs_oracle(), WHOLE, np.array([1.0]), 2.0, 4, stream=0)
         assert np.array_equal(tr.xs.ravel(), [1.0, -1.0, 1.0, -1.0, 1.0])

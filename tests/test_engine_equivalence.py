@@ -6,6 +6,7 @@ give the same realization bit for bit: the same trace, or the same
 ``NumericalFailure`` at the same step.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -37,8 +38,7 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, value_fn=None):
     x = x0.copy()
     x_sum = np.zeros_like(x0)
     r_bar = 0.0
-    G = 0.0
-    G_comp = 0.0
+    gsqs = []
     best_x = None
     best_f = np.inf
     xs = [x0.copy()]
@@ -55,11 +55,7 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, value_fn=None):
         g = np.asarray(oracle.query(x, rng), dtype=float)
         if not np.all(np.isfinite(g)):
             raise NumericalFailure(i, "gradient")
-        gsq = float(g @ g)
-        y = gsq - G_comp
-        t = G + y
-        G_comp = (t - G) - y if t != np.inf else 0.0  # saturate at +inf
-        G = t
+        gsqs.append(float(g @ g))
         x_sum += x
         x = domain.project(x - eta * g)
         if not np.all(np.isfinite(x)):
@@ -74,6 +70,10 @@ def reference_sgd_run(oracle, domain, x0, eta, T, stream, value_fn=None):
                 best_f = fx
                 best_x = x.copy()
 
+    try:
+        G = math.fsum(gsqs)
+    except OverflowError:  # finite squares summing past the float range
+        G = math.inf
     return SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_sum / T, r_bar=r_bar, G=G,
         stream=stream, xs=np.array(xs), gs=np.array(gs),

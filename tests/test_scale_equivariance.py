@@ -5,16 +5,20 @@ and step size by exactly 2^s and leaves every gradient as it is, so the
 tuner must take the same decisions and each check must report the same
 verdict, its realized value and bound scaled by 2^s. At s = 520 and 1000
 the squares of the lengths overflow while the lengths do not; at s = -200
-and -400 the values fall far below the checks' absolute tolerance of 1e-9.
+and -400 the values fall far below the checks' absolute tolerance of 1e-9,
+where the bisection's sandwich guard, whose slack is relative, must still
+tell a violated sandwich.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stepfree import (ProblemSpec, check_theorem_bounds, default_x0,
                       make_problem, tune)
+from stepfree.tuner import verify_output_property
 
 SCALES = [0, 200, 520, 1000, -200, -400]
 COUNT_CHECKS = ("budget", "T_lower_bound")
@@ -61,3 +65,18 @@ def test_outputs_scale_with_the_problem(config):
                 assert math.ldexp(value, -s) == pytest.approx(
                     base_value, rel=1e-12), (s, line)
         assert np.array_equal(np.ldexp(result.x_bar, -s), base.x_bar)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("config", CONFIGS[:2])  # the two normal runs
+def test_sandwich_guard_at_every_scale(config):
+    for s in SCALES:
+        result, _ = scaled_run(*config, s)
+        outcome, damping = result.final_outcome, result.damping_final
+        assert verify_output_property(outcome, damping), s
+        # r_bar(eta_lo*) / 8 breaks the upper half of the sandwich
+        runs = dict(outcome.evaluations)
+        runs[outcome.lo] = replace(runs[outcome.lo],
+                                   r_bar=runs[outcome.lo].r_bar / 8)
+        violated = replace(outcome, evaluations=runs)
+        assert not verify_output_property(violated, damping), s

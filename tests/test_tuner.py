@@ -169,7 +169,7 @@ class TestBisection:
         out = root_finding_bisection(
             abs_oracle(), WHOLE, np.array([1.0]), eta_eps=1 / 16, k=2, T=4,
             damping=DampingParams(3.0, 0.0))
-        assert out.kind == "selected"
+        assert out.kind == "normal"
         assert out.evaluations[out.o].eta == 0.25
         assert (out.o, out.lo, out.hi) == (2, 2, 3)  # the low endpoint
         assert list(out.evaluations) == [4, 0, 2, 3]
@@ -187,7 +187,7 @@ class TestBisection:
         out = root_finding_bisection(
             abs_oracle(), WHOLE, np.array([0.0]), eta_eps=0.5, k=2, T=4,
             damping=DampingParams(3.0, 0.0))
-        assert out.kind == "edge_low"
+        assert out.kind == "edge_low_step"
         assert out.o == 0 and out.evaluations[0].eta == 0.5
         assert len(out.evaluations) == 2
 
@@ -307,7 +307,7 @@ class TestIntegerBisection:
                     else:
                         hi = order[-1]
         assert list(runs) == order
-        if out.kind == "selected":
+        if out.kind == "normal":
             assert out.hi == out.lo + 1 and out.o in (out.lo, out.hi)
             assert len(runs) == k + 2
             assert verify_output_property(out, damping)
@@ -557,12 +557,12 @@ class TestOverflowedCandidates:
     def test_at_lo_in_bisection(self):
         out = self.bisect(OVERFLOW_AT_LO)
         assert self.overflowed(out) == [0]
-        assert out.kind == "edge_low" and out.o == 0
+        assert out.kind == "edge_low_step" and out.o == 0
 
     def test_at_hi_in_bisection(self):
         out = self.bisect(OVERFLOW_AT_HI)
         assert self.overflowed(out) == [16]
-        assert out.kind == "selected"
+        assert out.kind == "normal"
         assert out.hi == 8 and out.o == 7
 
     def test_in_tune(self):

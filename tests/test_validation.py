@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import abs_oracle, query_oracle
-from stepfree import (DampingParams, ProblemSpec, ProjectionDomain,
+from stepfree import (DampingParams, ProblemSpec, ProjectionDomain, SgdTrace,
                       Stochastic, check_theorem_bounds, default_x0,
                       make_problem, sgd_run, tune)
 from stepfree.tuner import Deterministic, NonAdaptive, damping_for_round, phi
@@ -306,6 +306,16 @@ class TestLocalization:
         assert tr.eta <= phi(tr, DampingParams(3.0, 0.0))
         applies, ok = localization_check(tr, np.zeros(1))
         assert applies and ok
+
+    @pytest.mark.parametrize("s", [0, -200, -400])
+    def test_violation_found_at_every_scale(self, s):
+        # certified (0.1 <= 4 / sqrt(3)), but d_bar = 5 d0 passes the bound
+        # 2 d0; an absolute slack would pass it where d0 = 2^s is small
+        xs = np.ldexp([[1.0], [5.0]], s)
+        tr = SgdTrace(eta=math.ldexp(0.1, s), T=1, x0=xs[0], x_avg=xs[0],
+                      r_bar=math.ldexp(4.0, s), G=1.0, stream=None, xs=xs,
+                      gs=np.array([[-1.0]]))
+        assert localization_check(tr, np.zeros(1)) == (True, False)
 
     def test_uncertified_trace_skipped(self):
         oracle = abs_oracle()
