@@ -29,8 +29,8 @@ from .restarts import restart_tune, total_budget
 from .tuner import (Deterministic, NonAdaptive, Stochastic, ZeroFirstGradient,
                     damping_for_round, grid_step, tune)
 from .validation import (CheckLine, binom_upper, boundary_crossing_test,
-                         check_theorem_bounds, good_event_frequency,
-                         good_event_union_frequency, has_bug)
+                         check_theorem_bounds, good_event_union_frequency,
+                         has_bug)
 
 CSV_HEADER_COMMENT = "# stepfree-bench csv schema v1"
 JSONL_HEADER = {"schema": "stepfree-bench jsonl v1"}
@@ -240,14 +240,10 @@ def cmd_validate_good_event(cfg: argparse.Namespace) -> int:
     k = cfg.round_k  # the damping of the round that runs T steps: B = 2kT
     damping = damping_for_round(k, 2 * k * cfg.T, cfg.delta, L,
                                 MODES[cfg.mode](delta=cfg.delta, L=L))
-    if cfg.union_grid:
-        etas = [grid_step(cfg.eta_eps, j) for j in range(2 ** k + 1)]
-        freq = good_event_union_frequency(oracle, domain, x0, x_star, etas,
-                                          cfg.T, damping, cfg.n_paths,
-                                          cfg.seed)
-    else:
-        freq = good_event_frequency(oracle, domain, x0, x_star, cfg.eta,
-                                    cfg.T, damping, cfg.n_paths, cfg.seed)
+    etas = ([grid_step(cfg.eta_eps, j) for j in range(2 ** k + 1)]
+            if cfg.union_grid else [cfg.eta])
+    freq = good_event_union_frequency(oracle, domain, x0, x_star, etas, cfg.T,
+                                      damping, cfg.n_paths, cfg.seed)
     target = 1.0 - cfg.delta
     verdict = "pass" if freq >= target else "inconclusive"
     with Outputs(cfg) as out:

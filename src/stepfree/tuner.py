@@ -176,7 +176,7 @@ class BisectionOutcome:
     hi: int
 
 
-OUTPUT_RTOL = 1e-9  # relative tolerance of the sandwich's inequalities
+RTOL = 1e-12  # relative tolerance of every checked inequality
 
 
 def verify_output_property(outcome: BisectionOutcome,
@@ -194,7 +194,7 @@ def verify_output_property(outcome: BisectionOutcome,
     eta_o = tr_o.eta
     den_o = damping.denominator(tr_o)
     den_hi = damping.denominator(tr_hi)
-    slack = 1.0 + OUTPUT_RTOL  # relative, so it guards at every scale
+    slack = 1.0 + RTOL  # relative, so it guards at every scale
     # lower half of the sandwich, r_bar(eta_o) <= 2 * eta_o * denom(eta_hi*),
     # then the upper half, eta_o * denom(eta_o) <= r_bar(eta_lo*)
     return bool(tr_o.r_bar <= 2.0 * eta_o * den_hi * slack

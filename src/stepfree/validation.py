@@ -11,14 +11,15 @@ failed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
                    sgd_run, square)
-from .tuner import (DETERMINISTIC_DAMPING, DampingParams, Deterministic,
-                    TunerResult, passes)
+from .tuner import (DETERMINISTIC_DAMPING, RTOL, DampingParams,
+                    Deterministic, TunerResult, passes)
 
 
 def log2_plus(x: float) -> float:
@@ -78,30 +79,18 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     return GoodEventReport(margins=margins, held=held)
 
 
-def good_event_frequency(oracle: StochasticOracle, domain: ProjectionDomain,
-                         x0, x_star, eta: float, T: int,
-                         damping: DampingParams, n_paths: int,
-                         master_seed: int = 0) -> float:
-    """Fraction of independent realizations on which the event holds."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    held = 0
-    for p in range(n_paths):
-        trace = sgd_run(oracle, domain, x0, eta, T,
-                        oracle.run_stream(master_seed, "goodevent", p))
-        if good_event_margin(trace, oracle, x_star, damping).held:
-            held += 1
-    return held / n_paths
-
-
 def good_event_union_frequency(oracle: StochasticOracle,
                                domain: ProjectionDomain, x0, x_star,
                                etas, T: int, damping: DampingParams,
                                n_paths: int, master_seed: int = 0) -> float:
-    """Fraction of path indices on which the event holds for every eta."""
+    """Fraction of path indices on which the event holds for every eta;
+    one eta gives the event at that step size. Path p of step size j runs
+    on the stream ``(master_seed, "goodevent", j, p)``."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     etas = list(etas)
+    if not etas:
+        raise ValueError("etas must name at least one step size")
     held = 0
     for p in range(n_paths):
         ok = True
@@ -207,7 +196,7 @@ def localization_check(trace: SgdTrace, x_star):
         return False, True
     dists = norm(trace.xs - x_star, axis=1)
     d0, d_bar = float(dists[0]), float(dists.max())
-    slack = 1.0 + 1e-12  # relative, so it guards at every scale
+    slack = 1.0 + RTOL  # relative, so it guards at every scale
     ok = (d_bar <= (alpha + 1.0) / (alpha - 1.0) * d0 * slack
           and trace.r_bar <= 2.0 * alpha / (alpha - 1.0) * d0 * slack)
     return True, bool(ok)
@@ -251,11 +240,12 @@ def check_theorem_bounds(result: TunerResult,
 
     The optimum comes from ``oracle.optimum_info``, L from
     ``oracle.norm_bound_L`` and the gaps from ``oracle.exact_value``, all
-    three required, and the mode from ``result.mode``. A check whose
-    deciding bound is +inf or nan certifies nothing and reads
-    "inconclusive", never "pass" or "bug". A check of the final run that
-    fails reads "inconclusive" where rounding absorbed that run's every
-    step (:func:`rounding_absorbed`).
+    three required, and the mode from ``result.mode``. Each inequality holds
+    up to the relative ``RTOL`` plus the rounding of its operands: x_err of
+    a distance from x_bar, f_err of a gap. A check whose deciding limit is
+    +inf or nan certifies nothing and reads "inconclusive", never "pass"
+    or "bug". A check of the final run that fails reads "inconclusive"
+    where rounding absorbed that run's every step (:func:`rounding_absorbed`).
     """
     missing = [name for name in ("optimum_info", "exact_value",
                                  "norm_bound_L")
@@ -271,16 +261,16 @@ def check_theorem_bounds(result: TunerResult,
     # only with high probability, so a violation is not by itself a bug
     fail = "bug" if deterministic else "inconclusive"
     d0 = float(norm(result.x0 - x_star))
-    gap = float(oracle.exact_value(result.x_bar) - f_star)
+    f_bar = float(oracle.exact_value(result.x_bar))
+    gap = f_bar - f_star
     T, B = result.T, result.budget
-    tol = 1e-9
+    f_err = RTOL * max(abs(f_bar), abs(f_star))  # the values' own rounding
 
-    def within(realized, bound):
-        """Whether realized <= bound, up to tol; None (unknown) where the
-        bound is +inf or nan."""
-        if not bound < math.inf:
-            return None
-        return realized <= bound * (1 + tol) + tol
+    def within(realized, bound, err):
+        """Whether realized <= bound, up to RTOL and the rounding err of its
+        operands; None (unknown) where that limit is +inf or nan."""
+        limit = bound * (1 + RTOL) + err
+        return bool(realized <= limit) if limit < math.inf else None
 
     def check(check_id, realized, bound, ok, failed=None) -> bool:
         verdict = ("pass" if ok else "inconclusive" if ok is None
@@ -297,10 +287,10 @@ def check_theorem_bounds(result: TunerResult,
     else:
         denom = 8.0 * loglog_plus(d0, result.eta_eps, L)
     t_bound = max(B / denom, 1.0)
-    check("T_lower_bound", T, t_bound, T + tol >= t_bound)
+    check("T_lower_bound", T, t_bound, T >= t_bound * (1 - RTOL))
 
-    if result.case == "budget_too_small":
-        check("gap_tiny_budget", gap, d0 * L, within(gap, d0 * L))
+    if result.case == "budget_too_small":  # x_bar is x0 itself
+        check("gap_tiny_budget", gap, d0 * L, within(gap, d0 * L, f_err))
         return lines
 
     damping = result.damping_final
@@ -311,6 +301,12 @@ def check_theorem_bounds(result: TunerResult,
     tr_2x = result.traces.get((result.k_final, e + 1))
     if rounding_absorbed(tr):
         fail = "inconclusive"
+    # x_bar, the sequential average of tr's first T iterates, is off by at
+    # most their recursive-summation error (Higham, Accuracy and Stability
+    # of Numerical Algorithms, sec. 4.2), and its gap by L times that
+    x_err = (math.sqrt(x_star.size) * T * sys.float_info.epsilon
+             * float(np.abs(tr.xs[:T]).max()))
+    f_err += L * x_err
     # the normal case's localization bound and gap constant, which the edge
     # case's normal-style side shares
     dist = float(norm(result.x_bar - x_star))
@@ -322,33 +318,34 @@ def check_theorem_bounds(result: TunerResult,
     den = damping.denominator(tr)
 
     if result.case == "normal":
-        check("localization", dist, loc_bound, within(dist, loc_bound))
+        check("localization", dist, loc_bound, within(dist, loc_bound, x_err))
         endpoint_ok = False
         if tr_2x is not None:
             # the final round ran both ends of [eta, 2 eta]; their max is a
             # heuristic surrogate for the unidentified eta' in that interval
             surrogate = const * d0 * max(den, damping.denominator(tr_2x)) / T
             endpoint_ok = check("gap_vs_endpoint_max", gap, surrogate,
-                                within(gap, surrogate), "inconclusive")
+                                within(gap, surrogate, f_err), "inconclusive")
         if not endpoint_ok:
             # the theorem's G(eta') is always <= L^2 T, so this one is implied
             l_denom = math.sqrt(alpha * square(L) * T + damping.beta)
             l_bound = const * d0 * l_denom / T
-            check("gap_vs_L_surrogate", gap, l_bound, within(gap, l_bound))
+            check("gap_vs_L_surrogate", gap, l_bound,
+                  within(gap, l_bound, f_err))
     else:  # edge_low_step: the low endpoint fired; either the normal-style
         # bound or the small-step bound must hold
         dist_x0 = float(norm(result.x_bar - result.x0))
         check("edge_displacement", dist_x0, result.eta_eps * den,
-              within(dist_x0, result.eta_eps * den))
-        normal_ok = _all(within(dist, loc_bound),
-                         within(gap, const * d0 * den / T))
+              within(dist_x0, result.eta_eps * den, x_err))
+        normal_ok = _all(within(dist, loc_bound, x_err),
+                         within(gap, const * d0 * den / T, f_err))
         if deterministic:
             edge_gap_bound = 2.0 * result.eta_eps * tr.G / T
         else:
             edge_gap_bound = 1.25 * (d0 * den
                                      + result.eta_eps * square(den)) / T
         check("edge_gap_dichotomy", gap, edge_gap_bound,
-              _any(normal_ok, within(gap, edge_gap_bound)))
+              _any(normal_ok, within(gap, edge_gap_bound, f_err)))
     return lines
 
 

@@ -628,8 +628,7 @@ class TestCommandInputs:
                                            capsys, monkeypatch):
         def no_run(*_, **__):
             raise AssertionError("a run started")
-        for name in ("good_event_frequency", "good_event_union_frequency"):
-            monkeypatch.setattr(cli, name, no_run)
+        monkeypatch.setattr(cli, "good_event_union_frequency", no_run)
         with np.errstate(all="raise"):  # no numpy warning either
             self.assert_one_error_line(args, message, tmp_path, capsys)
 
@@ -877,6 +876,20 @@ class TestRoundingAbsorbedRuns:
         assert verdicts == {"budget": "pass", "T_lower_bound": "pass",
                             "edge_displacement": "pass",
                             "edge_gap_dichotomy": "inconclusive"}
+
+    def test_standing_still_at_the_optimum(self, tmp_path):
+        # x0 = x* and every gradient is 0, so both edge bounds are 0.0, yet
+        # x_bar, the average of copies of x0, is off x0 by its rounding
+        out = tmp_path / "t.jsonl"
+        assert run_cli(["tune", "--eta-eps", "0.001", "--x0-dist", "0",
+                        "--jsonl", out]) == 0
+        (diag,) = read_jsonl(out)
+        checks = {c["check_id"]: c for c in diag["checks"]}
+        for check_id in ("edge_displacement", "edge_gap_dichotomy"):
+            line = checks[check_id]
+            assert line["verdict"] == "pass", line
+            assert line["bound"] == 0.0, line
+            assert line["realized"] == pytest.approx(1.1e-16, rel=0.05), line
 
 
 class TestTinyStepSizeBounds:

@@ -5,9 +5,9 @@ and step size by exactly 2^s and leaves every gradient as it is, so the
 tuner must take the same decisions and each check must report the same
 verdict, its realized value and bound scaled by 2^s. At s = 520 and 1000
 the squares of the lengths overflow while the lengths do not; at s = -200
-and -400 the values fall far below the checks' absolute tolerance of 1e-9,
-where the bisection's sandwich guard, whose slack is relative, must still
-tell a violated sandwich.
+and -400 the values fall far below 1e-9, where the bisection's sandwich
+guard and the theorem report, whose slack is relative to the run's own
+values, must still tell a violated inequality.
 """
 
 import math
@@ -27,12 +27,17 @@ COUNT_CHECKS = ("budget", "T_lower_bound")
 CONFIGS = [(0, 64, 1e-3), (2, 12, 0.05), (0, 64, 0.3), (0, 12, 1e-3)]
 
 
-def scaled_run(seed, budget, eta_eps, s):
+def scaled_problem(seed, budget, eta_eps, s):
     spec = ProblemSpec(family="l1", dimension=3, center_scale=2.0 ** s)
     oracle, domain, x_star, _ = make_problem(spec, seed)
     x0 = default_x0(domain, x_star, 2.0 ** s, seed)
     result = tune(oracle, domain, x0, budget=budget,
                   eta_eps=math.ldexp(eta_eps, s), master_seed=seed)
+    return result, oracle, x_star
+
+
+def scaled_run(seed, budget, eta_eps, s):
+    result, oracle, _ = scaled_problem(seed, budget, eta_eps, s)
     return result, check_theorem_bounds(result, oracle)
 
 
@@ -45,7 +50,7 @@ def discrete(result):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_outputs_scale_with_the_problem(config):
     base, base_lines = scaled_run(*config, 0)
-    # verdicts that within()'s absolute 1e-9 could not have decided
+    # verdicts far from a tie, so that no slack decides them
     for line in base_lines:
         if line.check_id not in COUNT_CHECKS:
             assert abs(line.realized - line.bound) > 1e-6, line
@@ -80,3 +85,16 @@ def test_sandwich_guard_at_every_scale(config):
                                    r_bar=runs[outcome.lo].r_bar / 8)
         violated = replace(outcome, evaluations=runs)
         assert not verify_output_property(violated, damping), s
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_violated_bounds_read_bug_at_every_scale():
+    # x_bar 8 times as far from x* as x0 breaks localization (4 d0) and the
+    # gap's L surrogate of the normal run
+    for s in SCALES:
+        result, oracle, x_star = scaled_problem(*CONFIGS[0], s)
+        far = replace(result, x_bar=x_star + 8.0 * (result.x0 - x_star))
+        verdicts = {l.check_id: l.verdict
+                    for l in check_theorem_bounds(far, oracle)}
+        assert verdicts["localization"] == "bug", (s, verdicts)
+        assert verdicts["gap_vs_L_surrogate"] == "bug", (s, verdicts)

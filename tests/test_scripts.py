@@ -1,5 +1,7 @@
 """Smoke runs of the experiment scripts at small sizes, in subprocesses."""
 
+import importlib.util
+import json
 import math
 import os
 import re
@@ -117,3 +119,50 @@ def test_bench_smoke():
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+JUNIT_STUB = """<?xml version="1.0" encoding="utf-8"?>
+<testsuites><testsuite name="pytest" tests="3" failures="0" errors="0"
+ skipped="0" time="2.5">
+<testcase classname="tests.test_acceptance" name="test_criterion_06_good_event"
+ time="1.5"/>
+<testcase classname="tests.test_cli.TestTuneCommand" name="test_a" time="0.5"/>
+<testcase classname="tests.test_cli.TestTuneCommand" name="test_b" time="0.25"/>
+</testsuite></testsuites>
+"""
+
+
+def test_bench_snapshot(tmp_path, monkeypatch):
+    # one short run_bench.py pass per trace on one workload; the tier-1
+    # runner is a stub, so the suite does not run inside itself
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+
+    def fake_tier1(junit_xml):
+        junit_xml.write_text(JUNIT_STUB)
+        return 3.0
+    monkeypatch.setattr(snap, "RUN_SECONDS", 1.0)
+    monkeypatch.setattr(snap, "benchmark_workloads", lambda: ["restart_short"])
+    monkeypatch.setattr(snap, "run_tier1", fake_tier1)
+    out = tmp_path / "BENCH_0.json"
+    assert snap.main([str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["schema"] == "stepfree bench snapshot v1"
+    assert data["run_seconds"] == 1.0
+    assert [(r["workload"], r["trace"]) for r in data["bench"]] == [
+        ("restart_short", 0), ("restart_short", 1)]
+    for run in data["bench"]:
+        assert run["machine"]["nproc"] >= 1
+        assert run["result"]["correct"] is True
+        assert run["result"]["failed"] == 0
+    assert "queries_per_s" in data["bench"][0]["result"]["metrics"]
+    assert data["tier1"] == {
+        "wall_s": 3.0, "tests": 3, "failures": 0, "errors": 0, "skipped": 0,
+        "by_file_s": {"tests/test_acceptance.py": 1.5,
+                      "tests/test_cli.py": 0.75},
+        "by_criterion_s": {"06": 1.5}}
+    calibration = data["calibration"]
+    assert calibration["np_add_calls"] == snap.CALIBRATION_CALLS
+    assert calibration["seconds"] > 0

@@ -12,8 +12,7 @@ from stepfree import (DampingParams, ProblemSpec, ProjectionDomain, SgdTrace,
                       make_problem, sgd_run, tune)
 from stepfree.tuner import Deterministic, NonAdaptive, damping_for_round, phi
 from stepfree.validation import (binom_upper, boundary_a_t,
-                                 boundary_crossing_test, good_event_frequency,
-                                 good_event_margin,
+                                 boundary_crossing_test, good_event_margin,
                                  good_event_union_frequency, has_bug,
                                  localization_check, log2_plus, loglog_plus,
                                  rounding_absorbed, stitched_boundary)
@@ -101,22 +100,22 @@ class TestGoodEvent:
     def test_noiseless_frequency_is_one(self):
         spec = ProblemSpec(family="l1", dimension=2)
         oracle, domain, x_star, _ = make_problem(spec, seed=0)
-        freq = good_event_frequency(oracle, domain,
-                                    default_x0(domain, x_star, 1.0, 0),
-                                    x_star, eta=0.1, T=16,
-                                    damping=DampingParams(3.0, 0.0),
-                                    n_paths=20)
+        freq = good_event_union_frequency(oracle, domain,
+                                          default_x0(domain, x_star, 1.0, 0),
+                                          x_star, etas=[0.1], T=16,
+                                          damping=DampingParams(3.0, 0.0),
+                                          n_paths=20)
         assert freq == 1.0
 
     def test_tiny_damping_fails_under_noise(self):
         spec = ProblemSpec(family="l1", dimension=2, noise="sphere",
                            noise_param=4.0)
         oracle, domain, x_star, _ = make_problem(spec, seed=1)
-        freq = good_event_frequency(oracle, domain,
-                                    default_x0(domain, x_star, 1.0, 1),
-                                    x_star, eta=0.5, T=64,
-                                    damping=DampingParams(0.01, 0.01),
-                                    n_paths=50)
+        freq = good_event_union_frequency(oracle, domain,
+                                          default_x0(domain, x_star, 1.0, 1),
+                                          x_star, etas=[0.5], T=64,
+                                          damping=DampingParams(0.01, 0.01),
+                                          n_paths=50)
         assert freq < 1.0
 
     def test_union_frequency_stops_a_path_at_its_first_failing_eta(
@@ -233,11 +232,15 @@ class TestPathCounts:
         oracle, domain, x0, x_star = self.problem()
         damping = DampingParams(3.0, 0.0)
         with pytest.raises(ValueError, match="n_paths must be >= 1"):
-            good_event_frequency(oracle, domain, x0, x_star, 0.1, 16,
-                                 damping, n_paths)
-        with pytest.raises(ValueError, match="n_paths must be >= 1"):
             good_event_union_frequency(oracle, domain, x0, x_star,
                                        [0.1, 0.2], 16, damping, n_paths)
+
+    def test_empty_union(self):
+        # an empty union would hold on every path
+        oracle, domain, x0, x_star = self.problem()
+        with pytest.raises(ValueError, match="at least one step size"):
+            good_event_union_frequency(oracle, domain, x0, x_star, [], 16,
+                                       DampingParams(3.0, 0.0), 4)
 
     @pytest.mark.parametrize("kind", ["zero", "coin", "bernoulli"])
     @pytest.mark.parametrize("T,n_paths", [(10, 0), (10, -3), (0, 10),
