@@ -15,6 +15,7 @@ import numpy as np
 Vector = np.ndarray
 Step = Callable[[Vector, int, Vector], None]
 _MASK64 = (1 << 64) - 1
+TINY_LENGTH = 2.0 ** -511  # the shortest length whose square is normal
 
 
 class NumericalFailure(RuntimeError):
@@ -100,23 +101,23 @@ class StochasticOracle:
 def norm(v, axis: Optional[int] = None):
     """The Euclidean length of v, or of each of its slices along ``axis``.
 
-    Where ``np.linalg.norm`` is finite, this is its result, bit for bit.
-    Where it overflowed, the squares of entries beyond ~1.3e154 did: that
-    slice is scaled by 2^-e, e the ``frexp`` exponent of its largest entry,
-    and the norm of the scaled slice by 2^e; both scalings are exact, so a
-    length scales by exactly 2^s with its vector and is +inf only past the
-    float range, or where an entry is inf.
+    Where ``np.linalg.norm`` lies in [``TINY_LENGTH``, inf), this is its
+    result, bit for bit. Elsewhere its squares overflowed (entries beyond
+    ~1.3e154) or may have underflowed: that slice is scaled by 2^-e, e the
+    ``frexp`` exponent of its largest entry, and its norm by 2^e, both
+    exactly, so a length scales by exactly 2^s with its vector, is 0 only
+    for a zero vector and +inf only past the float range or at an inf entry.
     """
     v = np.asarray(v, dtype=float)
     length = np.linalg.norm(v, axis=axis)
-    big = np.isinf(length)
-    if not big.any():
+    off = ~((length >= TINY_LENGTH) & (length < np.inf))  # nan included
+    if not off.any():
         return length
-    e = np.frexp(np.max(np.abs(v), axis=axis, keepdims=True))[1]
+    e = np.frexp(np.abs(v).max(axis=axis, keepdims=True, initial=0.0))[1]
     with np.errstate(over="ignore"):
         scaled = np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=axis),
                           np.squeeze(e, axis=axis))
-    return np.where(big, scaled, length)[()]
+    return np.where(off, scaled, length)[()]
 
 
 def square(x: float) -> float:
@@ -317,7 +318,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     # than ndarray.max's and, unlike a Python max over a list, ~nothing a row
     dsq = squares[T:]
     r_bar = math.sqrt(dsq.item(dsq.argmax()))
-    if r_bar == math.inf:  # a square overflowed, the length maybe not
+    if not TINY_LENGTH <= r_bar < math.inf:  # a square over- or underflowed
         r_bar = float(norm(rows[T:], axis=1).max())
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg, r_bar=r_bar, G=G,

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (NumericalFailure, ProjectionDomain, SgdTrace,
+from .core import (TINY_LENGTH, NumericalFailure, ProjectionDomain, SgdTrace,
                    StochasticOracle, norm, run_step, sgd_run, square)
 
 
@@ -131,23 +131,21 @@ class StepSizeExp:
 
 
 def phi(trace: SgdTrace, damping: DampingParams) -> float:
-    """The bisection target r_bar / sqrt(alpha*G + beta).
-
-    Returns 0 when both numerator and denominator vanish (the d0 = 0
-    degenerate case, where the target is identically zero).
+    """The bisection target r_bar / sqrt(alpha*G + beta): 0 where both
+    vanish (d0 = 0, where the target is identically zero), and nan, which
+    certifies nothing, where only the denominator does (its squares
+    underflowed: G = 0 where every gradient entry is below ~2^-537).
     """
     denom_sq = damping.denominator_sq(trace)
     if denom_sq == 0.0:
-        if trace.r_bar > 0.0:
-            raise AssertionError("r_bar > 0 with zero certificate denominator")
-        return 0.0
+        return 0.0 if trace.r_bar == 0.0 else math.nan
     return trace.r_bar / math.sqrt(denom_sq)
 
 
 def passes(trace: SgdTrace, damping: DampingParams) -> bool:
     """The certificate check eta <= phi(eta) of a run at its step size.
 
-    A run whose r_bar and G both overflowed has phi = inf / inf = nan, which
+    A run with phi nan (r_bar and G both overflowed, or G alone underflowed)
     certifies nothing: such a candidate fails, wherever it is checked.
     """
     return trace.eta <= phi(trace, damping)  # False when phi is nan
@@ -278,17 +276,6 @@ class TunerResult:
     damping_final: Optional[DampingParams] = None
 
 
-def select_output_z(result: TunerResult):
-    """Post-processing rule: fall back to x0 when the edge step size fired
-    and the first gradient is already small, as measured by the final
-    round's run at eta_eps."""
-    trace_at_eps = result.traces.get((result.k_final, 0))
-    if (trace_at_eps is not None and result.eta.exponent == 0
-            and result.g0_norm <= math.sqrt(trace_at_eps.G) / result.T):
-        return result.x0
-    return result.x_bar
-
-
 def first_gradient_norm(oracle: StochasticOracle, x0,
                         master_seed: Optional[int]) -> float:
     """||g0||: one query at x0 on the run stream derive_stream(master_seed,
@@ -296,9 +283,8 @@ def first_gradient_norm(oracle: StochasticOracle, x0,
     g0 = np.empty(len(x0))
     run_step(oracle, oracle.run_stream(master_seed, "g0"), 1)(x0, 0, g0)
     g0_norm = math.sqrt(g0.dot(g0))  # what np.linalg.norm computes
-    if g0_norm == math.inf:  # the square overflowed, the length maybe not
-        return float(norm(g0))
-    return g0_norm
+    # core.norm where the square over- or underflowed, the length maybe not
+    return g0_norm if TINY_LENGTH <= g0_norm < math.inf else float(norm(g0))
 
 
 class ZeroFirstGradient(ValueError):
@@ -321,29 +307,6 @@ def relative_eta_eps(r_eps: float, g0_norm: float, B: int) -> float:
                          f" = {eta_eps!r} for ||g0|| = {g0_norm!r} and "
                          f"B = {B}, not a positive float")
     return eta_eps
-
-
-def eta_max_diagnostic(d0: float, g0_norm: float, damping: DampingParams) -> float:
-    """Largest step size that can still pass the certificate check.
-
-    Validation-only: above this value eta > phi(eta) is guaranteed, which
-    bounds the terminal round of the doubling loop.
-    """
-    if d0 == 0:
-        return 0.0
-    a, b = damping.alpha, damping.beta
-    denom_sq = a * square(g0_norm) + b
-    if isinstance(damping.mode, Deterministic):
-        if a <= 1:
-            raise ValueError("deterministic form needs alpha > 1")
-        factor = 2.0 * a / (a - 1.0)
-    else:
-        if a <= 2:
-            raise ValueError("stochastic form needs alpha > 2")
-        factor = 4.0 * a / (a - 2.0)
-    if denom_sq == 0:
-        return math.inf
-    return factor * d0 / math.sqrt(denom_sq)
 
 
 def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,

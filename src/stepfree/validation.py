@@ -244,8 +244,9 @@ def check_theorem_bounds(result: TunerResult,
     up to the relative ``RTOL`` plus the rounding of its operands: x_err of
     a distance from x_bar, f_err of a gap. A check whose deciding limit is
     +inf or nan certifies nothing and reads "inconclusive", never "pass"
-    or "bug". A check of the final run that fails reads "inconclusive"
-    where rounding absorbed that run's every step (:func:`rounding_absorbed`).
+    or "bug", as does a failed check of a final run the bounds do not cover:
+    one whose every step rounding absorbed (:func:`rounding_absorbed`), or
+    whose G underflowed to 0 over a nonzero gradient.
     """
     missing = [name for name in ("optimum_info", "exact_value",
                                  "norm_bound_L")
@@ -299,7 +300,7 @@ def check_theorem_bounds(result: TunerResult,
     # the final round's runs at eta and at 2 eta (if it made one)
     tr = result.traces[(result.k_final, e)]
     tr_2x = result.traces.get((result.k_final, e + 1))
-    if rounding_absorbed(tr):
+    if rounding_absorbed(tr) or (tr.G == 0.0 and tr.gs.any()):
         fail = "inconclusive"
     # x_bar, the sequential average of tr's first T iterates, is off by at
     # most their recursive-summation error (Higham, Accuracy and Stability

@@ -892,6 +892,24 @@ class TestRoundingAbsorbedRuns:
             assert line["realized"] == pytest.approx(1.1e-16, rel=0.05), line
 
 
+class TestUnderflowedGradientSquares:
+    def test_zero_G_is_no_certificate(self, tmp_path):
+        # every gradient entry is ~1e-281, whose square underflows to 0, so
+        # G = 0 while r_bar > 0: phi is nan, every candidate fails, and the
+        # edge bounds, 0.0 as they scale with sqrt(G), cover nothing
+        out = tmp_path / "t.jsonl"
+        assert run_cli(["tune", "--family", "sc_quadratic", "--dimension",
+                        "3", "--mu", "2.4e-181", "--x0-dist", "1e-100",
+                        "--eta-eps", "2e180", "--budget", "64",
+                        "--jsonl", out]) == 0
+        (diag,) = read_jsonl(out)
+        checks = {c["check_id"]: c for c in diag["checks"]}
+        assert diag["case"] == "edge_low_step"
+        line = checks["edge_displacement"]
+        assert line["bound"] == 0.0 and line["realized"] > 0.0, line
+        assert line["verdict"] == "inconclusive", line
+
+
 class TestTinyStepSizeBounds:
     """T lower bounds whose direct quotient d0 / (eta_eps * g) divides by
     an underflowed zero; their log is taken term by term."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import abs_oracle, query_oracle
 from stepfree import NumericalFailure, ProjectionDomain, derive_stream, sgd_run
-from stepfree.core import norm, square
+from stepfree.core import TINY_LENGTH, norm, square
 
 
 def zero_oracle(d=3):
@@ -224,14 +224,22 @@ class TestNorm:
     @given(v=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_linalg_bits_where_finite(self, v):
+        # np.linalg.norm's bits where no square can have underflowed (the
+        # length is 0 or at least TINY_LENGTH), hypot's length elsewhere
         v = np.array(v)
-        assert norm(v).tobytes() == np.linalg.norm(v).tobytes()
         rows = np.stack([v, -v, 0.5 * v])
-        assert (norm(rows, axis=1).tobytes()
-                == np.linalg.norm(rows, axis=1).tobytes())
+        ref = np.linalg.norm(rows, axis=1)
+        kept = (ref >= TINY_LENGTH) | ~rows.any(axis=1)
+        lengths = norm(rows, axis=1)
+        assert lengths[kept].tobytes() == ref[kept].tobytes()
+        if kept[0]:
+            assert norm(v).tobytes() == np.linalg.norm(v).tobytes()
+        for row, length in zip(rows[~kept], lengths[~kept]):
+            assert length == pytest.approx(math.hypot(*row), rel=1e-15,
+                                           abs=2.0 ** -1073)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("s", [0, 200, 520, 1000])
+    @pytest.mark.parametrize("s", [0, 200, 520, 1000, -520, -540])
     def test_scales_by_the_power_of_two(self, s):
         v = np.array([0.3, -0.7, 1.1])
         assert norm(np.ldexp(v, s)) == np.ldexp(norm(v), s)
@@ -251,6 +259,15 @@ class TestNorm:
                               equal_nan=True)
         assert np.array_equal(norm(rows.T, axis=0), norm(rows, axis=1),
                               equal_nan=True)
+
+    def test_below_the_square_underflow(self):
+        # the squares of 2^-540 and of 2^-600 underflow to 0
+        assert norm(np.array([2.0 ** -540, 0.0, 0.0])) == 2.0 ** -540
+        rows = np.array([[2.0 ** -600, 2.0 ** -601, 0.0], [0.0, 0.0, 0.0],
+                         [5e-324, 0.0, 0.0]])
+        assert np.array_equal(norm(rows, axis=1),
+                              [math.ldexp(math.sqrt(1.25), -600), 0.0,
+                               5e-324])
 
 
 class TestProjections:

@@ -4,10 +4,11 @@ Scaling the center, x0 and eta_eps by 2^s scales every iterate, length, gap
 and step size by exactly 2^s and leaves every gradient as it is, so the
 tuner must take the same decisions and each check must report the same
 verdict, its realized value and bound scaled by 2^s. At s = 520 and 1000
-the squares of the lengths overflow while the lengths do not; at s = -200
-and -400 the values fall far below 1e-9, where the bisection's sandwich
-guard and the theorem report, whose slack is relative to the run's own
-values, must still tell a violated inequality.
+the squares of the lengths overflow while the lengths do not, and at
+s = -520 and -600 they underflow while the lengths do not; at s <= -200
+the values fall far below 1e-9, where the bisection's sandwich guard
+and the theorem report, whose slack is relative to the run's own values,
+must still tell a violated inequality.
 """
 
 import math
@@ -20,7 +21,7 @@ from stepfree import (ProblemSpec, check_theorem_bounds, default_x0,
                       make_problem, tune)
 from stepfree.tuner import verify_output_property
 
-SCALES = [0, 200, 520, 1000, -200, -400]
+SCALES = [0, 200, 520, 1000, -200, -400, -520, -600]
 COUNT_CHECKS = ("budget", "T_lower_bound")
 # (seed, budget, eta_eps): a normal run in round 4 and one in round 2, an
 # edge_low_step run and a budget_too_small run

@@ -29,7 +29,12 @@ def run_script(name, *args, cwd):
 def test_restart_experiment(tmp_path):
     out = run_script("run_restart_experiment.py", "--chains", 3,
                      "--min-round", 3, "--max-rounds", 6, cwd=tmp_path)
-    assert len(re.findall(r"^M= ?\d+ \(budget", out, re.M)) == 4
+    counts = re.findall(r"^M= ?\d+ \(budget .*\(normal (\d+), "
+                        r"edge_low_step (\d+), budget_too_small (\d+)\)$",
+                        out, re.M)
+    assert len(counts) == 4
+    # every chain's tuner call of a round ends in one of the three cases
+    assert all(sum(map(int, row)) == 3 for row in counts)
     (slope,) = re.findall(r"slope of log2\(median gap\) vs M: (\S+)", out)
     # the doubling schedule predicts a slope near -1
     assert -1.5 < float(slope) < -0.5

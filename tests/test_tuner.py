@@ -12,10 +12,10 @@ from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       NumericalFailure, ProblemSpec, ProjectionDomain,
                       SgdTrace, StepSizeExp, Stochastic, ZeroFirstGradient,
                       default_x0, make_problem, sgd_run, tune)
-from stepfree.tuner import (damping_for_round, eta_max_diagnostic,
-                            grid_step, passes, phi, relative_eta_eps,
-                            root_finding_bisection, round_constant,
-                            select_output_z, verify_output_property)
+from stepfree.core import square
+from stepfree.tuner import (damping_for_round, grid_step, passes, phi,
+                            relative_eta_eps, root_finding_bisection,
+                            round_constant, verify_output_property)
 
 WHOLE = ProjectionDomain.whole_space()
 
@@ -38,8 +38,10 @@ class TestPhi:
         assert phi(fake_trace(2.0, 4.0), DampingParams(3.0, 4.0)) == 0.5
 
     def test_impossible_trace_rejected(self):
-        with pytest.raises(AssertionError):
-            phi(fake_trace(1.0, 0.0), DampingParams(3.0, 0.0))
+        # r_bar > 0 over G = 0, which only squares that underflowed give
+        trace = fake_trace(1.0, 0.0)
+        assert math.isnan(phi(trace, DampingParams(3.0, 0.0)))
+        assert not passes(trace, DampingParams(3.0, 0.0))
 
     def test_nonadaptive_denominator(self):
         d = DampingParams(2.0, 0.0, mode=NonAdaptive(delta=0.1, L=3.0))
@@ -387,24 +389,15 @@ class TestTune:
         assert res.total_queries <= 512
         assert res.case in ("normal", "edge_low_step")
 
-
-class TestPostProcessing:
-    def test_z_default_is_average(self):
-        res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
-                   eta_eps=1 / 16)
-        assert res.eta.exponent > 0
-        assert np.array_equal(select_output_z(res), res.x_bar)
-
-    def test_z_falls_back_to_x0_through_tune(self):
-        # started at the optimum of |x|, every step size fails its check
-        # (phi = 0) and the first gradient is 0, so the rule fires
+    def test_started_at_the_optimum(self):
+        # at the optimum of |x| every step size fails its check (phi = 0)
+        # and the first gradient is 0
         res = tune(abs_oracle(), WHOLE, np.array([0.0]), budget=64,
                    eta_eps=1 / 16)
         assert res.case == "edge_low_step" and res.eta.exponent == 0
         assert res.g0_norm == 0.0
-        assert np.array_equal(select_output_z(res), res.x0)
 
-    def test_z_differs_from_x_bar_through_tune(self):
+    def test_g0_side_query_is_not_a_run(self):
         # the g0 side query sees a zero gradient, every later query sign(x);
         # eta_eps = 4 overshoots |x| from 1, so round 2 ends edge_low_step
         calls = [0]
@@ -417,25 +410,9 @@ class TestPostProcessing:
         assert res.case == "edge_low_step" and res.eta.exponent == 0
         assert res.g0_norm == 0.0
         assert not np.array_equal(res.x_bar, res.x0)
-        assert np.array_equal(select_output_z(res), res.x0)
 
-    def test_z_of_a_budget_too_small_run(self):
-        res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=4, eta_eps=1.0)
-        assert res.case == "budget_too_small"
-        assert np.array_equal(select_output_z(res), [1.0])
 
-    def test_z_rule_thresholds(self):
-        result = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
-                      eta_eps=1 / 16)
-        result.eta = StepSizeExp(1 / 16, 0)
-        result.T = 16
-        result.traces[(result.k_final, 0)] = fake_trace(r_bar=0.5, G=16.0,
-                                                        T=16)
-        result.g0_norm = 1.0  # sqrt(16)/16 = 0.25 < 1 -> keep x_bar
-        assert np.array_equal(select_output_z(result), result.x_bar)
-        result.g0_norm = 0.2  # 0.2 <= 0.25 -> fall back to x0
-        assert np.array_equal(select_output_z(result), result.x0)
-
+class TestInitialStepSize:
     def test_relative_eta_eps(self):
         assert relative_eta_eps(2.0, 4.0, 100) == pytest.approx(0.005)
         with pytest.raises(ValueError):
@@ -464,6 +441,15 @@ class TestPostProcessing:
         with pytest.raises(ValueError, match="r_eps .* not a positive float"):
             relative_eta_eps(r_eps, g0_norm, 64)
 
+    def test_relative_mode_first_gradient_below_the_square_underflow(self):
+        # ||g0|| = 2^-540, whose square underflows to 0, is not a zero length
+        spec = ProblemSpec(family="quadratic", dimension=3, center_scale=0.0)
+        oracle, domain, _, _ = make_problem(spec, 0)
+        res = tune(oracle, domain, np.array([2.0 ** -540, 0.0, 0.0]),
+                   budget=64, r_eps=2.0 ** -560)
+        assert res.g0_norm == 2.0 ** -540
+        assert res.eta_eps == relative_eta_eps(2.0 ** -560, 2.0 ** -540, 64)
+
     def test_relative_mode_zero_first_gradient(self):
         oracle = query_oracle(query=lambda x, rng: np.zeros(1))
         with pytest.raises(ZeroFirstGradient):
@@ -481,6 +467,28 @@ class TestPostProcessing:
         for kwargs in ({}, {"eta_eps": 0.1, "r_eps": 0.5}):
             with pytest.raises(ValueError, match="exactly one"):
                 tune(oracle, WHOLE, np.array([1.0]), budget=256, **kwargs)
+
+
+def eta_max_diagnostic(d0: float, g0_norm: float,
+                       damping: DampingParams) -> float:
+    """Largest step size that can still pass the certificate check: above
+    it eta > phi(eta) is guaranteed, which bounds the terminal round of the
+    doubling loop."""
+    if d0 == 0:
+        return 0.0
+    a, b = damping.alpha, damping.beta
+    denom_sq = a * square(g0_norm) + b
+    if isinstance(damping.mode, Deterministic):
+        if a <= 1:
+            raise ValueError("deterministic form needs alpha > 1")
+        factor = 2.0 * a / (a - 1.0)
+    else:
+        if a <= 2:
+            raise ValueError("stochastic form needs alpha > 2")
+        factor = 4.0 * a / (a - 2.0)
+    if denom_sq == 0:
+        return math.inf
+    return factor * d0 / math.sqrt(denom_sq)
 
 
 class TestEtaMaxDiagnostic:
