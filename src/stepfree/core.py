@@ -102,13 +102,20 @@ def norm(v, axis: Optional[int] = None):
     """The Euclidean length of v, or of each of its slices along ``axis``.
 
     Where ``np.linalg.norm`` lies in [``TINY_LENGTH``, inf), this is its
-    result, bit for bit. Elsewhere its squares overflowed (entries beyond
-    ~1.3e154) or may have underflowed: that slice is scaled by 2^-e, e the
-    ``frexp`` exponent of its largest entry, and its norm by 2^e, both
-    exactly, so a length scales by exactly 2^s with its vector, is 0 only
-    for a zero vector and +inf only past the float range or at an inf entry.
+    result, bit for bit: for a 1-D v there, or a zero one, the float
+    ``math.sqrt(v.dot(v))`` it computes. Elsewhere its squares overflowed
+    (entries beyond ~1.3e154) or may have underflowed: that slice is scaled
+    by 2^-e, e the ``frexp`` exponent of its largest entry, and its norm by
+    2^e, both exactly, so a length scales by exactly 2^s with its vector,
+    is 0 only for a zero vector and +inf only past the float range or at an
+    inf entry.
     """
     v = np.asarray(v, dtype=float)
+    if axis is None and v.ndim == 1:
+        v = v.ravel(order="K")  # as np.linalg.norm does: strides sum otherwise
+        length = math.sqrt(v.dot(v))
+        if TINY_LENGTH <= length < math.inf or not v.any():
+            return length
     length = np.linalg.norm(v, axis=axis)
     off = ~((length >= TINY_LENGTH) & (length < np.inf))  # nan included
     if not off.any():
@@ -118,6 +125,14 @@ def norm(v, axis: Optional[int] = None):
         scaled = np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=axis),
                           np.squeeze(e, axis=axis))
     return np.where(off, scaled, length)[()]
+
+
+def row_squares(M) -> np.ndarray:
+    """The squared length ``M[i].dot(M[i])`` of each row of the 2-D array
+    M, bit for bit: one ``ddot`` per row, +inf where a finite row's square
+    overflows. ``np.einsum`` and ``np.linalg.norm(M, axis=1)`` sum in
+    another order, so they round differently."""
+    return np.matmul(M[:, None, :], M[:, :, None]).ravel()
 
 
 def square(x: float) -> float:
@@ -140,7 +155,7 @@ class ProjectionDomain:
     the one finiteness screen per step of :func:`sgd_run` relies on. A ball
     measures a point's distance to its center by :func:`norm`, so a finite
     point leaves the ball, or stays where it is, by its true length also
-    where the square of that length overflows.
+    where the square of that length overflows or underflows.
     """
 
     kind: str  # "whole" | "ball"
@@ -183,8 +198,9 @@ class ProjectionDomain:
         The screen is a finite squared norm: of x, or for a ball of x minus
         the center, the square its inside test takes anyway. A pass proves
         every entry of x finite, and with it the projection. A fail means an
-        entry may be non-finite, or the square overflowed; then a ball takes
-        the distance from :func:`norm` instead.
+        entry may be non-finite, or the square overflowed. A ball takes the
+        distance as ``sqrt`` of that square where :func:`norm` would (in
+        [``TINY_LENGTH``, inf)), and from :func:`norm` elsewhere.
         """
         if self.kind == "whole":
             return math.isfinite(x.dot(x))
@@ -192,12 +208,12 @@ class ProjectionDomain:
         diff = x if self._at_origin else x - self.center
         dsq = diff.dot(diff)
         nrm = math.sqrt(dsq)  # what np.linalg.norm computes
-        if nrm <= self.radius:  # then dsq is finite, as the radius is
+        if TINY_LENGTH <= nrm <= self.radius:  # then dsq is finite
             return True
-        if dsq == math.inf:  # the square overflowed, the length maybe not
+        if not TINY_LENGTH <= nrm < math.inf:  # a square over/underflowed
             nrm = norm(diff)
             if nrm <= self.radius:
-                return False
+                return math.isfinite(dsq)
         np.multiply(diff, self.radius / nrm, x)
         np.add(self.center, x, x)
         return math.isfinite(dsq)
@@ -261,13 +277,11 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     finite points. A step that fails the screen is looked at elementwise,
     the gradient first and then the projected step, which gives the
     ``NumericalFailure`` step and cause of checking both on every step;
-    the oracle is never queried at a non-finite iterate. ``x_avg`` and value
-    statistics are read off the iterate record after the loop. The gradient
-    record is the first T rows of a (2T, d) buffer whose last T rows then
-    take the displacements x_i - x_0, so one matmul gives the squares that
-    ``G`` and ``r_bar`` are made of. The trace's ``gs`` is a
-    view of those first T rows, not a copy: the gradients as the steps
-    wrote them.
+    the oracle is never queried at a non-finite iterate. ``x_avg``, value
+    statistics and, by :func:`row_squares`, the squares that ``G`` and
+    ``r_bar`` are made of are read off the two records after the loop; the
+    displacements x_i - x_0 live only that long, so a trace holds its two
+    records, (2T+1)·d floats, and nothing more.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -285,10 +299,7 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
 
     xs = np.empty((T + 1, d))
     xs[0] = x = x0
-    # the gradient record, then the displacements x_i - x_0 (i = 1..T), so
-    # that one pass squares both
-    rows = np.empty((2 * T, d))
-    gs = rows[:T]
+    gs = np.empty((T, d))
     for i, g, xn in zip(range(T), gs, xs[1:]):
         step(x, i, g)
         np.multiply(eta_vec, g, xn)
@@ -300,14 +311,9 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
                 raise NumericalFailure(i, "iterate")
         x = xn
 
-    np.subtract(xs[1:], x0, rows[T:])
-    # one ddot per row: g.dot(g) for a gradient, which may overflow to +inf
-    # when g is finite, and the square np.linalg.norm takes the root of for
-    # a displacement
-    squares = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
     # G correctly rounded; fsum raises once finite squares pass the float range
     try:
-        G = math.fsum(squares[:T].tolist())
+        G = math.fsum(row_squares(gs).tolist())
     except OverflowError:
         G = math.inf
 
@@ -316,10 +322,11 @@ def sgd_run(oracle: StochasticOracle, domain: ProjectionDomain, x0, eta: float,
     x_avg = (np.add.accumulate(xs[:T], axis=0)[-1] + 0.0) / T
     # the largest displacement square found by argmax, whose call costs less
     # than ndarray.max's and, unlike a Python max over a list, ~nothing a row
-    dsq = squares[T:]
+    disp = xs[1:] - x0
+    dsq = row_squares(disp)
     r_bar = math.sqrt(dsq.item(dsq.argmax()))
     if not TINY_LENGTH <= r_bar < math.inf:  # a square over- or underflowed
-        r_bar = float(norm(rows[T:], axis=1).max())
+        r_bar = max(float(norm(row)) for row in disp)  # ddot's rounding
     trace = SgdTrace(
         eta=float(eta), T=T, x0=x0, x_avg=x_avg, r_bar=r_bar, G=G,
         stream=stream, xs=xs, gs=gs)

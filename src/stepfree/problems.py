@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProjectionDomain, StochasticOracle, norm, sgd_run
+from .core import (ProjectionDomain, StochasticOracle, norm, row_squares,
+                   sgd_run)
 
 FAMILIES = ("l1", "quadratic", "huber", "sc_quadratic", "logistic")
 
@@ -80,9 +81,8 @@ def _noise_sampler(spec: ProblemSpec, grad_into, sup_grad_norm: float):
 
         def draw(rng, T):
             V = rng.standard_normal((T, d))
-            # one ddot per row, bit for bit np.linalg.norm(v) of each row;
-            # np.linalg.norm(V, axis=1) rounds differently
-            nrm = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
+            # bit for bit np.linalg.norm(v) of each row
+            nrm = np.sqrt(row_squares(V))
             return sigma * (V / np.where(nrm > 0, nrm, 1.0)[:, None])
         combine, L = np.add, sup_grad_norm + sigma
     elif spec.noise == "signflip":

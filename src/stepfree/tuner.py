@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (TINY_LENGTH, NumericalFailure, ProjectionDomain, SgdTrace,
+from .core import (NumericalFailure, ProjectionDomain, SgdTrace,
                    StochasticOracle, norm, run_step, sgd_run, square)
 
 
@@ -119,15 +119,10 @@ def grid_step(eta_eps: float, j: int) -> float:
 
 @dataclass(frozen=True)
 class StepSizeExp:
-    """A step size base * 2^exponent on the dyadic grid: the type of
-    :attr:`TunerResult.eta`, the selected eta_eps * 2^j."""
+    """The exponent j of a step size on the dyadic grid: the type of
+    :attr:`TunerResult.eta`, the selected ``grid_step(eta_eps, j)``."""
 
-    base: float
     exponent: int
-
-    @property
-    def value(self) -> float:
-        return grid_step(self.base, self.exponent)
 
 
 def phi(trace: SgdTrace, damping: DampingParams) -> float:
@@ -282,9 +277,7 @@ def first_gradient_norm(oracle: StochasticOracle, x0,
     "g0") (none if noiseless), a side query not charged to the budget."""
     g0 = np.empty(len(x0))
     run_step(oracle, oracle.run_stream(master_seed, "g0"), 1)(x0, 0, g0)
-    g0_norm = math.sqrt(g0.dot(g0))  # what np.linalg.norm computes
-    # core.norm where the square over- or underflowed, the length maybe not
-    return g0_norm if TINY_LENGTH <= g0_norm < math.inf else float(norm(g0))
+    return float(norm(g0))
 
 
 class ZeroFirstGradient(ValueError):
@@ -361,12 +354,12 @@ def tune(oracle: StochasticOracle, domain: ProjectionDomain, x0, budget: int,
         if outcome.kind != "infeasible":
             case = outcome.kind
             x_bar = outcome.evaluations[outcome.o].x_avg.copy()
-            eta = StepSizeExp(eta_eps, outcome.o)
+            eta = StepSizeExp(outcome.o)
             break
         k *= 2
     else:  # no round fits the budget
         case, T_k = "budget_too_small", 1
-        x_bar, eta = x0.copy(), StepSizeExp(eta_eps, 0)
+        x_bar, eta = x0.copy(), StepSizeExp(0)
         outcome = damping = None
     if total_queries > budget:
         raise AssertionError("query budget exceeded")  # accounting bug

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ProjectionDomain, SgdTrace, StochasticOracle, norm,
-                   sgd_run, square)
+                   row_squares, sgd_run, square)
 from .tuner import (DETERMINISTIC_DAMPING, RTOL, DampingParams,
                     Deterministic, TunerResult, passes)
 
@@ -70,7 +70,7 @@ def good_event_margin(trace: SgdTrace, oracle: StochasticOracle, x_star,
     prefix = np.cumsum(inner)
     # dbar[t] includes x_t
     dbar = np.maximum.accumulate(norm(xs - x_star, axis=1))
-    g_sq = np.cumsum(np.einsum("ij,ij->i", gs, gs))
+    g_sq = np.cumsum(row_squares(gs))
     floor = trace.eta * math.sqrt(damping.beta)
     threshold = 0.25 * np.maximum(dbar[1:T + 1], floor) * np.sqrt(
         damping.alpha * g_sq + damping.beta)

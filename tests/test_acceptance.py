@@ -17,7 +17,7 @@ from stepfree import (DampingParams, Deterministic, NonAdaptive, ProblemSpec,
                       default_x0, derive_stream, make_problem, restart_tune,
                       sgd_run, tune)
 from stepfree.problems import grid_search_baseline
-from stepfree.tuner import phi, verify_output_property
+from stepfree.tuner import grid_step, phi, verify_output_property
 from stepfree.validation import (binom_upper, boundary_crossing_test,
                                  good_event_union_frequency, has_bug,
                                  localization_check)
@@ -109,7 +109,7 @@ def test_criterion_02_hand_simulated_traces():
         assert tr.r_bar == r_bar, (eta, T)
         assert tr.x_avg[0] == x_avg, (eta, T)
     result = tune(oracle, WHOLE, x0, budget=64, eta_eps=1 / 16)
-    assert result.eta.value == 1 / 4
+    assert grid_step(result.eta_eps, result.eta.exponent) == 1 / 4
     assert result.x_bar[0] == 0.15625
     assert result.total_queries == 64
     print("\ncriterion 2: pass - 10 hand-simulated traces exact, "

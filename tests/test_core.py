@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import abs_oracle, query_oracle
 from stepfree import NumericalFailure, ProjectionDomain, derive_stream, sgd_run
-from stepfree.core import TINY_LENGTH, norm, square
+from stepfree.core import TINY_LENGTH, norm, row_squares, square
 
 
 def zero_oracle(d=3):
@@ -93,6 +93,26 @@ class TestSgdRun:
         with pytest.raises(NumericalFailure) as err:
             sgd_run(oracle, WHOLE, np.zeros(1), 0.1, 10, stream=0)
         assert err.value.step == 3
+
+    def test_records_own_their_memory(self):
+        # a trace holds its two records and no buffer behind them
+        T, d = 8, 3
+        tr = sgd_run(abs_oracle(), WHOLE, np.ones(d), 0.25, T, stream=0)
+        assert tr.xs.base is None and tr.gs.base is None
+        assert tr.xs.nbytes + tr.gs.nbytes == (2 * T + 1) * d * 8
+
+    def test_r_bar_below_the_square_underflow_rounds_as_per_row_norms(self):
+        # every displacement square underflows; r_bar is still the largest
+        # ||x_i - x_0||, each rounded as np.linalg.norm rounds one row
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            g, x0 = rng.standard_normal(5), rng.standard_normal(5) * 1e-200
+            oracle = query_oracle(query=lambda x, rng, g=g: g,
+                                  noiseless=True)
+            tr = sgd_run(oracle, WHOLE, x0, 1e-200, 4, stream=None)
+            assert tr.r_bar == 2.0 ** -600 * max(
+                float(np.linalg.norm((x - x0) * 2.0 ** 600))
+                for x in tr.xs[1:])
 
     def test_value_tracking(self):
         oracle = abs_oracle()
@@ -232,11 +252,21 @@ class TestNorm:
         kept = (ref >= TINY_LENGTH) | ~rows.any(axis=1)
         lengths = norm(rows, axis=1)
         assert lengths[kept].tobytes() == ref[kept].tobytes()
-        if kept[0]:
-            assert norm(v).tobytes() == np.linalg.norm(v).tobytes()
+        if kept[0]:  # a 1-D v, as an array and as a list of floats
+            for one in (v, v.tolist()):
+                assert (np.float64(norm(one)).tobytes()
+                        == np.linalg.norm(v).tobytes())
         for row, length in zip(rows[~kept], lengths[~kept]):
             assert length == pytest.approx(math.hypot(*row), rel=1e-15,
                                            abs=2.0 ** -1073)
+
+    def test_strided_1d_takes_linalg_bits(self):
+        # a strided view sums in another order than its contiguous copy
+        # unless it is raveled first, as np.linalg.norm does
+        A = np.random.default_rng(1).standard_normal((200, 3))
+        for v in (A[:, 1], A[::-1, 2], A[::-3, 0]):
+            assert (np.float64(norm(v)).tobytes()
+                    == np.linalg.norm(v).tobytes())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("s", [0, 200, 520, 1000, -520, -540])
@@ -268,6 +298,23 @@ class TestNorm:
         assert np.array_equal(norm(rows, axis=1),
                               [math.ldexp(math.sqrt(1.25), -600), 0.0,
                                5e-324])
+
+
+class TestRowSquares:
+    @given(d=st.integers(1, 50), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ddot_bits_per_row(self, d, data):
+        entry = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, 5e-324, -2.0 ** -1060, 1e300,
+                             -1.3e154, math.inf, -math.inf, math.nan]))
+        n = data.draw(st.integers(1, 4))
+        M = np.array(data.draw(st.lists(
+            st.lists(entry, min_size=d, max_size=d), min_size=n,
+            max_size=n)))
+        with np.errstate(all="ignore"):
+            ref = np.array([row.dot(row) for row in M])
+            assert row_squares(M).tobytes() == ref.tobytes()
 
 
 class TestProjections:
@@ -331,6 +378,18 @@ class TestProjections:
                                    rtol=1e-12, atol=1e-15)
         dom = ProjectionDomain.ball(np.zeros(2), 1e200)
         assert np.array_equal(dom.project([1e160, 0.0]), [1e160, 0.0])
+
+    @pytest.mark.parametrize("radius, x", [
+        (1e-170, [1.5e-170, 0.0]), (2.0 ** -560, [2.0 ** -559, 0.0])])
+    def test_ball_below_the_square_underflow(self, radius, x):
+        # the squared distance underflows to 0 (or to a subnormal); the
+        # point still lies outside the ball and lands on its sphere
+        dom = ProjectionDomain.ball(np.zeros(2), radius)
+        p = dom.project(x)
+        assert norm(p) == pytest.approx(radius, rel=1e-15, abs=0.0)
+        assert p[1] == 0.0
+        inside = np.array([0.5 * radius, 0.0])
+        assert np.array_equal(dom.project(inside), inside)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("dom", [

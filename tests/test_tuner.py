@@ -10,9 +10,9 @@ import stepfree.tuner as tuner
 from oracles import abs_oracle, per_sample, query_oracle
 from stepfree import (DampingParams, Deterministic, NonAdaptive,
                       NumericalFailure, ProblemSpec, ProjectionDomain,
-                      SgdTrace, StepSizeExp, Stochastic, ZeroFirstGradient,
+                      SgdTrace, Stochastic, ZeroFirstGradient,
                       default_x0, make_problem, sgd_run, tune)
-from stepfree.core import square
+from stepfree.core import norm, square
 from stepfree.tuner import (damping_for_round, grid_step, passes, phi,
                             relative_eta_eps, root_finding_bisection,
                             round_constant, verify_output_property)
@@ -137,9 +137,6 @@ class TestDamping:
 
 
 class TestStepSizeExp:
-    def test_value(self):
-        assert StepSizeExp(1 / 16, 4).value == 1.0
-
     @pytest.mark.parametrize("eta_eps", [1e-3, 1 / 16, 0.3, 1e140, 5e-324,
                                          1e308])
     def test_grid_step_is_the_product_where_2_to_j_is_a_float(self, eta_eps):
@@ -152,7 +149,6 @@ class TestStepSizeExp:
         assert grid_step(1e-300, 1024) == math.ldexp(1e-300, 1024) < math.inf
         for j in (1024, 1100, 2 ** 16, 2 ** 40):
             assert grid_step(1.0, j) == math.inf
-        assert StepSizeExp(1e-3, 2 ** 16).value == math.inf
 
     def test_candidate_past_the_float_range_is_a_numerical_failure(self):
         # from x0 = 0 toward c = 1e300 every top candidate up to 2^256 walks
@@ -320,7 +316,7 @@ class TestTune:
         res = tune(abs_oracle(), WHOLE, np.array([1.0]), budget=64,
                    eta_eps=1 / 16)
         assert res.case == "normal"
-        assert res.eta.value == 0.25
+        assert grid_step(res.eta_eps, res.eta.exponent) == 0.25
         assert res.T == 16
         assert res.x_bar[0] == 0.15625
         assert res.total_queries == 64
@@ -370,9 +366,25 @@ class TestTune:
         assert scaled.case == base.case
         if base.case == "normal":
             assert scaled.eta.exponent == base.eta.exponent
-            assert scaled.eta.value == pytest.approx(s * base.eta.value)
+            assert (grid_step(scaled.eta_eps, scaled.eta.exponent)
+                    == pytest.approx(s * grid_step(base.eta_eps,
+                                                   base.eta.exponent)))
             assert scaled.x_bar[0] == pytest.approx(s * base.x_bar[0],
                                                     rel=1e-12)
+
+    def test_runs_stay_in_a_ball_below_the_square_underflow(self):
+        # tune --family quadratic --dimension 2 --radius 1e-170
+        # --center-scale 0 --x0-dist 1.5e-170: x0 starts outside the ball,
+        # where squared distances underflow, and is projected onto it
+        spec = ProblemSpec(family="quadratic", dimension=2, radius=1e-170,
+                           center_scale=0.0)
+        oracle, domain, x_star, _ = make_problem(spec, seed=0)
+        x0 = default_x0(domain, x_star, 1.5e-170, seed=0)
+        res = tune(oracle, domain, x0, budget=256, eta_eps=1e-3)
+        limit = spec.radius * (1 + tuner.RTOL)
+        assert norm(res.x0 - domain.center) <= limit
+        for tr in res.traces.values():
+            assert norm(tr.xs - domain.center, axis=1).max() <= limit
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(ValueError):
