@@ -20,6 +20,32 @@ from stepfree import (ProblemSpec, default_x0, derive_stream, make_problem,
 CASES = ("normal", "edge_low_step", "budget_too_small")
 
 
+def restart_chains(chains, max_rounds, min_round, epsilon, delta, dimension,
+                   seed):
+    """Each round's median gap and case counts, keyed by round, the
+    ``linregress`` fit of log2(median gap) against the round and each
+    chain's total queries. Acceptance criterion 10 runs it."""
+    spec = ProblemSpec(family="sc_quadratic", dimension=dimension,
+                       mu=1.0, L=1.0)
+    rounds = range(min_round, max_rounds + 1)
+    gaps = {m: [] for m in rounds}
+    cases = {m: dict.fromkeys(CASES, 0) for m in rounds}
+    queries = []
+    for rep in range(chains):
+        chain_seed = derive_stream(seed, "restart-rep", rep)
+        oracle, domain, x_star, f_star = make_problem(spec, chain_seed)
+        x0 = default_x0(domain, x_star, 1.0, chain_seed)
+        _, records = restart_tune(oracle, domain, x0, max_rounds, delta,
+                                  epsilon, L=1.0, master_seed=chain_seed)
+        queries.append(sum(r.total_queries for r in records))
+        for m in rounds:
+            gaps[m].append(oracle.exact_value(records[m - 1].x_bar) - f_star)
+            cases[m][records[m - 1].case] += 1
+    medians = {m: float(np.median(gaps[m])) for m in rounds}
+    fit = linregress(list(rounds), np.log2(list(medians.values())))
+    return medians, cases, fit, queries
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--chains", type=int, default=100)
@@ -31,27 +57,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    spec = ProblemSpec(family="sc_quadratic", dimension=args.dimension,
-                       mu=1.0, L=1.0)
-    rounds = range(args.min_round, args.max_rounds + 1)
-    gaps = {m: [] for m in rounds}
-    cases = {m: dict.fromkeys(CASES, 0) for m in rounds}
-    for rep in range(args.chains):
-        seed = derive_stream(args.seed, "restart-rep", rep)
-        oracle, domain, x_star, f_star = make_problem(spec, seed)
-        x0 = default_x0(domain, x_star, 1.0, seed)
-        _, records = restart_tune(oracle, domain, x0, M=args.max_rounds,
-                                  delta=args.delta, epsilon=args.epsilon,
-                                  L=1.0, master_seed=seed)
-        for m in rounds:
-            gaps[m].append(oracle.exact_value(records[m - 1].x_bar) - f_star)
-            cases[m][records[m - 1].case] += 1
-
-    medians = [float(np.median(gaps[m])) for m in rounds]
-    for m, med in zip(rounds, medians):
+    medians, cases, fit, _ = restart_chains(**vars(args))
+    for m, med in medians.items():
         counts = ", ".join(f"{case} {n}" for case, n in cases[m].items())
         print(f"M={m:2d} (budget 2^{m + 1}): median gap {med:.6g} ({counts})")
-    fit = linregress(list(rounds), np.log2(medians))
     print(f"slope of log2(median gap) vs M: {fit.slope:.4f} "
           f"(stderr {fit.stderr:.4f})")
     return 0

@@ -129,10 +129,10 @@ def norm(v, axis: Optional[int] = None):
 
 def row_squares(M) -> np.ndarray:
     """The squared length ``M[i].dot(M[i])`` of each row of the 2-D array
-    M, bit for bit: one ``ddot`` per row, +inf where a finite row's square
-    overflows. ``np.einsum`` and ``np.linalg.norm(M, axis=1)`` sum in
-    another order, so they round differently."""
-    return np.matmul(M[:, None, :], M[:, :, None]).ravel()
+    M, bit for bit, +inf where a finite row's square overflows.
+    ``np.einsum`` and ``np.linalg.norm(M, axis=1)`` sum in another order,
+    so they round differently."""
+    return np.vecdot(M, M)
 
 
 def square(x: float) -> float:

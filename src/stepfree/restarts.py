@@ -61,9 +61,7 @@ def restart_tune(oracle: StochasticOracle, domain: ProjectionDomain, x0,
                           master_seed=oracle.run_stream(master_seed, "restart",
                                                         m))
         except Exception as exc:
-            # exc.add_note, which Python 3.10 lacks
-            exc.__notes__ = [*getattr(exc, "__notes__", ()),
-                             f"restart round {m} failed"]
+            exc.add_note(f"restart round {m} failed")
             raise
         total_queries += result.total_queries
         records.append(result)

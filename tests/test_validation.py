@@ -450,6 +450,113 @@ class TestTheoremChecks:
             check_theorem_bounds(res, oracle)
 
 
+# the abs-oracle tune runs from x0 = 1 (d0 = 1) that the brackets read, as
+# (eta_eps, budget): a normal one (k = 2, T = 16, o = 2, G = 4 at o and 2 at
+# o + 1), an edge_low_step one (T = 16, G = 16) and a budget_too_small one;
+# rounding absorbed none of their steps
+NORMAL, EDGE, TINY = (1 / 16, 64), (4.0, 64), (1.0, 4)
+DET, STOCH = Deterministic(), Stochastic(delta=0.1, L=2.0)
+MODES = [(DET, "bug"), (STOCH, "inconclusive")]  # a failed line's verdict
+OVER = 1 + 1e-9  # past each limit here: RTOL is 1e-12, err below 1e-14
+
+
+class TestTightBrackets:
+    """Every line of check_theorem_bounds on constructed results on each
+    side of its limit, bound * (1 + RTOL) + err: at its bound, restated here
+    from the theorem, it reads pass, and at OVER times it the mode's
+    failure verdict, so a loosened bound fails here. The runs' damping is
+    the deterministic (3, 0) in both modes, and L = 2 bounds |sign(x)|."""
+
+    @staticmethod
+    def report(run, mode, gap=None, **fields):
+        """The lines, by id, of the run read in mode with result fields
+        replaced and, given a gap, exact_value returning it (f* = 0)."""
+        oracle = abs_oracle()
+        eta_eps, budget = run
+        res = tune(oracle, WHOLE, np.array([1.0]), budget, eta_eps)
+        oracle.norm_bound_L = 2.0
+        if gap is not None:
+            oracle.exact_value = lambda x: gap
+        lines = check_theorem_bounds(replace(res, mode=mode, **fields), oracle)
+        return {l.check_id: l for l in lines}
+
+    @staticmethod
+    def gap_constant(mode):
+        """2 alpha / (alpha - 1), or (9 alpha - 2) / (2 (alpha - 2)), at
+        alpha = 3."""
+        return 3.0 if mode == DET else 12.5
+
+    @pytest.mark.parametrize("mode", [DET, STOCH])
+    def test_budget(self, mode):
+        lines = [self.report(NORMAL, mode, total_queries=q) for q in (64, 65)]
+        assert [l["budget"].verdict for l in lines] == ["pass", "bug"]
+
+    @pytest.mark.parametrize("mode, failed", MODES)
+    def test_T_lower_bound(self, mode, failed):
+        # B / (12 log2(log2(d0 / (eta_eps ||g0||)))), ||g0|| = 1, or
+        # B / (8 log2(log2(d0 / (eta_eps L)))), at a budget B = 2^20
+        t = math.ceil(2 ** 20 / (24.0 if mode == DET else 8 * math.log2(3.0)))
+        lines = [self.report(NORMAL, mode, budget=2 ** 20, T=T)
+                 for T in (t, t - 1)]
+        assert [l["T_lower_bound"].verdict for l in lines] == ["pass", failed]
+
+    @pytest.mark.parametrize("mode, failed", MODES)
+    def test_gap_tiny_budget(self, mode, failed):
+        bound = 2.0  # d0 L
+        lines = [self.report(TINY, mode, gap) for gap in (bound, bound * OVER)]
+        assert [l["gap_tiny_budget"].verdict for l in lines] == [
+            "pass", failed]
+
+    @pytest.mark.parametrize("mode, failed", MODES)
+    def test_localization(self, mode, failed):
+        bound = 4.0 if mode == DET else 6.0  # times d0
+        lines = [self.report(NORMAL, mode, x_bar=np.array([x]))
+                 for x in (bound, bound * OVER)]
+        assert [l["localization"].verdict for l in lines] == ["pass", failed]
+
+    @pytest.mark.parametrize("mode", [DET, STOCH])
+    def test_gap_vs_endpoint_max(self, mode):
+        # const d0 max(den(eta_o), den(2 eta_o)) / T, den = sqrt(3 G)
+        bound = self.gap_constant(mode) * math.sqrt(3 * 4.0) / 16
+        lines = [self.report(NORMAL, mode, gap)
+                 for gap in (bound, bound * OVER)]
+        assert [l["gap_vs_endpoint_max"].verdict for l in lines] == [
+            "pass", "inconclusive"]
+
+    @pytest.mark.parametrize("mode, failed", MODES)
+    def test_gap_vs_L_surrogate(self, mode, failed):
+        # const d0 sqrt(alpha L^2 T) / T: twice the endpoint bound, which
+        # fails first
+        bound = self.gap_constant(mode) * math.sqrt(3 * 2.0 ** 2 * 16) / 16
+        lines = [self.report(NORMAL, mode, gap)
+                 for gap in (bound, bound * OVER)]
+        assert [l["gap_vs_endpoint_max"].verdict for l in lines] == [
+            "inconclusive"] * 2
+        assert [l["gap_vs_L_surrogate"].verdict for l in lines] == [
+            "pass", failed]
+
+    @pytest.mark.parametrize("mode, failed", MODES)
+    def test_edge_displacement(self, mode, failed):
+        bound = 4.0 * math.sqrt(3 * 16.0)  # eta_eps den, of ||x_bar - x0||
+        lines = [self.report(EDGE, mode, x_bar=np.array([1.0 + dist]))
+                 for dist in (bound, bound * OVER)]
+        assert [l["edge_displacement"].verdict for l in lines] == [
+            "pass", failed]
+
+    @pytest.mark.parametrize("mode, failed", MODES)
+    def test_edge_gap_dichotomy(self, mode, failed):
+        # x_bar = 100 fails the normal-style side's localization, so the
+        # small-step bound decides: 2 eta_eps G / T, or
+        # 1.25 (d0 den + eta_eps den^2) / T
+        den = math.sqrt(3 * 16.0)
+        bound = (2 * 4.0 * 16 / 16 if mode == DET
+                 else 1.25 * (den + 4.0 * den ** 2) / 16)
+        lines = [self.report(EDGE, mode, gap, x_bar=np.array([100.0]))
+                 for gap in (bound, bound * OVER)]
+        assert [l["edge_gap_dichotomy"].verdict for l in lines] == [
+            "pass", failed]
+
+
 class TestRoundingAbsorbed:
     """Checks of a run whose every step rounding absorbed, against one held
     in place by the projection."""
